@@ -14,7 +14,7 @@ bucket_quality slices corpus quality by reference length.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import DataError
 from .metrics import SENTENCE_EPS, corpus_bleu, corpus_wer, sentence_bleu, wer
@@ -95,6 +95,10 @@ class CategoryRow:
     mean_len_large: float
     contribution: float
     length_contribution: float
+
+
+# the category report's CSV columns (and JSON row keys)
+CATEGORY_COLUMNS = tuple(f.name for f in fields(CategoryRow))
 
 
 @dataclass(frozen=True)
@@ -229,30 +233,6 @@ def bucket_quality(hyps, refs, edges=DEFAULT_BUCKET_EDGES, metric="bleu"):
 
 # -------------------------------------------------------------- serialization
 
-def _csv_cell(value):
-    return "" if value is None else repr(value)
-
-
-def category_report_to_csv(report):
-    lines = ["category,count,fraction,metric_small,metric_large,"
-             "mean_len_small,mean_len_large,contribution,length_contribution"]
-    for r in report.rows:
-        lines.append(",".join([
-            r.category, "%d" % r.count, repr(r.fraction),
-            _csv_cell(r.metric_small), _csv_cell(r.metric_large),
-            _csv_cell(r.mean_len_small), _csv_cell(r.mean_len_large),
-            repr(r.contribution), repr(r.length_contribution)]))
-    return "\n".join(lines) + "\n"
-
-
-def bucket_report_to_csv(report):
-    lines = ["bucket_low,bucket_high,count,metric"]
-    for b in report.buckets:
-        lines.append(",".join([repr(b.low), repr(b.high), "%d" % b.count,
-                               _csv_cell(b.metric)]))
-    return "\n".join(lines) + "\n"
-
-
 def _finite_or_none(value):
     return None if value is not None and math.isinf(value) else value
 
@@ -261,17 +241,7 @@ def category_report_blob(report):
     return {
         "metric": report.metric,
         "n_sentences": report.n_sentences,
-        "categories": [{
-            "category": r.category,
-            "count": r.count,
-            "fraction": r.fraction,
-            "metric_small": r.metric_small,
-            "metric_large": r.metric_large,
-            "mean_len_small": r.mean_len_small,
-            "mean_len_large": r.mean_len_large,
-            "contribution": r.contribution,
-            "length_contribution": r.length_contribution,
-        } for r in report.rows],
+        "categories": [asdict(r) for r in report.rows],
     }
 
 

@@ -15,17 +15,16 @@ import argparse
 import os
 import sys
 
-from .analysis import (DEFAULT_BUCKET_EDGES, bucket_quality,
-                       bucket_report_blob, bucket_report_to_csv,
-                       category_report, category_report_blob,
-                       category_report_to_csv, classify, length_report)
+from .analysis import (CATEGORY_COLUMNS, DEFAULT_BUCKET_EDGES,
+                       bucket_quality, bucket_report_blob, category_report,
+                       category_report_blob, classify, length_report)
 from .augment import (MsrConfig, msr, resolve_output_size, save_provenance,
                       simple_resample)
 from .corpus import (SynthConfig, generate_synthetic, length_histogram,
                      load_corpus, parse_length_law, save_corpus, tokenize)
 from .errors import DataError
 from .experiment import SYNTH_DEFAULTS, run_experiment
-from .fileio import canonical_json, write_text_atomic
+from .fileio import canonical_json, format_csv, write_text_atomic
 from .metrics import corpus_bleu, corpus_wer, paired_bootstrap, wer
 from .model import load_model, save_model, train
 from .search import (BeamConfig, decode_corpus, format_decode_tsv,
@@ -160,7 +159,7 @@ def cmd_decode(args):
     norm = parse_normalization(args.norm)
     config = BeamConfig(width=args.beam, normalization=norm,
                         max_len_a=args.max_len_a, max_len_b=args.max_len_b)
-    results = decode_corpus(model, sources, config, jobs=max(1, args.jobs))
+    results = decode_corpus(model, sources, config, jobs=args.jobs)
     name = args.name or "decode_w%d_%s.tsv" % (
         args.beam, format_normalization(norm).replace(":", "_"))
     path = os.path.join(_out_dir(args), name)
@@ -226,10 +225,11 @@ def cmd_analyze_categories(args):
     categories = classify(hyps_small, hyps_large, refs, metric=args.metric)
     report = category_report(categories, hyps_small, hyps_large, refs,
                              metric=args.metric)
+    blob = category_report_blob(report)
     if args.format == "csv":
-        _emit(category_report_to_csv(report))
+        _emit(format_csv(CATEGORY_COLUMNS, blob["categories"]))
     else:
-        _emit(canonical_json(category_report_blob(report)))
+        _emit(canonical_json(blob))
     return 0
 
 
@@ -250,7 +250,10 @@ def cmd_analyze_buckets(args):
     report = bucket_quality(hyps, refs, edges=_parse_edges(args.edges),
                             metric=args.metric)
     if args.format == "csv":
-        _emit(bucket_report_to_csv(report))
+        _emit(format_csv(
+            ("bucket_low", "bucket_high", "count", "metric"),
+            [{"bucket_low": b.low, "bucket_high": b.high, "count": b.count,
+              "metric": b.metric} for b in report.buckets]))
     else:
         _emit(canonical_json(bucket_report_blob(report)))
     return 0
@@ -277,8 +280,7 @@ def cmd_experiment(args):
     if not args.config:
         raise ValueError("experiment requires --config <file>")
     out = _out_dir(args)
-    run_experiment(args.config, out, jobs=max(1, args.jobs),
-                   seed_override=args.seed)
+    run_experiment(args.config, out, jobs=args.jobs, seed_override=args.seed)
     print(os.path.join(out, "manifest.json"))
     return 0
 

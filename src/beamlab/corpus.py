@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError, FormatError
-from .fileio import write_text_atomic
+from .fileio import format_csv, write_text_atomic
 
 BOS = "<s>"
 EOS = "</s>"
@@ -169,12 +169,11 @@ class LengthHistogram:
     total: int
 
     def to_csv(self):
-        rows = ["bucket_start,bucket_end,count"]
-        for k, count in enumerate(self.counts):
-            rows.append("%d,%d,%d" % (k * self.bucket_width,
-                                      (k + 1) * self.bucket_width, count))
-        rows.append("# mean=%r total=%d" % (self.mean, self.total))
-        return "\n".join(rows) + "\n"
+        width = self.bucket_width
+        rows = [{"bucket_start": k * width, "bucket_end": (k + 1) * width,
+                 "count": count} for k, count in enumerate(self.counts)]
+        return (format_csv(("bucket_start", "bucket_end", "count"), rows)
+                + "# mean=%r total=%d\n" % (self.mean, self.total))
 
 
 def length_histogram(corpus, side, bucket_width):
@@ -220,10 +219,6 @@ def parse_length_law(text):
     raise ValueError("unknown length law %r" % (text,))
 
 
-def format_length_law(law):
-    return "%s(%s)" % (law[0], ", ".join(repr(a) for a in law[1:]))
-
-
 def law_mean(law):
     kind = law[0]
     if kind == "geometric":
@@ -261,20 +256,20 @@ class SynthConfig:
     test_length_law: tuple = None
     terminal_token: str = None
 
-
-def _validate_synth(config):
-    if config.vocab_size < 2:
-        raise ValueError("vocab_size must be >= 2")
-    if not 0.0 <= config.noise_prob <= 1.0:
-        raise ValueError("noise_prob must be in [0, 1]")
-    for size in (config.train_size, config.dev_size, config.test_size):
-        if size < 1:
-            raise ValueError("split sizes must be >= 1")
-    if config.zipf_exponent <= 0:
-        raise ValueError("zipf_exponent must be positive")
-    term = config.terminal_token
-    if term is not None and (not term or term.split() != [term] or term in RESERVED):
-        raise ValueError("bad terminal token %r" % (term,))
+    def __post_init__(self):
+        if self.vocab_size < 2:
+            raise ValueError("vocab_size must be >= 2")
+        if not 0.0 <= self.noise_prob <= 1.0:
+            raise ValueError("noise_prob must be in [0, 1]")
+        for size in (self.train_size, self.dev_size, self.test_size):
+            if size < 1:
+                raise ValueError("split sizes must be >= 1")
+        if self.zipf_exponent <= 0:
+            raise ValueError("zipf_exponent must be positive")
+        term = self.terminal_token
+        if term is not None and (not isinstance(term, str) or not term
+                                 or term.split() != [term] or term in RESERVED):
+            raise ValueError("bad terminal token %r" % (term,))
 
 
 def _zipf_probs(exponent, size):
@@ -297,7 +292,6 @@ def generate_synthetic(config):
     """Build {train, dev, test} corpora. Deterministic in config.seed; the rng
     stream is consumed in a fixed order: dictionary permutation first, then per
     split lengths, source ranks, noise mask, noise replacements."""
-    _validate_synth(config)
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(config.vocab_size)
     probs = _zipf_probs(config.zipf_exponent, config.vocab_size)

@@ -10,6 +10,7 @@ A manifest records the config snapshot, its hash, and every artifact path.
 
 import hashlib
 import os
+import shutil
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -19,7 +20,8 @@ from . import __version__, analysis, augment, metrics, model as model_mod, searc
 from .corpus import (SynthConfig, generate_synthetic, length_histogram,
                      parse_length_law, save_corpus)
 from .errors import DataError
-from .fileio import write_bytes_atomic, write_json_atomic, write_text_atomic
+from .fileio import (format_csv, write_bytes_atomic, write_json_atomic,
+                     write_text_atomic)
 
 SYSTEMS = ("baseline", "msr", "resample")
 
@@ -76,7 +78,7 @@ def _merge_section(name, given, defaults):
         given = {}
     if not isinstance(given, dict):
         raise DataError("config section '%s' must be a mapping" % name)
-    unknown = sorted(set(given) - set(defaults))
+    unknown = sorted(str(key) for key in set(given) - set(defaults))
     if unknown:
         raise DataError("config section '%s': unknown key(s) %s"
                         % (name, ", ".join(unknown)))
@@ -113,7 +115,7 @@ def _config_from_blob(blob):
     if not isinstance(blob, dict):
         raise DataError("config root must be a mapping of sections")
     known_top = set(_SECTIONS) | {"seed", "systems"}
-    unknown = sorted(set(blob) - known_top)
+    unknown = sorted(str(key) for key in set(blob) - known_top)
     if unknown:
         raise DataError("config: unknown top-level key(s) %s"
                         % ", ".join(unknown))
@@ -121,8 +123,8 @@ def _config_from_blob(blob):
 
     systems = blob.get("systems", list(SYSTEMS))
     if not isinstance(systems, list) or not systems or \
-            len(set(systems)) != len(systems) or \
-            any(s not in SYSTEMS for s in systems):
+            any(s not in SYSTEMS for s in systems) or \
+            len(set(systems)) != len(systems):
         raise DataError("config: systems must be a non-repeating subset of %s"
                         % (list(SYSTEMS),))
 
@@ -165,9 +167,12 @@ def _config_from_blob(blob):
                         "non-empty list")
     parsed_norms = []
     for text in norms:
+        if not isinstance(text, str):
+            raise DataError("config: bad normalization %r: not a string"
+                            % (text,))
         try:
             parsed_norms.append(search.parse_normalization(text))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DataError("config: bad normalization %r: %s"
                             % (text, exc)) from None
 
@@ -183,8 +188,10 @@ def _config_from_blob(blob):
                         "decoded widths, small before large")
 
     edges = ana["bucket_edges"]
-    if not isinstance(edges, list) or not edges or edges[0] <= 0 or \
-            any(a >= b for a, b in zip(edges, edges[1:])):
+    if not isinstance(edges, list) or not edges or \
+            any(isinstance(e, bool) or not isinstance(e, (int, float))
+                for e in edges) or \
+            edges[0] <= 0 or any(a >= b for a, b in zip(edges, edges[1:])):
         raise DataError("config: analysis.bucket_edges must be ascending "
                         "positive thresholds")
 
@@ -229,16 +236,19 @@ def _read_config_bytes(path):
         raise DataError("cannot read config %s: %s" % (path, exc)) from None
 
 
-def load_experiment_config(path):
-    """Parse and validate an experiment config file. Unknown keys anywhere
-    are hard errors."""
-    raw = _read_config_bytes(path)
+def _parse_config(raw, path):
     try:
         blob = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise DataError("config %s is not valid YAML: %s" % (path, exc)) \
             from None
     return _config_from_blob(blob)
+
+
+def load_experiment_config(path):
+    """Parse and validate an experiment config file. Unknown keys anywhere
+    are hard errors."""
+    return _parse_config(_read_config_bytes(path), path)
 
 
 # ------------------------------------------------------------------- pipeline
@@ -249,6 +259,13 @@ def _norm_slug(norm):
 
 def _hash_comment(config_hash):
     return "# config_hash=%s\n" % config_hash
+
+
+_QUALITY_COLUMNS = ("system", "normalization", "width", "score",
+                    "mean_hyp_len")
+_BUCKET_COLUMNS = ("system", "normalization", "width", "bucket_low",
+                   "bucket_high", "count", "metric")
+_SWEEP_COLUMNS = ("n", "width", "score", "mean_hyp_len")
 
 
 def _train_model(cfg, corpus):
@@ -281,7 +298,6 @@ def _augmented_corpora(cfg, base_train):
 def _decode_grid(cfg, models, sources, jobs):
     """Decode once per (system, width) with raw scores, then rerank per
     normalization. Returns top-1 token lists and the full reranked results."""
-    raw_config = {}
     top1 = {}
     results = {}
     for system in cfg.systems:
@@ -292,7 +308,6 @@ def _decode_grid(cfg, models, sources, jobs):
                                      max_len_b=cfg.max_len_b)
             raw = search.decode_corpus(models[system], sources, beam,
                                        jobs=jobs)
-            raw_config[(system, width)] = beam
             for norm in cfg.normalizations:
                 reranked = [search.rerank(r, norm) for r in raw]
                 results[(system, width, norm)] = reranked
@@ -326,24 +341,6 @@ def _quality_rows(cfg, top1, refs):
                     "mean_hyp_len": _mean_length(hyps),
                 })
     return rows
-
-
-def _rows_to_csv(header, rows, keys, config_hash):
-    lines = [_hash_comment(config_hash) + header]
-    for row in rows:
-        cells = []
-        for key in keys:
-            value = row[key]
-            if isinstance(value, str):
-                cells.append(value)
-            elif isinstance(value, bool) or value is None:
-                cells.append("" if value is None else repr(value))
-            elif isinstance(value, int):
-                cells.append("%d" % value)
-            else:
-                cells.append(repr(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _bucket_rows(cfg, top1, refs):
@@ -407,13 +404,11 @@ def _utc_now():
 def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
     """Run the full pipeline under out_dir and return the manifest. Any
     stage failure writes failed/error.txt naming the stage, keeps whatever
-    partial outputs exist, and re-raises."""
+    partial outputs exist, and re-raises; a successful run removes the
+    failed/ of an earlier one. `jobs` goes through search.resolve_jobs."""
     raw = _read_config_bytes(config_path)
-    try:
-        cfg = _config_from_blob(yaml.safe_load(raw))
-    except yaml.YAMLError as exc:
-        raise DataError("config %s is not valid YAML: %s"
-                        % (config_path, exc)) from None
+    cfg = _parse_config(raw, config_path)
+    jobs = search.resolve_jobs(jobs)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override,
                       synth=replace(cfg.synth, seed=seed_override))
@@ -475,10 +470,8 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         stage = "evaluate"
         quality = _quality_rows(cfg, top1, refs)
         rel = "reports/quality_curve.csv"
-        write_text_atomic(os.path.join(out, rel), _rows_to_csv(
-            "system,normalization,width,score,mean_hyp_len", quality,
-            ("system", "normalization", "width", "score", "mean_hyp_len"),
-            config_hash))
+        write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
+                          + format_csv(_QUALITY_COLUMNS, quality))
         artifacts["reports"].append(rel)
         rel = "reports/quality_curve.json"
         write_json_atomic(os.path.join(out, rel), {
@@ -496,28 +489,27 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
                 report = analysis.category_report(
                     cats, top1[(system, small_w, norm)],
                     top1[(system, large_w, norm)], refs, metric=cfg.metric)
+                blob = analysis.category_report_blob(report)
                 stem = "reports/categories_%s_%s" % (system, _norm_slug(norm))
                 write_text_atomic(
                     os.path.join(out, stem + ".csv"),
-                    _hash_comment(config_hash)
-                    + analysis.category_report_to_csv(report))
+                    _hash_comment(config_hash) + format_csv(
+                        analysis.CATEGORY_COLUMNS, blob["categories"]))
                 write_json_atomic(os.path.join(out, stem + ".json"), {
                     "config_hash": config_hash,
                     "system": system,
                     "normalization": search.format_normalization(norm),
                     "width_small": small_w,
                     "width_large": large_w,
-                    "report": analysis.category_report_blob(report)})
+                    "report": blob})
                 artifacts["reports"].append(stem + ".csv")
                 artifacts["reports"].append(stem + ".json")
 
         bucket_rows = _bucket_rows(cfg, top1, refs)
         rel = "reports/buckets.csv"
-        write_text_atomic(os.path.join(out, rel), _rows_to_csv(
-            "system,normalization,width,bucket_low,bucket_high,count,metric",
-            _bucket_csv_rows(bucket_rows),
-            ("system", "normalization", "width", "bucket_low", "bucket_high",
-             "count", "metric"), config_hash))
+        write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
+                          + format_csv(_BUCKET_COLUMNS,
+                                       _bucket_csv_rows(bucket_rows)))
         artifacts["reports"].append(rel)
         rel = "reports/buckets.json"
         write_json_atomic(os.path.join(out, rel), {
@@ -537,9 +529,8 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
             stage = "n-sweep"
             sweep = _sweep_rows(cfg, splits["train"], sources, refs, jobs)
             rel = "reports/n_sweep.csv"
-            write_text_atomic(os.path.join(out, rel), _rows_to_csv(
-                "n,width,score,mean_hyp_len", sweep,
-                ("n", "width", "score", "mean_hyp_len"), config_hash))
+            write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
+                              + format_csv(_SWEEP_COLUMNS, sweep))
             artifacts["reports"].append(rel)
             rel = "reports/n_sweep.json"
             write_json_atomic(os.path.join(out, rel), {
@@ -552,6 +543,8 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         write_text_atomic(os.path.join(failed_dir, "error.txt"),
                           "stage: %s\nerror: %r\n" % (stage, exc))
         raise
+    if os.path.isdir(os.path.join(out, "failed")):
+        shutil.rmtree(os.path.join(out, "failed"))
 
     manifest = {
         "format": "beamlab.manifest",

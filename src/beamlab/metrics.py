@@ -180,20 +180,6 @@ def corpus_wer(hyps, refs):
 
 # ------------------------------------------------------------------ bootstrap
 
-def _bleu_scores_from_sums(sums):
-    """Vectorized corpus BLEU over a (rows, 10) matrix of summed stats."""
-    clipped = sums[:, 0:8:2]
-    totals = sums[:, 1:8:2]
-    hyp_len = sums[:, 8]
-    ref_len = sums[:, 9]
-    safe_totals = np.maximum(totals, 1)
-    precisions = clipped / safe_totals
-    ok = (totals > 0).all(axis=1) & (precisions > 0).all(axis=1) & (hyp_len > 0)
-    log_mean = np.log(np.maximum(precisions, 1e-300)).sum(axis=1) / MAX_ORDER
-    bp = np.minimum(1.0, np.exp(1.0 - ref_len / np.maximum(hyp_len, 1)))
-    return np.where(ok, 100.0 * bp * np.exp(log_mean), 0.0)
-
-
 def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
                      n_resamples=1000, seed=0):
     """Koehn-style paired bootstrap: resample sentence indices with
@@ -215,7 +201,10 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
                            dtype=np.float64)
         stats_b = np.array([_bleu_stats(h, r) for h, r in zip(hyps_b, refs)],
                            dtype=np.float64)
-        score = _bleu_scores_from_sums
+
+        def score(sums):
+            return np.array([_bleu_from_sums(row).score
+                             for row in sums.tolist()])
         better = np.greater
     else:
         def _wer_row(hyp, ref):

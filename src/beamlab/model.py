@@ -9,12 +9,13 @@ is trained (and scored) with a final EOS step, so the model carries an
 explicit, data-derived belief about where sequences end. That belief, learned
 from the training data's length distribution, is what the search and analysis
 modules poke at.
+
+This module holds the counts, training and save/load; search.DenseScorer is
+the one place that turns the counts into the probabilities above.
 """
 
 import json
-import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .corpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocabulary
 from .errors import DataError, ModelFormatError
@@ -40,11 +41,6 @@ class _CountTable:
             row = self.counts[key] = Counter()
         row[token_id] += amount
         self.totals[key] += amount
-
-    def prob(self, key, token_id, support_size):
-        row = self.counts.get(key)
-        count = row[token_id] if row is not None else 0
-        return (count + self.add_k) / (self.totals[key] + self.add_k * support_size)
 
 
 class LexTable(_CountTable):
@@ -79,13 +75,6 @@ class TransducerModel:
         return self.ngram.order
 
 
-@dataclass(frozen=True)
-class DecoderState:
-    source_ids: tuple
-    context: tuple
-    t: int
-
-
 def train(corpus, order=3, add_k_lex=0.1, add_k_ngram=0.1, lam=0.6, min_count=1):
     """Accumulate lexical and n-gram counts over the corpus. The emission
     support is every target vocabulary word plus EOS, plus UNK if (and only
@@ -118,58 +107,6 @@ def train(corpus, order=3, add_k_lex=0.1, add_k_ngram=0.1, lam=0.6, min_count=1)
         list(range(3, len(target_vocab)))
     model = TransducerModel(lam, ngram, lex, source_vocab, target_vocab, support)
     return model
-
-
-def initial_state(model, source_tokens):
-    if not source_tokens:
-        raise ValueError("source sentence is empty")
-    ids = tuple(model.source_vocab.id(t) for t in source_tokens)
-    return DecoderState(source_ids=ids,
-                        context=(BOS_ID,) * (model.order - 1), t=1)
-
-
-def advance(model, state, token_id):
-    if model.order > 1:
-        context = (state.context + (token_id,))[-(model.order - 1):]
-    else:
-        context = ()
-    return DecoderState(source_ids=state.source_ids, context=context,
-                        t=state.t + 1)
-
-
-def state_after_prefix(model, source_tokens, prefix_tokens):
-    state = initial_state(model, source_tokens)
-    for tok in prefix_tokens:
-        state = advance(model, state, model.target_vocab.id(tok))
-    return state
-
-
-def aligned_source_id(state):
-    return state.source_ids[min(state.t, len(state.source_ids)) - 1]
-
-
-def next_distribution(model, state):
-    """Probability of each emittable id (model.support) in this state."""
-    size = len(model.support)
-    x = aligned_source_id(state)
-    lam = model.lam
-    out = {}
-    for y in model.support:
-        out[y] = (lam * model.lex.prob(x, y, size)
-                  + (1.0 - lam) * model.ngram.prob(state.context, y, size))
-    return out
-
-
-def sequence_logprob(model, source_tokens, target_tokens):
-    """Log probability of the target (plus its EOS step) given the source;
-    equals the score search assigns the same finished hypothesis."""
-    state = initial_state(model, source_tokens)
-    logprob = 0.0
-    ids = [model.target_vocab.id(t) for t in target_tokens] + [EOS_ID]
-    for y in ids:
-        logprob += math.log(next_distribution(model, state)[y])
-        state = advance(model, state, y)
-    return logprob
 
 
 # ---------------------------------------------------------------- save/load

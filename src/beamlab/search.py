@@ -19,13 +19,13 @@ does directly.
 
 import math
 import multiprocessing
-import time
-from dataclasses import dataclass, field
+import os
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID
-from .model import initial_state
 
 NORMALIZATIONS = ("none", "by_length", "gnmt")
 
@@ -67,7 +67,6 @@ def normalize_score(logprob, length, norm):
 class Hypothesis:
     tokens: tuple
     logprob: float
-    finished: bool
     normalized_score: float
 
 
@@ -96,7 +95,6 @@ class BeamConfig:
 class DecodeResult:
     hypotheses: list
     width: int
-    wall_time: float
 
 
 def saturating_width(support_size, cap):
@@ -107,11 +105,13 @@ def saturating_width(support_size, cap):
 
 
 class DenseScorer:
-    """Dense per-step log-probability rows over the model's support.
+    """Dense per-step log-probability rows over the model's support: the one
+    place that turns the model's counts into the probabilities its docstring
+    defines.
 
-    Beam and exact search must share one of these (or at least this code
-    path): all probabilities flow through the same vector expression, so the
-    two searches see bit-identical floats and their tie-breaks agree.
+    Beam and exact search must share this code path: all probabilities flow
+    through the same vector expression, so the two searches see bit-identical
+    floats and their tie-breaks agree.
     """
 
     def __init__(self, model):
@@ -158,6 +158,12 @@ class DenseScorer:
         return np.log(lam * lex + (1.0 - lam) * mat)
 
 
+def _source_ids(model, source_tokens):
+    if not source_tokens:
+        raise ValueError("source sentence is empty")
+    return [model.source_vocab.id(t) for t in source_tokens]
+
+
 def _context_of(tokens, order):
     if order <= 1:
         return ()
@@ -170,11 +176,9 @@ def _rank_key(hyp):
 
 
 def beam_search(model, source_tokens, config, scorer=None):
-    start = time.perf_counter()
     if scorer is None:
         scorer = DenseScorer(model)
-    state = initial_state(model, source_tokens)
-    src_ids = state.source_ids
+    src_ids = _source_ids(model, source_tokens)
     n_src = len(src_ids)
     order = model.order
     cap = config.cap(n_src)
@@ -185,7 +189,7 @@ def beam_search(model, source_tokens, config, scorer=None):
 
     def finish(tokens, logprob):
         score = normalize_score(logprob, len(tokens) + 1, norm)
-        return Hypothesis(tokens=tokens, logprob=logprob, finished=True,
+        return Hypothesis(tokens=tokens, logprob=logprob,
                           normalized_score=score)
 
     live_tokens = [()]
@@ -228,8 +232,7 @@ def beam_search(model, source_tokens, config, scorer=None):
             finished.append(finish(toks, float(live_lp[i] + rows[i, eos_pos])))
 
     finished.sort(key=_rank_key)
-    return DecodeResult(hypotheses=finished, width=width,
-                        wall_time=time.perf_counter() - start)
+    return DecodeResult(hypotheses=finished, width=width)
 
 
 def exact_search(model, source_tokens, max_len, scorer=None):
@@ -241,8 +244,7 @@ def exact_search(model, source_tokens, max_len, scorer=None):
             % (len(model.support), max_len))
     if scorer is None:
         scorer = DenseScorer(model)
-    state = initial_state(model, source_tokens)
-    src_ids = state.source_ids
+    src_ids = _source_ids(model, source_tokens)
     n_src = len(src_ids)
     order = model.order
     eos_pos = scorer.eos_pos
@@ -260,7 +262,7 @@ def exact_search(model, source_tokens, max_len, scorer=None):
         key = (-lp, len(tokens), list(tokens))
         if best_key is None or key < best_key:
             best_key = key
-            best = Hypothesis(tokens=tokens, logprob=float(lp), finished=True,
+            best = Hypothesis(tokens=tokens, logprob=float(lp),
                               normalized_score=float(lp))
         if len(tokens) < max_len:
             # reversed push so children pop in lexicographic order
@@ -272,13 +274,12 @@ def exact_search(model, source_tokens, max_len, scorer=None):
 def rerank(result, normalization):
     """Re-rank a DecodeResult's finished set under another normalization.
     Search order is unaffected by normalization, so this equals re-decoding."""
-    hyps = [Hypothesis(tokens=h.tokens, logprob=h.logprob, finished=h.finished,
+    hyps = [Hypothesis(tokens=h.tokens, logprob=h.logprob,
                        normalized_score=normalize_score(
                            h.logprob, len(h.tokens) + 1, normalization))
             for h in result.hypotheses]
     hyps.sort(key=_rank_key)
-    return DecodeResult(hypotheses=hyps, width=result.width,
-                        wall_time=result.wall_time)
+    return DecodeResult(hypotheses=hyps, width=result.width)
 
 
 # ------------------------------------------------------------ corpus decode
@@ -297,11 +298,23 @@ def _decode_one(source):
                        _WORKER["scorer"])
 
 
+def resolve_jobs(jobs):
+    """The decode worker count: `jobs` clamped to [1, os.cpu_count()], with a
+    one-line warning on stderr when it had to be clamped."""
+    limit = os.cpu_count() or 1
+    resolved = min(max(1, jobs), limit)
+    if resolved != jobs:
+        print("warning: --jobs %d is outside 1..%d; using %d"
+              % (jobs, limit, resolved), file=sys.stderr)
+    return resolved
+
+
 def decode_corpus(model, sources, config, jobs=1):
     """Decode every source sentence; results in input order regardless of
-    worker count."""
+    worker count. The worker count goes through resolve_jobs."""
     sources = list(sources)
-    if jobs <= 1 or len(sources) < 2:
+    jobs = resolve_jobs(jobs)
+    if jobs == 1 or len(sources) < 2:
         scorer = DenseScorer(model)
         return [beam_search(model, src, config, scorer) for src in sources]
     ctx = multiprocessing.get_context("fork")
@@ -341,14 +354,3 @@ def parse_decode_tsv(text):
             inputs[-1].append(entry)
     return inputs
 
-
-def decode_results_blob(results, vocab, topk=1):
-    blob = []
-    for index, result in enumerate(results):
-        hyps = [{"rank": rank,
-                 "normalized_score": hyp.normalized_score,
-                 "logprob": hyp.logprob,
-                 "tokens": vocab.decode(list(hyp.tokens))}
-                for rank, hyp in enumerate(result.hypotheses[:topk], start=1)]
-        blob.append({"index": index, "hypotheses": hyps})
-    return blob

@@ -102,6 +102,41 @@ def enumerate_best_sequence(logp_fn, symbols, eos, max_len):
     return best[1], best[2]
 
 
+def transducer_prob_reference(model, source_ids, prefix_ids, y, bos_id):
+    """p(y | source, prefix) of the count transducer, term by term from its
+    definition:
+
+        lambda * p_lex(y | x_a(t)) + (1 - lambda) * p_ngram(y | ctx)
+
+    with t = len(prefix) + 1, a(t) = min(t, |x|), ctx the last (order - 1)
+    prefix ids after BOS padding, and each table add-k smoothed over the
+    model's support: (count + k) / (total + k * |support|). The count tables
+    are read by attribute; the caller maps tokens to ids.
+    """
+    size = len(model.support)
+    x = source_ids[min(len(prefix_ids) + 1, len(source_ids)) - 1]
+    k = model.ngram.order - 1
+    padded = [bos_id] * k + list(prefix_ids)
+    ctx = tuple(padded[len(padded) - k:])
+
+    def smoothed(table, key):
+        row = table.counts.get(key, {})
+        return (row.get(y, 0) + table.add_k) / \
+            (table.totals.get(key, 0) + table.add_k * size)
+
+    lam = model.lam
+    return lam * smoothed(model.lex, x) + (1 - lam) * smoothed(model.ngram, ctx)
+
+
+def transducer_logprob_reference(model, source_ids, target_ids, bos_id,
+                                 eos_id):
+    """Log probability of target_ids followed by the EOS step."""
+    ids = list(target_ids) + [eos_id]
+    return sum(math.log(transducer_prob_reference(model, source_ids, ids[:t],
+                                                  y, bos_id))
+               for t, y in enumerate(ids))
+
+
 def zipf_probs(exponent, size):
     w = [rank ** -exponent for rank in range(1, size + 1)]
     z = sum(w)

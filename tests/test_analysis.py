@@ -6,6 +6,7 @@ import pytest
 import beamlab.analysis as A
 import beamlab.metrics as X
 from beamlab.errors import DataError
+from beamlab.fileio import format_csv
 
 
 def random_sentence(rng, vocab, lo=1, hi=12):
@@ -336,7 +337,8 @@ def test_category_report_csv_shape_and_round_trip():
     small, large, refs = _random_case(rng, 30, ["a", "b", "c"])
     cats = A.classify(small, large, refs)
     rep = A.category_report(cats, small, large, refs)
-    text = A.category_report_to_csv(rep)
+    text = format_csv(A.CATEGORY_COLUMNS,
+                      A.category_report_blob(rep)["categories"])
     lines = text.strip().split("\n")
     assert lines[0] == ("category,count,fraction,metric_small,metric_large,"
                         "mean_len_small,mean_len_large,contribution,"
@@ -357,7 +359,10 @@ def test_bucket_report_csv_spells_out_infinity():
     refs = [["r"] * 3, ["r"] * 15]
     hyps = [list(r) for r in refs]
     rep = A.bucket_quality(hyps, refs, edges=(10,))
-    text = A.bucket_report_to_csv(rep)
+    text = format_csv(("bucket_low", "bucket_high", "count", "metric"),
+                      [{"bucket_low": b.low, "bucket_high": b.high,
+                        "count": b.count, "metric": b.metric}
+                       for b in rep.buckets])
     lines = text.strip().split("\n")
     assert lines[0] == "bucket_low,bucket_high,count,metric"
     assert len(lines) == 3

@@ -413,6 +413,54 @@ def test_analyze_histogram_stdout(capsys, tmp_path):
     assert lines[3] == "4,6,2"
 
 
+# the exact CSV bytes of the analyze subcommands, pinned cell by cell
+
+def test_analyze_categories_csv_bytes(capsys, tmp_path):
+    refs_sents = [list("abcde"), list("fghij"), list("klmn")]
+    small = write_lines(tmp_path / "s.txt", refs_sents)
+    large = write_lines(tmp_path / "l.txt",
+                        [list("abcde"), list("fghij"), list("kl")])
+    refs = write_lines(tmp_path / "r.txt", refs_sents)
+    code, stdout, _ = run(capsys, "analyze", "categories", "--small", small,
+                          "--large", large, "--refs", refs, "--format", "csv")
+    assert code == 0
+    assert stdout == (
+        "category,count,fraction,metric_small,metric_large,mean_len_small,"
+        "mean_len_large,contribution,length_contribution\n"
+        "Improved,2,0.6666666666666666,100.0,100.0,5.0,5.0,0.0,0.0\n"
+        "Prefix,1,0.3333333333333333,100.0,0.0,4.0,2.0,-33.33333333333333,"
+        "-0.6666666666666666\n"
+        "OtherDrop,0,0.0,,,,,0.0,0.0\n")
+
+
+def test_analyze_buckets_csv_bytes(capsys, tmp_path):
+    hyps = write_lines(tmp_path / "h.txt",
+                       [list("abcde"), list("fghijklm"), list("opq")])
+    refs = write_lines(tmp_path / "r.txt",
+                       [list("abcde"), list("fghijklmn"), list("opq")])
+    code, stdout, _ = run(capsys, "analyze", "buckets", "--hyps", hyps,
+                          "--refs", refs, "--edges", "2,4,8", "--format", "csv")
+    assert code == 0
+    assert stdout == ("bucket_low,bucket_high,count,metric\n"
+                      "0,2,0,\n"
+                      "2,4,1,0.0\n"
+                      "4,8,1,100.0\n"
+                      "8,inf,1,88.24969025845955\n")
+
+
+def test_analyze_histogram_bytes(capsys, tmp_path):
+    src = write_lines(tmp_path / "h.src", [["s"], ["s"], ["s"]])
+    tgt = write_lines(tmp_path / "h.tgt", [["t"], ["t"] * 2, ["t"] * 7])
+    code, stdout, _ = run(capsys, "analyze", "histogram", src, tgt,
+                          "--bucket-width", "3")
+    assert code == 0
+    assert stdout == ("bucket_start,bucket_end,count\n"
+                      "0,3,2\n"
+                      "3,6,0\n"
+                      "6,9,1\n"
+                      "# mean=3.3333333333333335 total=3\n")
+
+
 # ------------------------------------------------------------------- experiment
 
 EXPERIMENT_YAML = """\
@@ -463,6 +511,18 @@ def test_experiment_missing_config_is_data_error(capsys, tmp_path):
     code, _, _ = run(capsys, "experiment", "--config",
                      str(tmp_path / "ghost.yaml"), "--out", str(tmp_path))
     assert code == 2
+
+
+def test_experiment_bad_config_value_is_data_error(capsys, tmp_path):
+    config = tmp_path / "exp.yaml"
+    config.write_text(EXPERIMENT_YAML.replace(
+        'normalizations: ["none"]', "normalizations: [5]"), encoding="utf-8")
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "experiment", "--config", str(config),
+                       "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: config: bad normalization 5")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_experiment_seed_override_via_flag(capsys, tmp_path):

@@ -85,6 +85,22 @@ def test_config_validation_errors(tmp_path):
         E.load_experiment_config(tmp_path / "missing.yaml")
 
 
+@pytest.mark.parametrize("text", [
+    "analysis:\n  bucket_edges: [a, b]\n",
+    "analysis:\n  bucket_edges: [4, null]\n",
+    "analysis:\n  bucket_edges: [true, 8]\n",
+    "decode:\n  normalizations: [5]\n",
+    "synth:\n  terminal_token: 5\n",
+    "synth:\n  vocab_size: 1\n",
+    "systems: [[baseline]]\n",
+    "1: 2\n",
+    "synth:\n  7: 8\n",
+])
+def test_bad_config_values_are_data_errors(tmp_path, text):
+    with pytest.raises(DataError):
+        E.load_experiment_config(write_config(tmp_path, text))
+
+
 def test_config_accepts_lambda_key(tmp_path):
     cfg = E.load_experiment_config(write_config(
         tmp_path, "model:\n  lambda: 0.4\n"))
@@ -238,3 +254,13 @@ def test_experiment_stage_failure_leaves_marker(tmp_path, monkeypatch):
     assert "synthetic failure" in text
     # partial outputs from completed stages are retained
     assert (out / "data" / "train.src").exists()
+
+
+def test_successful_rerun_removes_stale_failure_marker(tmp_path):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = tmp_path / "run"
+    (out / "failed").mkdir(parents=True)
+    (out / "failed" / "error.txt").write_text("stage: decode\n")
+    E.run_experiment(os.path.join(repo, "configs", "tiny.yaml"), out, jobs=1)
+    assert not (out / "failed").exists()
+    assert (out / "manifest.json").exists()

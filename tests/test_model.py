@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 from beamlab import augment as A
 from beamlab import corpus as C
 from beamlab import model as M
+from beamlab import search as S
 from beamlab.errors import DataError, ModelFormatError
+
+from oracles import transducer_logprob_reference
 
 
 def pair_corpus(*pairs):
@@ -113,16 +117,34 @@ def test_train_rejects_empty_corpus_and_bad_params():
 
 
 # ---------------------------------------------------------------- scoring
+#
+# The model holds counts; search.DenseScorer is what turns them into
+# probabilities, so the distribution's properties are checked on its rows.
+
+def state_key(model, source, prefix_ids=()):
+    """(aligned source id, n-gram context) of the step after prefix_ids."""
+    src_ids = [model.source_vocab.id(t) for t in source]
+    k = model.order - 1
+    padded = [C.BOS_ID] * k + list(prefix_ids)
+    return (src_ids[min(len(prefix_ids) + 1, len(src_ids)) - 1],
+            tuple(padded[len(padded) - k:]))
+
+
+def dense_probs(scorer, source, prefix_ids=()):
+    """p(. | source, prefix) over model.support, from the scorer's row."""
+    x, ctx = state_key(scorer.model, source, prefix_ids)
+    return np.exp(scorer.mixed_log_rows(x, [ctx])[0])
+
 
 def test_next_distribution_hand_value():
     m = M.train(pair_corpus(("a", "x")), order=2, add_k_lex=1.0,
                 add_k_ngram=1.0, lam=0.5)
-    state = M.initial_state(m, ["a"])
-    dist = M.next_distribution(m, state)
-    x = m.target_vocab.id("x")
-    assert dist[x] == pytest.approx(0.5 * 2 / 4 + 0.5 * 2 / 3, abs=1e-12)
-    assert dist[C.EOS_ID] == pytest.approx(0.5 * 2 / 4 + 0.5 * 1 / 3, abs=1e-12)
-    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    probs = dense_probs(S.DenseScorer(m), ["a"])
+    x = m.support.index(m.target_vocab.id("x"))
+    eos = m.support.index(C.EOS_ID)
+    assert probs[x] == pytest.approx(0.5 * 2 / 4 + 0.5 * 2 / 3, abs=1e-12)
+    assert probs[eos] == pytest.approx(0.5 * 2 / 4 + 0.5 * 1 / 3, abs=1e-12)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_next_distribution_uniform_when_untrained():
@@ -131,64 +153,84 @@ def test_next_distribution_uniform_when_untrained():
                           lex=M.LexTable(add_k=0.5), source_vocab=vocab,
                           target_vocab=vocab,
                           support=[C.EOS_ID, 3, 4, 5])
-    state = M.initial_state(m, ["p"])
-    dist = M.next_distribution(m, state)
-    assert all(p == pytest.approx(0.25, abs=1e-12) for p in dist.values())
+    probs = dense_probs(S.DenseScorer(m), ["p"])
+    assert all(p == pytest.approx(0.25, abs=1e-12) for p in probs)
 
 
 def test_next_distribution_normalized_and_positive():
     corp = pair_corpus(("a b c", "x y"), ("c b", "z z y"), ("a", "x"))
     m = M.train(corp, order=3, lam=0.7)
+    scorer = S.DenseScorer(m)
     rng = random.Random(0)
     ids = m.support
     for _ in range(50):
         src = [rng.choice("abcq") for _ in range(rng.randint(1, 5))]
-        state = M.initial_state(m, src)
-        for _ in range(rng.randint(0, 6)):
-            state = M.advance(m, state, rng.choice(ids))
-        dist = M.next_distribution(m, state)
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-        assert min(dist.values()) > 0
-        assert sorted(dist) == ids
+        prefix = [rng.choice(ids) for _ in range(rng.randint(0, 6))]
+        probs = dense_probs(scorer, src, prefix)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+        assert probs.min() > 0
+        assert len(probs) == len(ids)
 
 
 def test_sequence_logprob_uniform_model():
+    # every finished hypothesis of a uniform model scores log(1/4) a step
     vocab = C.Vocabulary(["p", "q", "r"])
     m = M.TransducerModel(lam=0.5, ngram=M.NGramTable(order=2, add_k=1.0),
                           lex=M.LexTable(add_k=1.0), source_vocab=vocab,
                           target_vocab=vocab,
                           support=[C.EOS_ID, 3, 4, 5])
-    lp = M.sequence_logprob(m, ["p"], ["q", "r"])
-    assert lp == pytest.approx(3 * math.log(1 / 4), abs=1e-12)
+    result = S.beam_search(m, ["p"], S.BeamConfig(width=13, max_len_a=0.0,
+                                                  max_len_b=2))
+    by_text = {tuple(vocab.decode(list(h.tokens))): h.logprob
+               for h in result.hypotheses}
+    assert len(by_text) == 13
+    assert by_text[("q", "r")] == pytest.approx(3 * math.log(1 / 4),
+                                                abs=1e-12)
+    for text, lp in by_text.items():
+        assert lp == pytest.approx((len(text) + 1) * math.log(1 / 4),
+                                   abs=1e-12)
 
 
 def test_sequence_logprob_matches_manual_replay():
+    # a finished hypothesis's score is the sum of the scorer's per-step
+    # log probabilities along its tokens, EOS step included
     corp = pair_corpus(("a b", "x y"), ("b", "y"), ("a a", "x x y"))
     m = M.train(corp, order=2, lam=0.4)
-    src, tgt = ["a", "b"], ["y", "x", "y"]
-    state = M.initial_state(m, src)
-    manual = 0.0
-    for tok in [m.target_vocab.id(t) for t in tgt] + [C.EOS_ID]:
-        manual += math.log(M.next_distribution(m, state)[tok])
-        state = M.advance(m, state, tok)
-    assert M.sequence_logprob(m, src, tgt) == pytest.approx(manual, abs=1e-12)
+    scorer = S.DenseScorer(m)
+    src = ["a", "b"]
+    result = S.beam_search(m, src, S.BeamConfig(width=4), scorer)
+    assert result.hypotheses
+    for hyp in result.hypotheses:
+        ids = list(hyp.tokens) + [C.EOS_ID]
+        manual = 0.0
+        for t, y in enumerate(ids):
+            x, ctx = state_key(m, src, ids[:t])
+            manual += scorer.mixed_log_rows(x, [ctx])[0][m.support.index(y)]
+        assert hyp.logprob == pytest.approx(manual, abs=1e-12)
 
 
 def test_unseen_source_token_scores_like_unk():
     corp = pair_corpus(("a b", "x y"), ("b", "y"))
     m = M.train(corp, order=2)
-    assert M.sequence_logprob(m, ["zzz"], ["y"]) == \
-        M.sequence_logprob(m, [C.UNK], ["y"])
+    cfg = S.BeamConfig(width=4)
+    unseen = S.beam_search(m, ["zzz"], cfg)
+    unk = S.beam_search(m, [C.UNK], cfg)
+    assert [(h.tokens, h.logprob) for h in unseen.hypotheses] == \
+        [(h.tokens, h.logprob) for h in unk.hypotheses]
 
 
 def test_order_one_model_ignores_context():
     corp = pair_corpus(("a b", "x y"), ("b", "y"))
     m = M.train(corp, order=1)
-    s1 = M.initial_state(m, ["a"])
-    s2 = M.advance(m, s1, m.target_vocab.id("x"))
-    d1, d2 = M.next_distribution(m, s1), M.next_distribution(m, s2)
-    # position advanced, so the lex row changes, but the ngram context stays ()
-    assert s1.context == s2.context == ()
+    # one n-gram row, keyed by the empty context
+    assert set(m.ngram.counts) == {()}
+    # search scores agree with the definition, which reads no context
+    src = ["a", "b"]
+    src_ids = [m.source_vocab.id(t) for t in src]
+    result = S.beam_search(m, src, S.BeamConfig(width=4))
+    for hyp in result.hypotheses:
+        assert hyp.logprob == pytest.approx(transducer_logprob_reference(
+            m, src_ids, hyp.tokens, C.BOS_ID, C.EOS_ID), abs=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -199,10 +241,9 @@ def test_order_one_model_ignores_context():
 def test_distribution_property_random_corpora(pairs, order):
     corp = C.corpus_from_token_pairs(pairs)
     m = M.train(corp, order=order)
-    state = M.initial_state(m, pairs[0][0])
-    dist = M.next_distribution(m, state)
-    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-    assert min(dist.values()) > 0
+    probs = dense_probs(S.DenseScorer(m), pairs[0][0])
+    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+    assert probs.min() > 0
 
 
 # ---------------------------------------------------------------- mechanism
@@ -222,13 +263,14 @@ def test_msr_training_lowers_interior_eos_mass():
     test_pairs = list(splits["test"])
 
     def mean_interior_eos(model):
+        scorer = S.DenseScorer(model)
+        eos = model.support.index(C.EOS_ID)
         total = 0.0
         for _ in range(1000):
             pair = rng.choice(test_pairs)
             pos = rng.randint(10, 20)
-            prefix = pair.target[:pos - 1]
-            state = M.state_after_prefix(model, pair.source, prefix)
-            total += M.next_distribution(model, state)[C.EOS_ID]
+            prefix = [model.target_vocab.id(t) for t in pair.target[:pos - 1]]
+            total += dense_probs(scorer, pair.source, prefix)[eos]
         return total / 1000
 
     rng.seed(7)
@@ -251,13 +293,14 @@ def test_save_load_round_trip_exact(tmp_path):
     assert back.support == m.support
     assert back.source_vocab == m.source_vocab
     assert back.target_vocab == m.target_vocab
+    scorer, back_scorer = S.DenseScorer(m), S.DenseScorer(back)
     rng = random.Random(3)
     for _ in range(100):
         src = [rng.choice("abcq") for _ in range(rng.randint(1, 4))]
-        state = M.initial_state(m, src)
-        for _ in range(rng.randint(0, 5)):
-            state = M.advance(m, state, rng.choice(m.support))
-        assert M.next_distribution(m, state) == M.next_distribution(back, state)
+        prefix = [rng.choice(m.support) for _ in range(rng.randint(0, 5))]
+        x, ctx = state_key(m, src, prefix)
+        assert np.array_equal(scorer.mixed_log_rows(x, [ctx]),
+                              back_scorer.mixed_log_rows(x, [ctx]))
 
 
 def test_load_rejects_truncated_file(tmp_path):
