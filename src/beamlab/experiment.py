@@ -9,7 +9,9 @@ A manifest records the config snapshot, its hash, and every artifact path.
 """
 
 import hashlib
+import json
 import os
+import posixpath
 import shutil
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -267,6 +269,9 @@ _BUCKET_COLUMNS = ("system", "normalization", "width", "bucket_low",
                    "bucket_high", "count", "metric")
 _SWEEP_COLUMNS = ("n", "width", "score", "mean_hyp_len")
 
+# the directories the pipeline owns under the output directory
+_OUTPUT_DIRS = ("data", "models", "decodes", "reports")
+
 
 def _train_model(cfg, corpus):
     return model_mod.train(corpus, order=cfg.order, add_k_lex=cfg.add_k_lex,
@@ -297,17 +302,19 @@ def _augmented_corpora(cfg, base_train):
 
 def _decode_grid(cfg, models, sources, jobs):
     """Decode once per (system, width) with raw scores, then rerank per
-    normalization. Returns top-1 token lists and the full reranked results."""
+    normalization; the widths of one system share its scorer. Returns top-1
+    token lists and the full reranked results."""
     top1 = {}
     results = {}
     for system in cfg.systems:
         vocab = models[system].target_vocab
+        scorer = search.DenseScorer(models[system])
         for width in cfg.widths:
             beam = search.BeamConfig(width=width,
                                      max_len_a=cfg.max_len_a,
                                      max_len_b=cfg.max_len_b)
             raw = search.decode_corpus(models[system], sources, beam,
-                                       jobs=jobs)
+                                       jobs=jobs, scorer=scorer)
             for norm in cfg.normalizations:
                 reranked = [search.rerank(r, norm) for r in raw]
                 results[(system, width, norm)] = reranked
@@ -380,21 +387,47 @@ def _sweep_rows(cfg, base_train, sources, refs, jobs):
     rows = []
     none_norm = search.parse_normalization("none")
     for n in cfg.n_sweep:
-        corpus = augment.msr(base_train, augment.MsrConfig(
-            n_max=n, multiplier=cfg.multiplier, seed=cfg.seed + 1))
-        swept = _train_model(cfg, corpus)
+        # the augmented corpus is dropped as soon as the model is trained
+        swept = _train_model(cfg, augment.msr(base_train, augment.MsrConfig(
+            n_max=n, multiplier=cfg.multiplier, seed=cfg.seed + 1)))
         vocab = swept.target_vocab
+        scorer = search.DenseScorer(swept)
         for width in cfg.widths:
             beam = search.BeamConfig(width=width, normalization=none_norm,
                                      max_len_a=cfg.max_len_a,
                                      max_len_b=cfg.max_len_b)
-            results = search.decode_corpus(swept, sources, beam, jobs=jobs)
+            results = search.decode_corpus(swept, sources, beam, jobs=jobs,
+                                           scorer=scorer)
             hyps = [vocab.decode(list(r.hypotheses[0].tokens))
                     for r in results]
             rows.append({"n": n, "width": width,
                          "score": _corpus_score(cfg, hyps, refs),
                          "mean_hyp_len": _mean_length(hyps)})
+        # free this point's model and tables before the next point trains
+        # (they would otherwise add to the peak RSS)
+        del swept, scorer
     return rows
+
+
+def _listed_paths(artifacts):
+    """The relative paths of every artifact a manifest lists."""
+    return (set(artifacts["data"].values())
+            | set(artifacts["models"].values())
+            | set(artifacts["decodes"]) | set(artifacts["reports"]))
+
+
+def _earlier_outputs(out):
+    """The paths that the manifest of an earlier run in `out` lists under
+    the pipeline's directories; empty when there is no readable manifest."""
+    try:
+        with open(os.path.join(out, "manifest.json"), encoding="utf-8") as f:
+            paths = _listed_paths(json.load(f)["artifacts"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return set()
+    # a listed path that leaves the four directories is never deleted
+    return {p for p in paths if isinstance(p, str)
+            and p.partition("/")[0] in _OUTPUT_DIRS
+            and posixpath.normpath(p) == p}
 
 
 def _utc_now():
@@ -405,7 +438,9 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
     """Run the full pipeline under out_dir and return the manifest. Any
     stage failure writes failed/error.txt naming the stage, keeps whatever
     partial outputs exist, and re-raises; a successful run removes the
-    failed/ of an earlier one. `jobs` goes through search.resolve_jobs."""
+    failed/ of an earlier one and every file that the earlier run's manifest
+    lists and this run's does not. `jobs` goes through
+    search.resolve_jobs."""
     raw = _read_config_bytes(config_path)
     cfg = _parse_config(raw, config_path)
     jobs = search.resolve_jobs(jobs)
@@ -414,7 +449,8 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
                       synth=replace(cfg.synth, seed=seed_override))
 
     out = os.fspath(out_dir)
-    for sub in ("data", "models", "decodes", "reports"):
+    earlier = _earlier_outputs(out)
+    for sub in _OUTPUT_DIRS:
         os.makedirs(os.path.join(out, sub), exist_ok=True)
     config_hash = hashlib.sha256(raw).hexdigest()
     write_bytes_atomic(os.path.join(out, "config.yaml"), raw)
@@ -545,6 +581,11 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         raise
     if os.path.isdir(os.path.join(out, "failed")):
         shutil.rmtree(os.path.join(out, "failed"))
+    # what an earlier run wrote and this one did not must not pass for
+    # output of this run; files the pipeline did not write are left alone
+    for rel in sorted(earlier - _listed_paths(artifacts)):
+        if os.path.isfile(os.path.join(out, rel)):
+            os.remove(os.path.join(out, rel))
 
     manifest = {
         "format": "beamlab.manifest",

@@ -22,6 +22,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -104,6 +105,68 @@ def saturating_width(support_size, cap):
     return sum(non_eos ** k for k in range(cap + 1))
 
 
+class _RowTable:
+    """Rows (counts + add_k) / (total + add_k * size) * scale of one count
+    table over the support, one per key, each built the first time a lookup
+    asks for it: memory grows with the rows a search reaches, not with the
+    model. A row is built element for element by the same expression
+    whenever it is built, so its floats do not depend on the order."""
+
+    def __init__(self, table, keys, support, scale):
+        self.table = table
+        self.keys = keys
+        self.support = support
+        self.scale = scale
+        self.slot = np.full(len(keys), -1)
+        self.rows = np.empty((min(len(keys), 16), len(support)))
+        self.filled = 0
+
+    def take(self, idx):
+        """The rows of the keys at positions `idx` (an int array)."""
+        slots = self.slot.take(idx)
+        if slots[slots.argmin()] < 0:
+            # a set, since np.unique would import numpy.ma (about 1 MB)
+            self._build(sorted(set(idx[slots < 0].tolist())))
+            slots = self.slot.take(idx)
+        return self.rows.take(slots, axis=0)
+
+    def row(self, i):
+        """The row of the key at position `i`, as a view."""
+        if self.slot[i] < 0:
+            self._build([i])
+        return self.rows[self.slot[i]]
+
+    def _build(self, idx):
+        start = self.filled
+        stop = start + len(idx)
+        if stop > len(self.rows):
+            grown = np.empty((max(stop, min(len(self.keys), 2 * start)),
+                              len(self.support)))
+            grown[:start] = self.rows[:start]
+            self.rows = grown
+        out = self.rows[start:stop]
+        keys = [self.keys[i] for i in idx]
+        table = self.table
+        rows = [table.counts.get(key, {}) for key in keys]
+        tokens = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+        counts = np.fromiter(chain.from_iterable(map(dict.values, rows)),
+                             dtype=float, count=len(tokens))
+        row_of = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+        pos = self.support.searchsorted(tokens)
+        # a token outside the support has no column
+        hit = self.support.take(pos, mode="clip") == tokens
+        out[:] = 0.0
+        out[row_of[hit], pos[hit]] = counts[hit]
+        out += table.add_k
+        totals = np.fromiter(map(table.totals.__getitem__, keys), dtype=float,
+                             count=len(keys))
+        totals += table.add_k * len(self.support)
+        out /= totals[:, None]
+        out *= self.scale
+        self.slot[idx] = np.arange(start, stop)
+        self.filled = stop
+
+
 class DenseScorer:
     """Dense per-step log-probability rows over the model's support: the one
     place that turns the model's counts into the probabilities its docstring
@@ -112,6 +175,15 @@ class DenseScorer:
     Beam and exact search must share this code path: all probabilities flow
     through the same vector expression, so the two searches see bit-identical
     floats and their tie-breaks agree.
+
+    Both row tables are scaled by lambda and 1 - lambda (a product is the
+    same float whenever it is taken) and filled on first use. The lexical
+    table has one row per source id. The n-gram table has one row per
+    trained context, in ascending order of the context's code, plus one last
+    add-k row shared by every context the model never saw. A context (the
+    last order-1 target ids, BOS-padded) is coded as its ids read as digits
+    in base `base`; BOS is 0, so the empty prefix has code 0 and padding
+    costs nothing. Searches carry codes, rolled forward one token at a time.
     """
 
     def __init__(self, model):
@@ -119,56 +191,57 @@ class DenseScorer:
         self.support = np.array(model.support, dtype=np.int64)
         self.size = len(model.support)
         self.eos_pos = model.support.index(EOS_ID)
-        self._pos = {tok: i for i, tok in enumerate(model.support)}
-        self._lex_rows = {}
-        self._ngram_rows = {}
+        self.base = max(len(model.target_vocab), model.support[-1] + 1)
+        ctx_len = model.order - 1
+        if self.base ** model.order > np.iinfo(np.int64).max:
+            raise ValueError("order %d over %d target ids is too long for "
+                             "int64 context codes" % (model.order, self.base))
+        self.modulus = self.base ** ctx_len
+        self.start_code = self.context_code((BOS_ID,) * ctx_len)
+        keys = [ctx for ctx in model.ngram.counts if len(ctx) == ctx_len]
+        digits = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
+                             count=len(keys) * ctx_len)
+        digits = digits.reshape(len(keys), ctx_len)
+        # a context holding an id outside [0, base) is never looked up, and
+        # its code could equal a real context's
+        kept = ((digits >= 0) & (digits < self.base)).all(axis=1).nonzero()[0]
+        codes = digits[kept] @ self.base ** np.arange(ctx_len - 1, -1, -1)
+        order = codes.argsort()
+        contexts = [keys[i] for i in kept[order].tolist()]
+        # the sentinel sorts after every code, so a lookup never runs off
+        # the end, and its position is the shared unseen-context row
+        self._codes = np.append(codes[order], self.modulus)
+        self._ngram = _RowTable(model.ngram, contexts + [None], self.support,
+                                1.0 - model.lam)
+        self._lex = _RowTable(model.lex, range(len(model.source_vocab)),
+                              self.support, model.lam)
 
-    def _prob_row(self, table, key):
-        counts = np.zeros(self.size)
-        row = table.counts.get(key)
-        if row is not None:
-            pos = self._pos
-            for tok, count in row.items():
-                if tok in pos:
-                    counts[pos[tok]] = count
-        total = float(table.totals[key])
-        return (counts + table.add_k) / (total + table.add_k * self.size)
+    def context_code(self, context):
+        """The code of an (order-1)-tuple of target ids."""
+        code = 0
+        for tok in context:
+            code = code * self.base + tok
+        return code
 
-    def lex_row(self, source_id):
-        cached = self._lex_rows.get(source_id)
-        if cached is None:
-            cached = self._lex_rows[source_id] = self._prob_row(
-                self.model.lex, source_id)
-        return cached
-
-    def ngram_row(self, context):
-        cached = self._ngram_rows.get(context)
-        if cached is None:
-            cached = self._ngram_rows[context] = self._prob_row(
-                self.model.ngram, context)
-        return cached
+    def roll(self, codes, tokens):
+        """The codes after appending `tokens` to contexts `codes` (ints or
+        int arrays)."""
+        return (codes * self.base + tokens) % self.modulus
 
     def mixed_log_rows(self, source_id, contexts):
-        """(len(contexts), size) array of log p(y | source_id, context)."""
-        lex = self.lex_row(source_id)
-        mat = np.empty((len(contexts), self.size))
-        for i, ctx in enumerate(contexts):
-            mat[i] = self.ngram_row(ctx)
-        lam = self.model.lam
-        return np.log(lam * lex + (1.0 - lam) * mat)
+        """(len(contexts), size) array of log p(y | source_id, context), for
+        an int array of context codes."""
+        rows = self._codes.searchsorted(contexts)
+        rows[self._codes.take(rows) != contexts] = len(self._codes) - 1
+        mixed = self._ngram.take(rows)
+        mixed += self._lex.row(source_id)
+        return np.log(mixed, out=mixed)
 
 
 def _source_ids(model, source_tokens):
     if not source_tokens:
         raise ValueError("source sentence is empty")
     return [model.source_vocab.id(t) for t in source_tokens]
-
-
-def _context_of(tokens, order):
-    if order <= 1:
-        return ()
-    pad = (BOS_ID,) * (order - 1)
-    return (pad + tokens)[-(order - 1):]
 
 
 def _rank_key(hyp):
@@ -180,56 +253,70 @@ def beam_search(model, source_tokens, config, scorer=None):
         scorer = DenseScorer(model)
     src_ids = _source_ids(model, source_tokens)
     n_src = len(src_ids)
-    order = model.order
     cap = config.cap(n_src)
     width = config.width
-    eos_pos = scorer.eos_pos
-    size = scorer.size
+    score_rows = scorer.mixed_log_rows
+    roll = scorer.roll
     norm = config.normalization
 
-    def finish(tokens, logprob):
-        score = normalize_score(logprob, len(tokens) + 1, norm)
+    def finish(prefix, length, logprob):
+        tokens = tuple(prefix[:length].tolist())
+        score = normalize_score(logprob, length + 1, norm)
         return Hypothesis(tokens=tokens, logprob=logprob,
                           normalized_score=score)
 
-    live_tokens = [()]
-    live_lp = np.zeros(1)
+    # a flat candidate index is parent * size + support position
+    size = scorer.size
+    eos_pos = scorer.eos_pos
+
+    # the live hypotheses in lexicographic order, row for row: token
+    # prefixes (the first step - 1 columns), context codes and costs. A cost
+    # is a negated logprob, so that ascending cost order is the ranking;
+    # negation is exact, so -(lp + x) == -lp - x bit for bit
+    live = np.zeros((1, cap), dtype=np.int64)
+    codes = np.array([scorer.start_code])
+    live_cost = np.zeros(1)
     finished = []
     for step in range(1, cap + 1):
-        if len(finished) >= width:
+        n_live = len(live_cost)
+        if len(finished) >= width or not n_live:
             break
-        x = src_ids[min(step, n_src) - 1]
-        contexts = [_context_of(toks, order) for toks in live_tokens]
-        rows = scorer.mixed_log_rows(x, contexts)
-        flat = (live_lp[:, None] + rows).ravel()
-        # stable argsort on descending score; live_tokens is kept in
-        # lexicographic order, so index order is exactly the tie-break
-        ranking = np.argsort(-flat, kind="stable")
-        for idx in ranking[:width]:
-            if idx % size == eos_pos:
-                finished.append(finish(live_tokens[idx // size], float(flat[idx])))
-        survivors = []
-        for idx in ranking:
-            pos = idx % size
-            if pos == eos_pos:
-                continue
-            parent = live_tokens[idx // size]
-            survivors.append((parent + (model.support[pos],), float(flat[idx])))
-            if len(survivors) == width:
-                break
-        survivors.sort(key=lambda s: s[0])
-        live_tokens = [s[0] for s in survivors]
-        live_lp = np.array([s[1] for s in survivors])
-    else:
-        step = cap
+        cost = score_rows(src_ids[min(step, n_src) - 1], codes)
+        np.subtract(live_cost[:, None], cost, out=cost)
+        cost = cost.ravel()
+        # a prefix of the stable ranking by cost (index order, which is
+        # lexicographic order, breaks ties) that holds every admission (top
+        # `width`) and every survivor (first `width` non-EOS), since at
+        # most n_live candidates end in EOS
+        k = width + n_live
+        n = cost.size
+        if k >= n:
+            ranked = cost.argsort(kind="stable")
+        else:
+            kth = np.partition(cost, k - 1)[k - 1]
+            ranked = (cost <= kth).nonzero()[0]
+            ranked = ranked[cost.take(ranked).argsort(kind="stable")]
+        is_eos = ranked % size == eos_pos
+        for idx in ranked[:width][is_eos[:width]].tolist():
+            finished.append(finish(live[idx // size], step - 1,
+                                   -float(cost[idx])))
+        # children of a lexicographically ordered live set over a sorted
+        # support are in lexicographic order by flat index
+        keep = ranked[~is_eos][:width]
+        keep.sort()
+        parent, pos = np.divmod(keep, size)
+        tokens = scorer.support.take(pos)
+        live = live.take(parent, axis=0)
+        live[:, step - 1] = tokens
+        codes = roll(codes.take(parent), tokens)
+        live_cost = cost.take(keep)
 
-    if len(finished) < width and live_tokens:
+    if len(finished) < width and len(live_cost):
         # length cap reached: force-finish the survivors with their EOS step
-        x = src_ids[min(step + 1, n_src) - 1]
-        contexts = [_context_of(toks, order) for toks in live_tokens]
-        rows = scorer.mixed_log_rows(x, contexts)
-        for i, toks in enumerate(live_tokens):
-            finished.append(finish(toks, float(live_lp[i] + rows[i, eos_pos])))
+        x = src_ids[min(cap + 1, n_src) - 1]
+        final_lp = -live_cost + score_rows(x, codes)[:, eos_pos]
+        for prefix, logprob in zip(live, final_lp.tolist()):
+            finished.append(finish(prefix, cap, logprob))
 
     finished.sort(key=_rank_key)
     return DecodeResult(hypotheses=finished, width=width)
@@ -246,18 +333,17 @@ def exact_search(model, source_tokens, max_len, scorer=None):
         scorer = DenseScorer(model)
     src_ids = _source_ids(model, source_tokens)
     n_src = len(src_ids)
-    order = model.order
     eos_pos = scorer.eos_pos
     non_eos = [(pos, tok) for pos, tok in enumerate(model.support)
                if tok != EOS_ID]
     best = None
     best_key = None
 
-    stack = [((), 0.0)]
+    stack = [((), scorer.start_code, 0.0)]
     while stack:
-        tokens, logprob = stack.pop()
+        tokens, code, logprob = stack.pop()
         x = src_ids[min(len(tokens) + 1, n_src) - 1]
-        row = scorer.mixed_log_rows(x, [_context_of(tokens, order)])[0]
+        row = scorer.mixed_log_rows(x, np.array([code]))[0]
         lp = logprob + row[eos_pos]
         key = (-lp, len(tokens), list(tokens))
         if best_key is None or key < best_key:
@@ -267,7 +353,8 @@ def exact_search(model, source_tokens, max_len, scorer=None):
         if len(tokens) < max_len:
             # reversed push so children pop in lexicographic order
             for pos, tok in reversed(non_eos):
-                stack.append((tokens + (tok,), logprob + row[pos]))
+                stack.append((tokens + (tok,), scorer.roll(code, tok),
+                              logprob + row[pos]))
     return best
 
 
@@ -287,10 +374,10 @@ def rerank(result, normalization):
 _WORKER = {}
 
 
-def _init_worker(model, config):
+def _init_worker(model, config, scorer):
     _WORKER["model"] = model
     _WORKER["config"] = config
-    _WORKER["scorer"] = DenseScorer(model)
+    _WORKER["scorer"] = scorer
 
 
 def _decode_one(source):
@@ -309,18 +396,21 @@ def resolve_jobs(jobs):
     return resolved
 
 
-def decode_corpus(model, sources, config, jobs=1):
+def decode_corpus(model, sources, config, jobs=1, scorer=None):
     """Decode every source sentence; results in input order regardless of
-    worker count. The worker count goes through resolve_jobs."""
+    worker count. The worker count goes through resolve_jobs. A scorer of
+    the model may be passed in to share its tables across calls; fork
+    workers inherit it rather than building their own."""
     sources = list(sources)
     jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(sources) < 2:
+    if scorer is None:
         scorer = DenseScorer(model)
+    if jobs == 1 or len(sources) < 2:
         return [beam_search(model, src, config, scorer) for src in sources]
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(sources) // (jobs * 4))
     with ctx.Pool(jobs, initializer=_init_worker,
-                  initargs=(model, config)) as pool:
+                  initargs=(model, config, scorer)) as pool:
         return pool.map(_decode_one, sources, chunksize=chunk)
 
 

@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 
 def ngrams(tokens, n):
     return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
@@ -100,6 +102,68 @@ def enumerate_best_sequence(logp_fn, symbols, eos, max_len):
             if best is None or key < best[0]:
                 best = (key, list(seq), lp)
     return best[1], best[2]
+
+
+def beam_search_reference(rows_fn, source_ids, support, eos_id, bos_id,
+                          order, width, cap, normalize):
+    """Beam search under the package's pinned semantics, written the plain
+    way: a full stable argsort of every candidate each step, a Python walk
+    over that ranking for admissions and survivors, and a tuple sort of the
+    survivors.
+
+    rows_fn(source_id, contexts) gives the (len(contexts), len(support))
+    log probabilities for a list of BOS-padded (order-1)-tuples of target
+    ids; normalize(logprob, length) is the ranking score of a finished
+    hypothesis whose length counts the EOS step. Returns the finished
+    (tokens, logprob, normalized score) triples, best first.
+    """
+    size = len(support)
+    eos_pos = support.index(eos_id)
+    n_src = len(source_ids)
+
+    def context(tokens):
+        if order <= 1:
+            return ()
+        return ((bos_id,) * (order - 1) + tokens)[-(order - 1):]
+
+    def finish(tokens, logprob):
+        return (tokens, logprob, normalize(logprob, len(tokens) + 1))
+
+    live_tokens = [()]
+    live_lp = np.zeros(1)
+    finished = []
+    step = 0
+    while step < cap and len(finished) < width:
+        step += 1
+        x = source_ids[min(step, n_src) - 1]
+        rows = rows_fn(x, [context(toks) for toks in live_tokens])
+        flat = (live_lp[:, None] + rows).ravel()
+        # index order is lexicographic order, so a stable sort breaks ties
+        ranking = np.argsort(-flat, kind="stable")
+        for idx in ranking[:width]:
+            if idx % size == eos_pos:
+                finished.append(finish(live_tokens[idx // size],
+                                       float(flat[idx])))
+        survivors = []
+        for idx in ranking:
+            pos = idx % size
+            if pos == eos_pos:
+                continue
+            survivors.append((live_tokens[idx // size] + (support[pos],),
+                              float(flat[idx])))
+            if len(survivors) == width:
+                break
+        survivors.sort(key=lambda s: s[0])
+        live_tokens = [s[0] for s in survivors]
+        live_lp = np.array([s[1] for s in survivors])
+    if len(finished) < width and live_tokens:
+        # the length cap: every survivor takes its EOS step
+        x = source_ids[min(cap + 1, n_src) - 1]
+        rows = rows_fn(x, [context(toks) for toks in live_tokens])
+        for i, toks in enumerate(live_tokens):
+            finished.append(finish(toks, float(live_lp[i] + rows[i, eos_pos])))
+    finished.sort(key=lambda h: (-h[2], -h[1], len(h[0]), list(h[0])))
+    return finished
 
 
 def transducer_prob_reference(model, source_ids, prefix_ids, y, bos_id):

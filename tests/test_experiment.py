@@ -264,3 +264,50 @@ def test_successful_rerun_removes_stale_failure_marker(tmp_path):
     E.run_experiment(os.path.join(repo, "configs", "tiny.yaml"), out, jobs=1)
     assert not (out / "failed").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_rerun_removes_artifacts_the_config_no_longer_makes(tmp_path):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tiny = open(os.path.join(repo, "configs", "tiny.yaml"),
+                encoding="utf-8").read()
+    narrow = tiny.replace("widths: [1, 4, 16]", "widths: [1, 4]") \
+        .replace("category_pair: [4, 16]", "category_pair: [1, 4]")
+    assert narrow != tiny
+    out = tmp_path / "run"
+    E.run_experiment(os.path.join(repo, "configs", "tiny.yaml"), out, jobs=1)
+    wide = sorted(p.name for p in (out / "decodes").glob("*_w16_*.tsv"))
+    assert len(wide) == 6
+    # files the pipeline did not write, such as a `beamlab train` output
+    # in the same directory, are not its to delete
+    foreign = {"reports/stray.csv", "models/model.json"}
+    for rel in foreign:
+        (out / rel).write_text("left by hand\n")
+
+    manifest = E.run_experiment(write_config(tmp_path, narrow), out, jobs=1)
+    assert not list((out / "decodes").glob("*_w16_*.tsv"))
+    for rel in foreign:
+        assert (out / rel).read_text() == "left by hand\n"
+    listed = set(manifest["artifacts"]["data"].values()) | \
+        set(manifest["artifacts"]["models"].values()) | \
+        set(manifest["artifacts"]["decodes"]) | \
+        set(manifest["artifacts"]["reports"])
+    on_disk = {os.path.relpath(os.path.join(d, n), out).replace(os.sep, "/")
+               for sub in ("data", "models", "decodes", "reports")
+               for d, _, names in os.walk(out / sub) for n in names}
+    assert on_disk == listed | foreign
+
+
+def test_rerun_deletes_nothing_outside_the_pipeline_directories(tmp_path):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = tmp_path / "run"
+    E.run_experiment(os.path.join(repo, "configs", "tiny.yaml"), out, jobs=1)
+    (tmp_path / "keep.txt").write_text("x\n")
+    (out / "decodes" / "keep.tsv").write_text("x\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["artifacts"]["reports"] += [
+        "../keep.txt", "decodes/../decodes/keep.tsv",
+        str(tmp_path / "keep.txt")]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    E.run_experiment(os.path.join(repo, "configs", "tiny.yaml"), out, jobs=1)
+    assert (tmp_path / "keep.txt").exists()
+    assert (out / "decodes" / "keep.tsv").exists()

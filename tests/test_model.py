@@ -133,7 +133,7 @@ def state_key(model, source, prefix_ids=()):
 def dense_probs(scorer, source, prefix_ids=()):
     """p(. | source, prefix) over model.support, from the scorer's row."""
     x, ctx = state_key(scorer.model, source, prefix_ids)
-    return np.exp(scorer.mixed_log_rows(x, [ctx])[0])
+    return np.exp(scorer.mixed_log_rows(x, [scorer.context_code(ctx)])[0])
 
 
 def test_next_distribution_hand_value():
@@ -205,7 +205,8 @@ def test_sequence_logprob_matches_manual_replay():
         manual = 0.0
         for t, y in enumerate(ids):
             x, ctx = state_key(m, src, ids[:t])
-            manual += scorer.mixed_log_rows(x, [ctx])[0][m.support.index(y)]
+            row = scorer.mixed_log_rows(x, [scorer.context_code(ctx)])[0]
+            manual += row[m.support.index(y)]
         assert hyp.logprob == pytest.approx(manual, abs=1e-12)
 
 
@@ -299,8 +300,10 @@ def test_save_load_round_trip_exact(tmp_path):
         src = [rng.choice("abcq") for _ in range(rng.randint(1, 4))]
         prefix = [rng.choice(m.support) for _ in range(rng.randint(0, 5))]
         x, ctx = state_key(m, src, prefix)
-        assert np.array_equal(scorer.mixed_log_rows(x, [ctx]),
-                              back_scorer.mixed_log_rows(x, [ctx]))
+        code = scorer.context_code(ctx)
+        assert code == back_scorer.context_code(ctx)
+        assert np.array_equal(scorer.mixed_log_rows(x, [code]),
+                              back_scorer.mixed_log_rows(x, [code]))
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -1,14 +1,17 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from beamlab import corpus as C
 from beamlab import model as M
 from beamlab import search as S
 
-from oracles import (enumerate_best_sequence, gnmt_penalty_reference,
-                     transducer_logprob_reference, transducer_prob_reference)
+from oracles import (beam_search_reference, enumerate_best_sequence,
+                     gnmt_penalty_reference, transducer_logprob_reference,
+                     transducer_prob_reference)
 
 
 def pair_corpus(*pairs):
@@ -192,6 +195,11 @@ def test_exact_search_guards_large_instances():
     m = M.train(pair_corpus(("a", "x y z w v u t s r q")))
     with pytest.raises(ValueError):
         S.exact_search(m, ["a"], 12)
+    # 11 symbols: 11^7 is the first power above 1e7
+    assert len(m.support) == 11
+    for max_len in (7, 8, 30):
+        with pytest.raises(ValueError, match="1e7 guard"):
+            S.exact_search(m, ["a"], max_len)
 
 
 def test_eos_admission_needs_top_width_rank():
@@ -199,8 +207,9 @@ def test_eos_admission_needs_top_width_rank():
     # width 2 must also bank the empty hypothesis
     corp = pair_corpus(("a", "x x"), ("a", "x"), ("a", "x"), ("a", "y"))
     m = M.train(corp, order=2, add_k_lex=0.1, add_k_ngram=0.1, lam=0.5)
-    row = S.DenseScorer(m).mixed_log_rows(m.source_vocab.id("a"),
-                                          [(C.BOS_ID,)])[0]
+    scorer = S.DenseScorer(m)
+    row = scorer.mixed_log_rows(m.source_vocab.id("a"),
+                                [scorer.context_code((C.BOS_ID,))])[0]
     x, y = (m.support.index(m.target_vocab.id(t)) for t in "xy")
     assert row[x] > row[m.support.index(C.EOS_ID)] > row[y]
 
@@ -271,6 +280,188 @@ def test_width_invariance_beyond_saturation():
                                            max_len_b=3))
     assert [(h.tokens, h.logprob) for h in a.hypotheses] == \
            [(h.tokens, h.logprob) for h in b.hypotheses]
+
+
+# ------------------------------------------------- selection against oracle
+
+def assert_matches_reference(m, source, config, scorer=None):
+    """beam_search agrees with the full-argsort reference search, fed rows
+    by the same scorer, on every finished hypothesis: tokens, logprob,
+    normalized score and order, bit for bit."""
+    scorer = scorer or S.DenseScorer(m)
+
+    def rows_fn(x, contexts):
+        codes = np.array([scorer.context_code(c) for c in contexts],
+                         dtype=np.int64)
+        return scorer.mixed_log_rows(x, codes)
+
+    src_ids = [m.source_vocab.id(t) for t in source]
+    want = beam_search_reference(
+        rows_fn, src_ids, m.support, C.EOS_ID, C.BOS_ID, m.order,
+        config.width, config.cap(len(src_ids)),
+        lambda lp, n: S.normalize_score(lp, n, config.normalization))
+    got = S.beam_search(m, source, config, scorer)
+    assert [(h.tokens, h.logprob, h.normalized_score)
+            for h in got.hypotheses] == want
+    return got
+
+
+def test_selection_matches_reference_on_reference_like_model():
+    # the reference config's vocabulary, order and length laws; widths up
+    # to 200 run the partial selection over thousands of candidates
+    cfg = C.SynthConfig(vocab_size=48, zipf_exponent=1.3,
+                        length_law=C.parse_length_law(
+                            "negative_binomial(10, 0.35)"),
+                        noise_prob=0.02, train_size=400, dev_size=1,
+                        test_size=40, seed=1234,
+                        test_length_law=C.parse_length_law("uniform(6, 44)"))
+    splits = C.generate_synthetic(cfg)
+    m = M.train(splits["train"], order=3, lam=0.8)
+    scorer = S.DenseScorer(m)
+    by_length = sorted((p.source for p in splits["test"]), key=len)
+    sources = [by_length[i] for i in (0, 10, 20, 30, 39)]
+    assert len(sources[0]) <= 10 and len(sources[-1]) >= 38
+    for i, source in enumerate(sources):
+        for width in (1, 4, 32, 200):
+            norm = ("none",) if i % 2 else ("by_length", 1.0)
+            result = assert_matches_reference(
+                m, source, S.BeamConfig(width=width, normalization=norm),
+                scorer)
+            assert result.hypotheses
+
+
+def test_selection_matches_reference_when_whole_rows_tie():
+    words = ["w%d" % i for i in range(20)]
+    vocab = C.Vocabulary(words)
+    support = [C.EOS_ID] + list(range(3, 3 + len(words)))
+    untrained = M.TransducerModel(
+        lam=0.6, ngram=M.NGramTable(order=3, add_k=0.5),
+        lex=M.LexTable(add_k=0.5), source_vocab=vocab, target_vocab=vocab,
+        support=support)
+    rng = random.Random(11)
+    pairs = [([rng.choice(words[:6]) for _ in range(rng.randint(1, 4))],
+              [rng.choice(words) for _ in range(rng.randint(1, 4))])
+             for _ in range(30)]
+    corp = C.corpus_from_token_pairs(pairs)
+    models = [untrained] + [M.train(corp, order=order, lam=lam)
+                            for order in (1, 2, 3) for lam in (0.0, 1.0)]
+    for m in models:
+        size = len(m.support)
+        for width in (2, size - 1, size + 1, 3 * size, 40):
+            for source in (["w0"], ["w1", "w2", "w3"]):
+                assert_matches_reference(
+                    m, source, S.BeamConfig(width=width, max_len_a=1.0,
+                                            max_len_b=3))
+
+
+# ------------------------------------------------------- context codes
+
+def test_rolled_code_equals_code_of_padded_context():
+    rng = random.Random(17)
+    for order in (1, 2, 3, 4):
+        corp = pair_corpus(("a b", "x y z"), ("b", "y"), ("a", "z x"))
+        m = M.train(corp, order=order)
+        scorer = S.DenseScorer(m)
+        non_eos = [t for t in m.support if t != C.EOS_ID]
+        for _ in range(20):
+            prefix = [rng.choice(non_eos) for _ in range(rng.randint(0, 7))]
+            code = scorer.start_code
+            for t in range(len(prefix) + 1):
+                padded = (C.BOS_ID,) * (order - 1) + tuple(prefix[:t])
+                ctx = padded[len(padded) - (order - 1):]
+                assert code == scorer.context_code(ctx)
+                if t < len(prefix):
+                    code = scorer.roll(code, prefix[t])
+            codes = np.array([scorer.start_code] * 3)
+            for tok in prefix:
+                codes = scorer.roll(codes, np.array([tok] * 3))
+            assert codes.tolist() == [code] * 3
+
+
+def test_trained_and_unseen_context_rows():
+    corp = pair_corpus(("a b", "x y z"), ("b", "y"), ("a", "z x"))
+    m = M.train(corp, order=3, add_k_ngram=0.3, lam=0.45)
+    scorer = S.DenseScorer(m)
+    size = len(m.support)
+    src_ids = [m.source_vocab.id("a")]
+    ids = [C.BOS_ID] + m.support
+    contexts = list(itertools.product(ids, repeat=2))
+    unseen = [ctx for ctx in contexts if ctx not in m.ngram.counts]
+    assert unseen and len(unseen) < len(contexts)
+    for ctx in contexts:
+        prefix = [t for t in ctx if t != C.BOS_ID]
+        if ctx != (C.BOS_ID,) * (2 - len(prefix)) + tuple(prefix):
+            continue  # BOS after a token: no prefix reaches it
+        row = scorer.mixed_log_rows(src_ids[0], [scorer.context_code(ctx)])[0]
+        for j, y in enumerate(m.support):
+            want = transducer_prob_reference(m, src_ids, prefix, y, C.BOS_ID)
+            assert row[j] == pytest.approx(math.log(want), abs=1e-12)
+    codes = np.array([scorer.context_code(ctx) for ctx in unseen])
+    rows = scorer.mixed_log_rows(src_ids[0], codes)
+    # every unseen context reads the one shared add-k row
+    assert (rows == rows[0]).all()
+    pure = M.train(corp, order=3, add_k_ngram=0.3, lam=0.0)
+    pure_scorer = S.DenseScorer(pure)
+    rows = pure_scorer.mixed_log_rows(src_ids[0], codes)
+    assert (rows == np.log(0.3 / (0.3 * size))).all()
+
+
+def test_rows_are_built_on_first_use_in_any_order():
+    corp = pair_corpus(("a b", "x y z"), ("b", "y"), ("a", "z x"),
+                       ("b a", "y x x"))
+    m = M.train(corp, order=3, add_k_ngram=0.3, lam=0.45)
+    forward, backward = S.DenseScorer(m), S.DenseScorer(m)
+    assert forward._ngram.filled == forward._lex.filled == 0
+    codes = [forward.context_code(ctx)
+             for ctx in itertools.product([C.BOS_ID] + m.support, repeat=2)]
+    rows = {}
+    for code in codes:
+        rows[code] = forward.mixed_log_rows(3, np.array([code]))[0]
+    for code in reversed(codes):
+        row = backward.mixed_log_rows(3, np.array([code]))[0]
+        assert np.array_equal(row, rows[code])
+    together = S.DenseScorer(m).mixed_log_rows(3, np.array(codes))
+    assert np.array_equal(together, np.array([rows[c] for c in codes]))
+    # one row per trained context, one shared unseen row, one source row
+    trained = sum(1 for ctx in m.ngram.counts if len(ctx) == 2)
+    assert forward._ngram.filled == trained + 1
+    assert forward._lex.filled == 1
+
+
+def test_context_without_ngram_entry_scores():
+    # no n-gram counts at all, and a code above every trained code: both
+    # look up past the last trained context
+    vocab = C.Vocabulary(["p", "q", "r"])
+    empty = M.TransducerModel(lam=0.5, ngram=M.NGramTable(order=3, add_k=1.0),
+                              lex=M.LexTable(add_k=1.0), source_vocab=vocab,
+                              target_vocab=vocab, support=[C.EOS_ID, 3, 4, 5])
+    scorer = S.DenseScorer(empty)
+    top = scorer.modulus - 1
+    rows = scorer.mixed_log_rows(3, [0, 1, top])
+    assert np.array_equal(rows, np.full((3, 4), np.log(0.25)))
+    assert S.beam_search(empty, ["p"], S.BeamConfig(width=3)).hypotheses
+
+    m = M.train(pair_corpus(("a", "x"), ("b", "y")), order=3)
+    scorer = S.DenseScorer(m)
+    top = scorer.modulus - 1
+    assert top > max(scorer.context_code(c) for c in m.ngram.counts)
+    rows = scorer.mixed_log_rows(3, [top, scorer.start_code])
+    assert np.isfinite(rows).all()
+    assert not np.array_equal(rows[0], rows[1])
+
+
+def test_scorer_refuses_contexts_that_overflow_int64():
+    vocab = C.Vocabulary(["w%d" % i for i in range(48)])
+    for order, fits in ((11, True), (12, False)):
+        m = M.TransducerModel(lam=0.5, ngram=M.NGramTable(order, add_k=1.0),
+                              lex=M.LexTable(add_k=1.0), source_vocab=vocab,
+                              target_vocab=vocab,
+                              support=[C.EOS_ID] + list(range(3, 51)))
+        if fits:
+            assert S.DenseScorer(m).modulus == 51 ** 10
+        else:
+            with pytest.raises(ValueError, match="int64"):
+                S.DenseScorer(m)
 
 
 # ---------------------------------------------------------------- corpus decode
