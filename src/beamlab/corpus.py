@@ -11,6 +11,7 @@ the rest of the package studies.
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -155,7 +156,7 @@ class Vocabulary:
 def build_vocabulary(corpus, side, min_count=1):
     if not len(corpus):
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    counts = Counter(tok for sent in corpus.side(side) for tok in sent)
+    counts = Counter(chain.from_iterable(corpus.side(side)))
     kept = sorted((t for t, c in counts.items() if c >= min_count),
                   key=lambda t: (-counts[t], t))
     return Vocabulary(kept)

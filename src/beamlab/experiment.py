@@ -418,10 +418,12 @@ def _listed_paths(artifacts):
 
 def _earlier_outputs(out):
     """The paths that the manifest of an earlier run in `out` lists under
-    the pipeline's directories; empty when there is no readable manifest."""
+    the pipeline's directories, as its artifacts or as stale files of a run
+    before it; empty when there is no readable manifest."""
     try:
         with open(os.path.join(out, "manifest.json"), encoding="utf-8") as f:
-            paths = _listed_paths(json.load(f)["artifacts"])
+            blob = json.load(f)
+        paths = _listed_paths(blob["artifacts"]) | set(blob.get("stale", ()))
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return set()
     # a listed path that leaves the four directories is never deleted
@@ -437,7 +439,9 @@ def _utc_now():
 def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
     """Run the full pipeline under out_dir and return the manifest. Any
     stage failure writes failed/error.txt naming the stage, keeps whatever
-    partial outputs exist, and re-raises; a successful run removes the
+    partial outputs exist, writes a manifest of the failed run (its stage,
+    the artifacts it wrote, and as `stale` what the earlier manifest listed
+    and it did not write) and re-raises; a successful run removes the
     failed/ of an earlier one and every file that the earlier run's manifest
     lists and this run's does not. `jobs` goes through
     search.resolve_jobs."""
@@ -457,6 +461,18 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
     created = _utc_now()
 
     artifacts = {"data": {}, "models": {}, "decodes": [], "reports": []}
+    manifest = {
+        "format": "beamlab.manifest",
+        "format_version": 1,
+        "tool_version": __version__,
+        "created_utc": created,
+        "seed": cfg.seed,
+        "jobs": jobs,
+        "config_hash": config_hash,
+        "config_snapshot": "config.yaml",
+        "systems": list(cfg.systems),
+        "artifacts": artifacts,
+    }
     stage = "gen-synth"
     try:
         splits = generate_synthetic(cfg.synth)
@@ -578,6 +594,11 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         os.makedirs(failed_dir, exist_ok=True)
         write_text_atomic(os.path.join(failed_dir, "error.txt"),
                           "stage: %s\nerror: %r\n" % (stage, exc))
+        # the earlier manifest no longer describes the directory; what it
+        # listed and this run did not rewrite stays listed, to be pruned
+        manifest.update(failed_stage=stage, stale=sorted(
+            earlier - _listed_paths(artifacts)))
+        write_json_atomic(os.path.join(out, "manifest.json"), manifest)
         raise
     if os.path.isdir(os.path.join(out, "failed")):
         shutil.rmtree(os.path.join(out, "failed"))
@@ -587,18 +608,6 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         if os.path.isfile(os.path.join(out, rel)):
             os.remove(os.path.join(out, rel))
 
-    manifest = {
-        "format": "beamlab.manifest",
-        "format_version": 1,
-        "tool_version": __version__,
-        "created_utc": created,
-        "completed_utc": _utc_now(),
-        "seed": cfg.seed,
-        "jobs": jobs,
-        "config_hash": config_hash,
-        "config_snapshot": "config.yaml",
-        "systems": list(cfg.systems),
-        "artifacts": artifacts,
-    }
+    manifest["completed_utc"] = _utc_now()
     write_json_atomic(os.path.join(out, "manifest.json"), manifest)
     return manifest

@@ -10,113 +10,174 @@ explicit, data-derived belief about where sequences end. That belief, learned
 from the training data's length distribution, is what the search and analysis
 modules poke at.
 
-This module holds the counts, training and save/load; search.DenseScorer is
-the one place that turns the counts into the probabilities above.
+The counts are integer arrays. A lexical key is a source id; an n-gram key
+is the code of a context, its ids read as digits in base len(target_vocab),
+oldest first (BOS is 0, so padding adds nothing). This module holds the
+counts, training and save/load; search.DenseScorer is the one place that
+turns the counts into the probabilities above.
 """
 
 import json
-from collections import Counter
+from itertools import chain, repeat
 
-from .corpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocabulary
+import numpy as np
+
+from .corpus import EOS_ID, UNK_ID, Vocabulary, build_vocabulary
 from .errors import DataError, ModelFormatError
 from .fileio import write_json_atomic
 
 FORMAT_NAME = "beamlab.model"
 FORMAT_VERSION = 1
 
+# sentences counted at a time: training holds per-token arrays of one block
+# only, beside the running tally of distinct (key, token) pairs
+_BLOCK = 128
 
-class _CountTable:
-    """key -> Counter of next-token counts, plus per-key totals."""
 
-    def __init__(self, add_k):
+class CountTable:
+    """Next-token counts per key in CSR layout, built from the ascending
+    distinct values key * base + token and their counts: the distinct
+    `keys` ascending; the tokens seen after keys[i] (ascending) and their
+    counts at tokens[offsets[i]:offsets[i + 1]] and counts[...]; totals[i]
+    sums them."""
+
+    def __init__(self, add_k, values, counts, base):
         if add_k <= 0:
             raise ValueError("add_k must be positive")
         self.add_k = add_k
-        self.counts = {}
-        self.totals = Counter()
-
-    def add(self, key, token_id, amount=1):
-        row = self.counts.get(key)
-        if row is None:
-            row = self.counts[key] = Counter()
-        row[token_id] += amount
-        self.totals[key] += amount
-
-
-class LexTable(_CountTable):
-    """Source-token-id -> target-token-id counts."""
-
-
-class NGramTable(_CountTable):
-    """(order-1)-tuple of target ids -> next-target-id counts."""
-
-    def __init__(self, order, add_k):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        super().__init__(add_k)
-        self.order = order
+        keys, self.tokens = np.divmod(np.asarray(values, np.int64), base)
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.keys = keys.take(starts)
+        self.offsets = np.append(starts, len(keys))
+        self.counts = np.asarray(counts, np.int64)
+        sums = np.append(0, self.counts.cumsum())
+        self.totals = sums[self.offsets[1:]] - sums[self.offsets[:-1]]
 
 
 class TransducerModel:
-    def __init__(self, lam, ngram, lex, source_vocab, target_vocab, support):
+    def __init__(self, lam, order, ngram, lex, source_vocab, target_vocab,
+                 support):
         if not 0.0 <= lam <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
-        if EOS_ID not in support or sorted(support) != list(support):
-            raise ValueError("support must be a sorted id list containing EOS")
+        if type(order) is not int or order < 1:
+            raise ValueError("order must be an integer >= 1")
+        if len(target_vocab) ** order > np.iinfo(np.int64).max:
+            raise ValueError("order %d over %d target ids is too long for "
+                             "int64 context codes" % (order, len(target_vocab)))
+        if not (all(type(t) is int for t in support) and EOS_ID in support
+                and list(support) == sorted(set(support))
+                and 0 <= support[0] and support[-1] < len(target_vocab)):
+            raise ValueError("support must be ascending distinct target ids "
+                             "containing EOS")
+        for table in (ngram, lex):
+            pos = np.searchsorted(support, table.tokens)
+            if (np.take(support, pos, mode="clip") != table.tokens).any():
+                raise ValueError("a counted token is not in the support")
         self.lam = lam
+        self.order = order
         self.ngram = ngram
         self.lex = lex
         self.source_vocab = source_vocab
         self.target_vocab = target_vocab
         self.support = list(support)
 
-    @property
-    def order(self):
-        return self.ngram.order
+
+def _count(tally, values):
+    """A running tally (distinct values ascending, their counts) with the
+    int array `values` added to it."""
+    values = np.sort(values)
+    starts = np.flatnonzero(np.diff(values, prepend=-1))
+    keys, counts = values.take(starts), np.diff(np.append(starts, len(values)))
+    if tally is None:
+        return keys, counts
+    known, known_counts = tally
+    pos = known.searchsorted(keys)
+    hit = known.take(pos, mode="clip") == keys
+    known_counts[pos[hit]] += counts[hit]
+    return (np.insert(known, pos[~hit], keys[~hit]),
+            np.insert(known_counts, pos[~hit], counts[~hit]))
+
+
+def _ids(vocab, sentences, count):
+    """The ids of the `count` tokens of `sentences`, UNK if unknown."""
+    return np.fromiter(map(vocab.token_to_id.get, chain.from_iterable(sentences),
+                           repeat(UNK_ID)), np.int64, count)
+
+
+def _block_keys(pairs, source_vocab, target_vocab, order):
+    """The lexical and n-gram keys of every target step of `pairs`, each as
+    key * base + token, and whether a target token mapped to UNK."""
+    base = len(target_vocab)
+    n_src = np.array([len(p.source) for p in pairs])
+    n_tgt = np.array([len(p.target) for p in pairs])
+    src = _ids(source_vocab, (p.source for p in pairs), n_src.sum())
+    ids = _ids(target_vocab, (p.target for p in pairs), n_tgt.sum())
+    unk_seen = bool((ids == UNK_ID).any())
+    # each target with its EOS step; step is t - 1 for target position t
+    steps = n_tgt + 1
+    y = np.insert(ids, n_tgt.cumsum(), EOS_ID)
+    del ids
+    step = np.arange(len(y))
+    step -= np.repeat(steps.cumsum() - steps, steps)
+    aligned = np.minimum(step, np.repeat(n_src - 1, steps))
+    aligned += np.repeat(n_src.cumsum() - n_src, steps)
+    lex = src.take(aligned)
+    del src, aligned
+    lex *= base
+    lex += y
+    # the context code, oldest token first; BOS (0) before the first token
+    code = np.zeros_like(y)
+    for back in range(order - 1, 0, -1):
+        code *= base
+        code[back:] += y[:-back] * (step[back:] >= back)
+    code *= base
+    code += y
+    return lex, code, unk_seen
 
 
 def train(corpus, order=3, add_k_lex=0.1, add_k_ngram=0.1, lam=0.6, min_count=1):
     """Accumulate lexical and n-gram counts over the corpus. The emission
     support is every target vocabulary word plus EOS, plus UNK if (and only
-    if) some training target token actually mapped to UNK."""
+    if) some training target token actually mapped to UNK. Each block of
+    _BLOCK sentences is counted by sorting and run length, then merged into
+    the tally."""
     if not len(corpus):
         raise DataError("cannot train on an empty corpus")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     source_vocab = build_vocabulary(corpus, "source", min_count)
     target_vocab = build_vocabulary(corpus, "target", min_count)
-    lex = LexTable(add_k_lex)
-    ngram = NGramTable(order, add_k_ngram)
-    pad = (BOS_ID,) * (order - 1)
+    base = len(target_vocab)
+    lex = ngram = None
     unk_seen = False
-
-    for pair in corpus:
-        src_ids = [source_vocab.id(t) for t in pair.source]
-        tgt_ids = [target_vocab.id(t) for t in pair.target]
-        unk_seen = unk_seen or UNK_ID in tgt_ids
-        tgt_ids.append(EOS_ID)
-        n_src = len(src_ids)
-        context = pad
-        for t, y in enumerate(tgt_ids, start=1):
-            lex.add(src_ids[t - 1 if t <= n_src else n_src - 1], y)
-            ngram.add(context, y)
-            if order > 1:
-                context = context[1:] + (y,)
+    for start in range(0, len(corpus), _BLOCK):
+        lex_keys, ngram_keys, unk = _block_keys(
+            corpus.pairs[start:start + _BLOCK], source_vocab, target_vocab,
+            order)
+        lex, ngram = _count(lex, lex_keys), _count(ngram, ngram_keys)
+        unk_seen = unk_seen or unk
 
     support = [EOS_ID] + ([UNK_ID] if unk_seen else []) + \
         list(range(3, len(target_vocab)))
-    model = TransducerModel(lam, ngram, lex, source_vocab, target_vocab, support)
-    return model
+    return TransducerModel(lam, order, CountTable(add_k_ngram, *ngram, base),
+                           CountTable(add_k_lex, *lex, base), source_vocab,
+                           target_vocab, support)
 
 
 # ---------------------------------------------------------------- save/load
 
-def _table_blob(counts, key_fn):
-    return {key_fn(k): {str(y): c for y, c in sorted(row.items())}
-            for k, row in sorted(counts.items())}
+def _table_blob(table, names):
+    tokens = [str(y) for y in table.tokens.tolist()]
+    counts = table.counts.tolist()
+    bounds = table.offsets.tolist()
+    return {name: dict(zip(tokens[a:b], counts[a:b]))
+            for name, a, b in zip(names, bounds, bounds[1:])}
 
 
 def save_model(model, path):
+    base = len(model.target_vocab)
+    digits = model.ngram.keys[:, None] // base ** np.arange(model.order - 2,
+                                                            -1, -1) % base
     blob = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
@@ -127,11 +188,40 @@ def save_model(model, path):
         "source_vocab": model.source_vocab.content_tokens(),
         "target_vocab": model.target_vocab.content_tokens(),
         "support": model.support,
-        "lex_counts": _table_blob(model.lex.counts, str),
-        "ngram_counts": _table_blob(model.ngram.counts,
-                                    lambda ctx: " ".join(str(i) for i in ctx)),
+        "lex_counts": _table_blob(model.lex,
+                                  map(str, model.lex.keys.tolist())),
+        "ngram_counts": _table_blob(model.ngram, [
+            " ".join(map(str, ctx)) for ctx in digits.tolist()]),
     }
     write_json_atomic(path, blob)
+
+
+def _parse_table(add_k, blob, length, bound, base):
+    """The CountTable of a count object whose keys are `length` ids in
+    [0, bound) (coded in base `bound`) and whose rows map token ids to
+    positive integer counts."""
+    values, counts = [], []
+    for key, row in blob.items():
+        ids = [int(i) for i in key.split()]
+        if len(ids) != length or " ".join(map(str, ids)) != key \
+                or not all(0 <= i < bound for i in ids):
+            raise ValueError("count key %r is not %d ids in [0, %d)"
+                             % (key, length, bound))
+        code = 0
+        for i in ids:
+            code = code * bound + i
+        for y, count in row.items():
+            if y != str(int(y)) or not 0 <= int(y) < base:
+                raise ValueError("count row %r: %r is not a target id"
+                                 % (key, y))
+            if type(count) is not int or count < 1:
+                raise ValueError("count row %r: count %r is not a positive "
+                                 "integer" % (key, count))
+            values.append(code * base + int(y))
+            counts.append(count)
+    order = np.argsort(values)
+    return CountTable(add_k, np.take(values, order), np.take(counts, order),
+                      base)
 
 
 def load_model(path):
@@ -149,18 +239,16 @@ def load_model(path):
             "unsupported model format version %r in %s (expected %d)"
             % (blob.get("format_version"), path, FORMAT_VERSION))
     try:
-        lex = LexTable(blob["add_k_lex"])
-        for key, row in blob["lex_counts"].items():
-            for y, count in row.items():
-                lex.add(int(key), int(y), count)
-        ngram = NGramTable(blob["order"], blob["add_k_ngram"])
-        for key, row in blob["ngram_counts"].items():
-            ctx = tuple(int(i) for i in key.split())
-            for y, count in row.items():
-                ngram.add(ctx, int(y), count)
-        return TransducerModel(blob["lambda"], ngram, lex,
-                               Vocabulary(blob["source_vocab"]),
-                               Vocabulary(blob["target_vocab"]),
-                               blob["support"])
-    except (KeyError, TypeError, ValueError) as err:
+        source_vocab = Vocabulary(blob["source_vocab"])
+        target_vocab = Vocabulary(blob["target_vocab"])
+        order, base = blob["order"], len(target_vocab)
+        return TransducerModel(
+            blob["lambda"], order,
+            _parse_table(blob["add_k_ngram"], blob["ngram_counts"], order - 1,
+                         base, base),
+            _parse_table(blob["add_k_lex"], blob["lex_counts"], 1,
+                         len(source_vocab), base),
+            source_vocab, target_vocab, blob["support"])
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as err:
         raise ModelFormatError("bad model file %s: %s" % (path, err)) from err

@@ -22,7 +22,6 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -106,61 +105,60 @@ def saturating_width(support_size, cap):
 
 
 class _RowTable:
-    """Rows (counts + add_k) / (total + add_k * size) * scale of one count
-    table over the support, one per key, each built the first time a lookup
-    asks for it: memory grows with the rows a search reaches, not with the
-    model. A row is built element for element by the same expression
-    whenever it is built, so its floats do not depend on the order."""
+    """Rows (counts + add_k) / (total + add_k * size) * scale of a
+    model.CountTable over the support: one per key, in key order, plus a
+    last row shared by every key without counts (counts 0, total 0). Each
+    row is built the first time a lookup asks for it, by slicing the
+    table's arrays, element for element by the same expression whenever it
+    is built, so its floats do not depend on the order.
 
-    def __init__(self, table, keys, support, scale):
+    The row array is allocated once at full size and never copied. Rows are
+    written in slot order from the start, and the operating system backs an
+    allocated page with memory only once it is written, so memory grows
+    with the rows a search reaches, not with the model."""
+
+    def __init__(self, table, support, scale):
         self.table = table
-        self.keys = keys
         self.support = support
         self.scale = scale
-        self.slot = np.full(len(keys), -1)
-        self.rows = np.empty((min(len(keys), 16), len(support)))
+        # the shared row: no cells and a total of 0, past the last key
+        self.offsets = np.append(table.offsets, table.offsets[-1])
+        self.totals = np.append(table.totals, 0)
+        self.slot = np.full(len(self.totals), -1)
+        self.rows = np.empty((len(self.totals), len(support)))
         self.filled = 0
 
     def take(self, idx):
-        """The rows of the keys at positions `idx` (an int array)."""
+        """The rows at positions `idx` (an int array)."""
         slots = self.slot.take(idx)
         if slots[slots.argmin()] < 0:
             # a set, since np.unique would import numpy.ma (about 1 MB)
-            self._build(sorted(set(idx[slots < 0].tolist())))
+            self._build(np.array(sorted(set(idx[slots < 0].tolist()))))
             slots = self.slot.take(idx)
         return self.rows.take(slots, axis=0)
 
     def row(self, i):
-        """The row of the key at position `i`, as a view."""
+        """The row at position `i`, as a view."""
         if self.slot[i] < 0:
-            self._build([i])
+            self._build(np.array([i]))
         return self.rows[self.slot[i]]
 
     def _build(self, idx):
         start = self.filled
         stop = start + len(idx)
-        if stop > len(self.rows):
-            grown = np.empty((max(stop, min(len(self.keys), 2 * start)),
-                              len(self.support)))
-            grown[:start] = self.rows[:start]
-            self.rows = grown
         out = self.rows[start:stop]
-        keys = [self.keys[i] for i in idx]
         table = self.table
-        rows = [table.counts.get(key, {}) for key in keys]
-        tokens = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
-        counts = np.fromiter(chain.from_iterable(map(dict.values, rows)),
-                             dtype=float, count=len(tokens))
-        row_of = np.repeat(np.arange(len(rows)), list(map(len, rows)))
-        pos = self.support.searchsorted(tokens)
-        # a token outside the support has no column
-        hit = self.support.take(pos, mode="clip") == tokens
+        # the flat positions of the rows' cells, row after row
+        first = self.offsets.take(idx)
+        sizes = self.offsets.take(idx + 1) - first
+        cells = np.arange(sizes.sum()) + np.repeat(first - sizes.cumsum()
+                                                   + sizes, sizes)
         out[:] = 0.0
-        out[row_of[hit], pos[hit]] = counts[hit]
+        out[np.repeat(np.arange(len(idx)), sizes),
+            self.support.searchsorted(table.tokens.take(cells))] = \
+            table.counts.take(cells)
         out += table.add_k
-        totals = np.fromiter(map(table.totals.__getitem__, keys), dtype=float,
-                             count=len(keys))
-        totals += table.add_k * len(self.support)
+        totals = self.totals.take(idx) + table.add_k * len(self.support)
         out /= totals[:, None]
         out *= self.scale
         self.slot[idx] = np.arange(start, stop)
@@ -178,12 +176,13 @@ class DenseScorer:
 
     Both row tables are scaled by lambda and 1 - lambda (a product is the
     same float whenever it is taken) and filled on first use. The lexical
-    table has one row per source id. The n-gram table has one row per
-    trained context, in ascending order of the context's code, plus one last
-    add-k row shared by every context the model never saw. A context (the
-    last order-1 target ids, BOS-padded) is coded as its ids read as digits
-    in base `base`; BOS is 0, so the empty prefix has code 0 and padding
-    costs nothing. Searches carry codes, rolled forward one token at a time.
+    table has one row per source id with counts, and one shared row for the
+    rest. The n-gram table has one row per trained context, in the model's
+    order of context codes, plus one last add-k row shared by every context
+    the model never saw. A context (the last order-1 target ids, BOS-padded)
+    is coded as its ids read as digits in base `base`, as in the model; BOS
+    is 0, so the empty prefix has code 0 and padding costs nothing. Searches
+    carry codes, rolled forward one token at a time.
     """
 
     def __init__(self, model):
@@ -191,30 +190,17 @@ class DenseScorer:
         self.support = np.array(model.support, dtype=np.int64)
         self.size = len(model.support)
         self.eos_pos = model.support.index(EOS_ID)
-        self.base = max(len(model.target_vocab), model.support[-1] + 1)
-        ctx_len = model.order - 1
-        if self.base ** model.order > np.iinfo(np.int64).max:
-            raise ValueError("order %d over %d target ids is too long for "
-                             "int64 context codes" % (model.order, self.base))
-        self.modulus = self.base ** ctx_len
-        self.start_code = self.context_code((BOS_ID,) * ctx_len)
-        keys = [ctx for ctx in model.ngram.counts if len(ctx) == ctx_len]
-        digits = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
-                             count=len(keys) * ctx_len)
-        digits = digits.reshape(len(keys), ctx_len)
-        # a context holding an id outside [0, base) is never looked up, and
-        # its code could equal a real context's
-        kept = ((digits >= 0) & (digits < self.base)).all(axis=1).nonzero()[0]
-        codes = digits[kept] @ self.base ** np.arange(ctx_len - 1, -1, -1)
-        order = codes.argsort()
-        contexts = [keys[i] for i in kept[order].tolist()]
+        self.base = len(model.target_vocab)
+        self.modulus = self.base ** (model.order - 1)
+        self.start_code = self.context_code((BOS_ID,) * (model.order - 1))
         # the sentinel sorts after every code, so a lookup never runs off
         # the end, and its position is the shared unseen-context row
-        self._codes = np.append(codes[order], self.modulus)
-        self._ngram = _RowTable(model.ngram, contexts + [None], self.support,
-                                1.0 - model.lam)
-        self._lex = _RowTable(model.lex, range(len(model.source_vocab)),
-                              self.support, model.lam)
+        self._codes = np.append(model.ngram.keys, self.modulus)
+        self._ngram = _RowTable(model.ngram, self.support, 1.0 - model.lam)
+        self._lex = _RowTable(model.lex, self.support, model.lam)
+        lex_rows = np.full(len(model.source_vocab), len(model.lex.keys))
+        lex_rows[model.lex.keys] = np.arange(len(model.lex.keys))
+        self._lex_rows = lex_rows.tolist()
 
     def context_code(self, context):
         """The code of an (order-1)-tuple of target ids."""
@@ -234,7 +220,7 @@ class DenseScorer:
         rows = self._codes.searchsorted(contexts)
         rows[self._codes.take(rows) != contexts] = len(self._codes) - 1
         mixed = self._ngram.take(rows)
-        mixed += self._lex.row(source_id)
+        mixed += self._lex.row(self._lex_rows[source_id])
         return np.log(mixed, out=mixed)
 
 

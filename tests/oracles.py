@@ -166,6 +166,53 @@ def beam_search_reference(rows_fn, source_ids, support, eos_id, bos_id,
     return finished
 
 
+def count_rows(table):
+    """{key: {token: count}} of a CSR count table, read from its arrays:
+    row i holds keys[i]'s tokens and counts between offsets[i] and
+    offsets[i + 1]."""
+    bounds = table.offsets.tolist()
+    tokens, counts = table.tokens.tolist(), table.counts.tolist()
+    return {key: dict(zip(tokens[a:b], counts[a:b]))
+            for key, a, b in zip(table.keys.tolist(), bounds, bounds[1:])}
+
+
+def context_code(context, base):
+    """The code of a context: its ids read as digits in `base`, oldest
+    first."""
+    code = 0
+    for i in context:
+        code = code * base + i
+    return code
+
+
+def count_reference(corpus, source_vocab, target_vocab, order, bos_id,
+                    eos_id, unk_id):
+    """The transducer's counts, one increment per token and table: lexical
+    counts keyed by source id and n-gram counts keyed by the BOS-padded
+    (order-1)-tuple of preceding target ids, each a dict of Counters, and
+    whether a target token mapped to UNK."""
+    lex, ngram = {}, {}
+
+    def add(table, key, token_id):
+        table.setdefault(key, Counter())[token_id] += 1
+
+    pad = (bos_id,) * (order - 1)
+    unk_seen = False
+    for pair in corpus:
+        src_ids = [source_vocab.id(t) for t in pair.source]
+        tgt_ids = [target_vocab.id(t) for t in pair.target]
+        unk_seen = unk_seen or unk_id in tgt_ids
+        tgt_ids.append(eos_id)
+        n_src = len(src_ids)
+        context = pad
+        for t, y in enumerate(tgt_ids, start=1):
+            add(lex, src_ids[t - 1 if t <= n_src else n_src - 1], y)
+            add(ngram, context, y)
+            if order > 1:
+                context = context[1:] + (y,)
+    return lex, ngram, unk_seen
+
+
 def transducer_prob_reference(model, source_ids, prefix_ids, y, bos_id):
     """p(y | source, prefix) of the count transducer, term by term from its
     definition:
@@ -175,18 +222,19 @@ def transducer_prob_reference(model, source_ids, prefix_ids, y, bos_id):
     with t = len(prefix) + 1, a(t) = min(t, |x|), ctx the last (order - 1)
     prefix ids after BOS padding, and each table add-k smoothed over the
     model's support: (count + k) / (total + k * |support|). The count tables
-    are read by attribute; the caller maps tokens to ids.
+    are read by attribute (an n-gram key is the context's code in base
+    |target vocabulary|); the caller maps tokens to ids.
     """
     size = len(model.support)
     x = source_ids[min(len(prefix_ids) + 1, len(source_ids)) - 1]
-    k = model.ngram.order - 1
+    k = model.order - 1
     padded = [bos_id] * k + list(prefix_ids)
-    ctx = tuple(padded[len(padded) - k:])
+    ctx = context_code(padded[len(padded) - k:], len(model.target_vocab))
 
     def smoothed(table, key):
-        row = table.counts.get(key, {})
+        row = count_rows(table).get(key, {})
         return (row.get(y, 0) + table.add_k) / \
-            (table.totals.get(key, 0) + table.add_k * size)
+            (sum(row.values()) + table.add_k * size)
 
     lam = model.lam
     return lam * smoothed(model.lex, x) + (1 - lam) * smoothed(model.ngram, ctx)

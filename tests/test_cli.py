@@ -258,6 +258,64 @@ def test_decode_rejects_blank_source_line(capsys, tmp_path):
     assert code == 2
 
 
+def _first_row(table):
+    return table[min(table)]
+
+
+def _edit_first_count(value):
+    def edit(blob):
+        row = _first_row(blob["lex_counts"])
+        row[min(row)] = value
+    return edit
+
+
+def _add_ngram_key(key_fn):
+    def edit(blob):
+        base = 3 + len(blob["target_vocab"])
+        blob["ngram_counts"][key_fn(base)] = {"1": 1}
+    return edit
+
+
+def _set_first_lex_row(row):
+    def edit(blob):
+        blob["lex_counts"][min(blob["lex_counts"])] = row
+    return edit
+
+
+# each edit makes a model file that `beamlab decode` must refuse with exit 2
+MALFORMED_MODELS = {
+    "row_is_a_list": _set_first_lex_row([1, 2]),
+    "negative_count": _edit_first_count(-1),
+    "float_count": _edit_first_count(2.0),
+    "boolean_count": _edit_first_count(True),
+    "support_id_outside_vocabulary": lambda blob: blob["support"].append(
+        3 + len(blob["target_vocab"])),
+    "counted_token_outside_support": _set_first_lex_row({"0": 1}),
+    "context_key_too_short": _add_ngram_key(lambda base: "0"),
+    "context_key_too_long": _add_ngram_key(lambda base: "0 0 0"),
+    "context_id_outside_vocabulary": _add_ngram_key(
+        lambda base: "0 %d" % base),
+    "negative_context_id": _add_ngram_key(lambda base: "0 -1"),
+    "source_key_outside_vocabulary": lambda blob: blob["lex_counts"].update(
+        {str(3 + len(blob["source_vocab"])): {"1": 1}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_decode_refuses_malformed_model(capsys, tmp_path, case):
+    model, src = train_toy_model(capsys, tmp_path)
+    blob = json.loads(Path(model).read_text())
+    assert blob["order"] == 3
+    MALFORMED_MODELS[case](blob)
+    Path(model).write_text(json.dumps(blob))
+    out = tmp_path / "dec"
+    code, stdout, err = run(capsys, "decode", model, src, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: bad model file")
+    assert "Traceback" not in err
+    assert not out.exists() or not os.listdir(out)
+
+
 # --------------------------------------------------------------------- evaluate
 
 def test_evaluate_bleu_identity(capsys, tmp_path):

@@ -311,3 +311,50 @@ def test_rerun_deletes_nothing_outside_the_pipeline_directories(tmp_path):
     E.run_experiment(os.path.join(repo, "configs", "tiny.yaml"), out, jobs=1)
     assert (tmp_path / "keep.txt").exists()
     assert (out / "decodes" / "keep.tsv").exists()
+
+
+def test_failed_rerun_replaces_the_manifest_and_keeps_pruning(
+        tmp_path, monkeypatch):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tiny_path = os.path.join(repo, "configs", "tiny.yaml")
+    tiny = open(tiny_path, encoding="utf-8").read()
+    out = tmp_path / "run"
+    first = E.run_experiment(tiny_path, out, jobs=1)
+    assert first["seed"] == 7
+    first_train = (out / "data" / "train.tgt").read_bytes()
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected decode failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(E, "_decode_grid", boom)
+        with pytest.raises(RuntimeError):
+            E.run_experiment(tiny_path, out, jobs=1, seed_override=99)
+    failed = json.loads((out / "manifest.json").read_text())
+    # the manifest is the failed run's, matching the corpus now on disk
+    assert failed["seed"] == 99
+    assert failed["failed_stage"] == "decode"
+    assert "completed_utc" not in failed
+    assert (out / "data" / "train.tgt").read_bytes() != first_train
+    assert set(failed["artifacts"]["data"].values()) == \
+        set(first["artifacts"]["data"].values())
+    assert failed["artifacts"]["decodes"] == []
+    # the first run's decodes and reports were not rewritten: still listed
+    assert set(failed["stale"]) == \
+        set(first["artifacts"]["decodes"]) | set(first["artifacts"]["reports"])
+    assert (out / "decodes" / "msr_w16_none.tsv").exists()
+
+    narrow = tiny.replace("widths: [1, 4, 16]", "widths: [1, 4]") \
+        .replace("category_pair: [4, 16]", "category_pair: [1, 4]")
+    manifest = E.run_experiment(write_config(tmp_path, narrow), out, jobs=1)
+    assert "stale" not in manifest and "failed_stage" not in manifest
+    assert not (out / "failed").exists()
+    assert not list((out / "decodes").glob("*_w16_*.tsv"))
+    listed = set(manifest["artifacts"]["data"].values()) | \
+        set(manifest["artifacts"]["models"].values()) | \
+        set(manifest["artifacts"]["decodes"]) | \
+        set(manifest["artifacts"]["reports"])
+    on_disk = {os.path.relpath(os.path.join(d, n), out).replace(os.sep, "/")
+               for sub in ("data", "models", "decodes", "reports")
+               for d, _, names in os.walk(out / sub) for n in names}
+    assert on_disk == listed

@@ -12,7 +12,8 @@ from beamlab import model as M
 from beamlab import search as S
 from beamlab.errors import DataError, ModelFormatError
 
-from oracles import transducer_logprob_reference
+from oracles import (context_code, count_reference, count_rows,
+                     transducer_logprob_reference)
 
 
 def pair_corpus(*pairs):
@@ -27,10 +28,12 @@ def test_train_hand_counts_single_pair():
     m = M.train(corp, order=2, add_k_lex=1.0, add_k_ngram=1.0, lam=0.5)
     a = m.source_vocab.id("a")
     x = m.target_vocab.id("x")
-    assert m.lex.counts[a][x] == 1
-    assert m.lex.counts[a][C.EOS_ID] == 1
-    assert m.ngram.counts[(C.BOS_ID,)][x] == 1
-    assert m.ngram.counts[(x,)][C.EOS_ID] == 1
+    lex, ngram = count_rows(m.lex), count_rows(m.ngram)
+    base = len(m.target_vocab)
+    assert lex[a][x] == 1
+    assert lex[a][C.EOS_ID] == 1
+    assert ngram[context_code((C.BOS_ID,), base)][x] == 1
+    assert ngram[context_code((x,), base)][C.EOS_ID] == 1
     assert m.support == [C.EOS_ID, x]
 
 
@@ -39,8 +42,8 @@ def test_train_monotone_alignment_clamps_to_last_source_token():
     m = M.train(corp, order=2)
     a, b = m.source_vocab.id("a"), m.source_vocab.id("b")
     x, y, z = (m.target_vocab.id(t) for t in "xyz")
-    assert dict(m.lex.counts[a]) == {x: 1}
-    assert dict(m.lex.counts[b]) == {y: 1, z: 1, C.EOS_ID: 1}
+    assert count_rows(m.lex)[a] == {x: 1}
+    assert count_rows(m.lex)[b] == {y: 1, z: 1, C.EOS_ID: 1}
 
 
 def token_counts(model):
@@ -48,10 +51,22 @@ def token_counts(model):
     assignments can be compared."""
     sv, tv = model.source_vocab, model.target_vocab
     lex = {(sv.token(s), tv.token(y)): c
-           for s, row in model.lex.counts.items() for y, c in row.items()}
-    ngram = {(tuple(tv.token(i) for i in ctx), tv.token(y)): c
-             for ctx, row in model.ngram.counts.items() for y, c in row.items()}
+           for s, row in count_rows(model.lex).items() for y, c in row.items()}
+    ngram = {(tuple(tv.token(i) for i in context_of(model, code)),
+              tv.token(y)): c
+             for code, row in count_rows(model.ngram).items()
+             for y, c in row.items()}
     return lex, ngram
+
+
+def context_of(model, code):
+    """The (order-1)-tuple of target ids that an n-gram key codes."""
+    base = len(model.target_vocab)
+    ids = []
+    for _ in range(model.order - 1):
+        code, digit = divmod(code, base)
+        ids.append(digit)
+    return tuple(reversed(ids))
 
 
 def test_train_duplicated_corpus_doubles_counts():
@@ -67,9 +82,10 @@ def test_train_duplicated_corpus_doubles_counts():
 def test_train_total_lex_events():
     corp = pair_corpus(("a b", "x y"), ("b a a", "z"), ("a", "x y z"))
     m = M.train(corp, order=2)
-    total = sum(c for row in m.lex.counts.values() for c in row.values())
+    total = sum(c for row in count_rows(m.lex).values() for c in row.values())
     assert total == sum(len(p.target) + 1 for p in corp)
-    ng_total = sum(c for row in m.ngram.counts.values() for c in row.values())
+    ng_total = sum(c for row in count_rows(m.ngram).values()
+                   for c in row.values())
     assert ng_total == total
 
 
@@ -94,7 +110,7 @@ def test_train_min_count_maps_rare_targets_to_unk():
     assert m.target_vocab.id("q") == C.UNK_ID
     assert C.UNK_ID in m.support
     a = m.source_vocab.id("a")
-    assert m.lex.counts[a][C.UNK_ID] == 1
+    assert count_rows(m.lex)[a][C.UNK_ID] == 1
 
 
 def test_train_unk_absent_from_support_when_never_seen():
@@ -114,6 +130,36 @@ def test_train_rejects_empty_corpus_and_bad_params():
         M.train(corp, add_k_lex=0.0)
     with pytest.raises(ValueError):
         M.train(corp, lam=1.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(
+           st.lists(st.sampled_from("abcd"), min_size=1, max_size=7),
+           st.lists(st.sampled_from("vwxyz"), min_size=1, max_size=7)),
+           min_size=1, max_size=12),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=2))
+def test_train_counts_equal_the_per_token_loop(pairs, n_pairs, order,
+                                               min_count):
+    # up to 300 pairs, so that a corpus often spans several blocks; the
+    # stride mixes sources shorter and longer than their targets, and the
+    # first target token occurs once, so min_count 2 maps it to UNK
+    corp = C.corpus_from_token_pairs(
+        [(["a"], ["once", "x"])]
+        + [pairs[(i * 7) % len(pairs)] for i in range(n_pairs)])
+    m = M.train(corp, order=order, min_count=min_count)
+    lex, ngram, unk_seen = count_reference(
+        corp, m.source_vocab, m.target_vocab, order, C.BOS_ID, C.EOS_ID,
+        C.UNK_ID)
+    base = len(m.target_vocab)
+    assert count_rows(m.lex) == {key: dict(row) for key, row in lex.items()}
+    assert count_rows(m.ngram) == {context_code(ctx, base): dict(row)
+                                   for ctx, row in ngram.items()}
+    for table, want in ((m.lex, lex), (m.ngram, ngram)):
+        assert sorted(table.totals.tolist()) == \
+            sorted(sum(row.values()) for row in want.values())
+    assert (C.UNK_ID in m.support) == unk_seen == (min_count > 1)
 
 
 # ---------------------------------------------------------------- scoring
@@ -149,8 +195,10 @@ def test_next_distribution_hand_value():
 
 def test_next_distribution_uniform_when_untrained():
     vocab = C.Vocabulary(["p", "q", "r"])
-    m = M.TransducerModel(lam=0.6, ngram=M.NGramTable(order=2, add_k=0.5),
-                          lex=M.LexTable(add_k=0.5), source_vocab=vocab,
+    m = M.TransducerModel(lam=0.6, order=2,
+                          ngram=M.CountTable(0.5, [], [], len(vocab)),
+                          lex=M.CountTable(0.5, [], [], len(vocab)),
+                          source_vocab=vocab,
                           target_vocab=vocab,
                           support=[C.EOS_ID, 3, 4, 5])
     probs = dense_probs(S.DenseScorer(m), ["p"])
@@ -175,8 +223,10 @@ def test_next_distribution_normalized_and_positive():
 def test_sequence_logprob_uniform_model():
     # every finished hypothesis of a uniform model scores log(1/4) a step
     vocab = C.Vocabulary(["p", "q", "r"])
-    m = M.TransducerModel(lam=0.5, ngram=M.NGramTable(order=2, add_k=1.0),
-                          lex=M.LexTable(add_k=1.0), source_vocab=vocab,
+    m = M.TransducerModel(lam=0.5, order=2,
+                          ngram=M.CountTable(1.0, [], [], len(vocab)),
+                          lex=M.CountTable(1.0, [], [], len(vocab)),
+                          source_vocab=vocab,
                           target_vocab=vocab,
                           support=[C.EOS_ID, 3, 4, 5])
     result = S.beam_search(m, ["p"], S.BeamConfig(width=13, max_len_a=0.0,
@@ -224,7 +274,7 @@ def test_order_one_model_ignores_context():
     corp = pair_corpus(("a b", "x y"), ("b", "y"))
     m = M.train(corp, order=1)
     # one n-gram row, keyed by the empty context
-    assert set(m.ngram.counts) == {()}
+    assert m.ngram.keys.tolist() == [0]
     # search scores agree with the definition, which reads no context
     src = ["a", "b"]
     src_ids = [m.source_vocab.id(t) for t in src]
@@ -304,6 +354,34 @@ def test_save_load_round_trip_exact(tmp_path):
         assert code == back_scorer.context_code(ctx)
         assert np.array_equal(scorer.mixed_log_rows(x, [code]),
                               back_scorer.mixed_log_rows(x, [code]))
+
+
+# the sha256 of save_model's bytes for two small models, as written by the
+# dict-of-Counter tables that the count arrays replaced
+PINNED_MODEL_BYTES = {
+    1: (593, "3bde43bae8fb921de196712a4874041897a904d1813a7b06c222eebce7b8ea4a"),
+    3: (938, "a17f6bc1e965916abab91cc1e13446223faebf83733e8d7aa794202f5dbf469b"),
+}
+
+
+@pytest.mark.parametrize("order", sorted(PINNED_MODEL_BYTES))
+def test_saved_model_bytes_are_pinned(tmp_path, order):
+    import hashlib
+    corp = pair_corpus(("a b c", "x y z ."), ("b a", "y x ."),
+                       ("c c a b", "z z x ."), ("a", "x w ."), ("d b", "q y ."))
+    if order == 1:
+        m = M.train(corp, order=1, min_count=1, lam=0.25)
+    else:
+        m = M.train(corp, order=3, min_count=2, add_k_lex=0.2,
+                    add_k_ngram=0.05, lam=0.7)
+    path = tmp_path / "m.json"
+    M.save_model(m, path)
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == \
+        PINNED_MODEL_BYTES[order]
+    # loading builds the same arrays, so saving again writes the same bytes
+    M.save_model(M.load_model(path), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == data
 
 
 def test_load_rejects_truncated_file(tmp_path):

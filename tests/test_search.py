@@ -9,9 +9,9 @@ from beamlab import corpus as C
 from beamlab import model as M
 from beamlab import search as S
 
-from oracles import (beam_search_reference, enumerate_best_sequence,
-                     gnmt_penalty_reference, transducer_logprob_reference,
-                     transducer_prob_reference)
+from oracles import (beam_search_reference, context_code,
+                     enumerate_best_sequence, gnmt_penalty_reference,
+                     transducer_logprob_reference, transducer_prob_reference)
 
 
 def pair_corpus(*pairs):
@@ -173,12 +173,13 @@ def test_beam_never_beats_exact_on_raw_logprob():
 
 def test_empty_hypothesis_wins_when_eos_dominates():
     vocab = C.Vocabulary(["x"])
-    lex = M.LexTable(add_k=0.1)
-    lex.add(3, C.EOS_ID, 10)
-    ngram = M.NGramTable(order=2, add_k=0.1)
-    ngram.add((C.BOS_ID,), C.EOS_ID, 10)
-    m = M.TransducerModel(lam=0.5, ngram=ngram, lex=lex, source_vocab=vocab,
-                          target_vocab=vocab, support=[C.EOS_ID, 3])
+    # keys are key * |vocab| + token: source 3 and context (BOS,), then EOS
+    lex = M.CountTable(0.1, [3 * len(vocab) + C.EOS_ID], [10], len(vocab))
+    ngram = M.CountTable(0.1, [C.BOS_ID * len(vocab) + C.EOS_ID], [10],
+                         len(vocab))
+    m = M.TransducerModel(lam=0.5, order=2, ngram=ngram, lex=lex,
+                          source_vocab=vocab, target_vocab=vocab,
+                          support=[C.EOS_ID, 3])
     best = S.exact_search(m, ["x"], 4)
     assert best.tokens == ()
     result = S.beam_search(m, ["x"], S.BeamConfig(width=8))
@@ -335,9 +336,9 @@ def test_selection_matches_reference_when_whole_rows_tie():
     vocab = C.Vocabulary(words)
     support = [C.EOS_ID] + list(range(3, 3 + len(words)))
     untrained = M.TransducerModel(
-        lam=0.6, ngram=M.NGramTable(order=3, add_k=0.5),
-        lex=M.LexTable(add_k=0.5), source_vocab=vocab, target_vocab=vocab,
-        support=support)
+        lam=0.6, order=3, ngram=M.CountTable(0.5, [], [], len(vocab)),
+        lex=M.CountTable(0.5, [], [], len(vocab)), source_vocab=vocab,
+        target_vocab=vocab, support=support)
     rng = random.Random(11)
     pairs = [([rng.choice(words[:6]) for _ in range(rng.randint(1, 4))],
               [rng.choice(words) for _ in range(rng.randint(1, 4))])
@@ -386,7 +387,10 @@ def test_trained_and_unseen_context_rows():
     src_ids = [m.source_vocab.id("a")]
     ids = [C.BOS_ID] + m.support
     contexts = list(itertools.product(ids, repeat=2))
-    unseen = [ctx for ctx in contexts if ctx not in m.ngram.counts]
+    trained = set(m.ngram.keys.tolist())
+    base = len(m.target_vocab)
+    unseen = [ctx for ctx in contexts
+              if context_code(ctx, base) not in trained]
     assert unseen and len(unseen) < len(contexts)
     for ctx in contexts:
         prefix = [t for t in ctx if t != C.BOS_ID]
@@ -423,8 +427,7 @@ def test_rows_are_built_on_first_use_in_any_order():
     together = S.DenseScorer(m).mixed_log_rows(3, np.array(codes))
     assert np.array_equal(together, np.array([rows[c] for c in codes]))
     # one row per trained context, one shared unseen row, one source row
-    trained = sum(1 for ctx in m.ngram.counts if len(ctx) == 2)
-    assert forward._ngram.filled == trained + 1
+    assert forward._ngram.filled == len(m.ngram.keys) + 1
     assert forward._lex.filled == 1
 
 
@@ -432,9 +435,11 @@ def test_context_without_ngram_entry_scores():
     # no n-gram counts at all, and a code above every trained code: both
     # look up past the last trained context
     vocab = C.Vocabulary(["p", "q", "r"])
-    empty = M.TransducerModel(lam=0.5, ngram=M.NGramTable(order=3, add_k=1.0),
-                              lex=M.LexTable(add_k=1.0), source_vocab=vocab,
-                              target_vocab=vocab, support=[C.EOS_ID, 3, 4, 5])
+    empty = M.TransducerModel(lam=0.5, order=3,
+                              ngram=M.CountTable(1.0, [], [], len(vocab)),
+                              lex=M.CountTable(1.0, [], [], len(vocab)),
+                              source_vocab=vocab, target_vocab=vocab,
+                              support=[C.EOS_ID, 3, 4, 5])
     scorer = S.DenseScorer(empty)
     top = scorer.modulus - 1
     rows = scorer.mixed_log_rows(3, [0, 1, top])
@@ -444,24 +449,25 @@ def test_context_without_ngram_entry_scores():
     m = M.train(pair_corpus(("a", "x"), ("b", "y")), order=3)
     scorer = S.DenseScorer(m)
     top = scorer.modulus - 1
-    assert top > max(scorer.context_code(c) for c in m.ngram.counts)
+    assert top > m.ngram.keys.max()
     rows = scorer.mixed_log_rows(3, [top, scorer.start_code])
     assert np.isfinite(rows).all()
     assert not np.array_equal(rows[0], rows[1])
 
 
-def test_scorer_refuses_contexts_that_overflow_int64():
+def test_model_refuses_contexts_that_overflow_int64():
     vocab = C.Vocabulary(["w%d" % i for i in range(48)])
     for order, fits in ((11, True), (12, False)):
-        m = M.TransducerModel(lam=0.5, ngram=M.NGramTable(order, add_k=1.0),
-                              lex=M.LexTable(add_k=1.0), source_vocab=vocab,
-                              target_vocab=vocab,
-                              support=[C.EOS_ID] + list(range(3, 51)))
+        def make():
+            return M.TransducerModel(
+                lam=0.5, order=order, ngram=M.CountTable(1.0, [], [], 51),
+                lex=M.CountTable(1.0, [], [], 51), source_vocab=vocab,
+                target_vocab=vocab, support=[C.EOS_ID] + list(range(3, 51)))
         if fits:
-            assert S.DenseScorer(m).modulus == 51 ** 10
+            assert S.DenseScorer(make()).modulus == 51 ** 10
         else:
             with pytest.raises(ValueError, match="int64"):
-                S.DenseScorer(m)
+                make()
 
 
 # ---------------------------------------------------------------- corpus decode
@@ -551,12 +557,13 @@ def test_decode_tsv_round_trip(tmp_path):
 
 def test_empty_hypothesis_survives_tsv_round_trip():
     vocab = C.Vocabulary(["x"])
-    lex = M.LexTable(add_k=0.1)
-    lex.add(3, C.EOS_ID, 10)
-    ngram = M.NGramTable(order=2, add_k=0.1)
-    ngram.add((C.BOS_ID,), C.EOS_ID, 10)
-    m = M.TransducerModel(lam=0.5, ngram=ngram, lex=lex, source_vocab=vocab,
-                          target_vocab=vocab, support=[C.EOS_ID, 3])
+    # keys are key * |vocab| + token: source 3 and context (BOS,), then EOS
+    lex = M.CountTable(0.1, [3 * len(vocab) + C.EOS_ID], [10], len(vocab))
+    ngram = M.CountTable(0.1, [C.BOS_ID * len(vocab) + C.EOS_ID], [10],
+                         len(vocab))
+    m = M.TransducerModel(lam=0.5, order=2, ngram=ngram, lex=lex,
+                          source_vocab=vocab, target_vocab=vocab,
+                          support=[C.EOS_ID, 3])
     results = S.decode_corpus(m, [["x"]], S.BeamConfig(width=1), jobs=1)
     text = S.format_decode_tsv(results, m.target_vocab, topk=1)
     parsed = S.parse_decode_tsv(text)
