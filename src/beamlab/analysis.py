@@ -10,14 +10,16 @@ sentence lands in exactly one category:
 
 Per-category corpus metrics weighted by category fractions give the
 contribution-to-degradation and contribution-to-shortening accounting, and
-bucket_quality slices corpus quality by reference length.
+bucket_quality slices corpus quality by reference length. Every score here is
+read from a metrics.SentenceTable per decode; a caller that already holds the
+tables passes them in, so each pair is scored once.
 """
 
 import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import DataError
-from .metrics import SENTENCE_EPS, corpus_bleu, corpus_wer, sentence_bleu, wer
+from .metrics import SENTENCE_EPS, sentence_table
 
 CATEGORIES = ("Improved", "Prefix", "OtherDrop")
 
@@ -54,21 +56,19 @@ def is_prefix_modulo_eos(short, long):
 
 # -------------------------------------------------------------- classification
 
-def _sentence_scores(hyps, refs, canon, eps):
-    if canon == "bleu":
-        return [sentence_bleu(h, r, eps=eps) for h, r in zip(hyps, refs)]
-    return [wer(h, r).wer for h, r in zip(hyps, refs)]
-
-
-def classify(hyps_small, hyps_large, refs, metric="bleu", eps=SENTENCE_EPS):
+def classify(hyps_small, hyps_large, refs, metric="bleu", eps=SENTENCE_EPS,
+             tables=None):
     """Assign each sentence to Improved, Prefix, or OtherDrop, in that
     precedence order. Improved means the large-beam hypothesis scores at
-    least as well per sentence (BLEU: >=, WER: <=)."""
+    least as well per sentence (BLEU: >=, WER: <=). `tables` may give the
+    (small, large) sentence tables of the two decodes."""
     canon = _canon_metric(metric)
     _require_same_length(hyps_small=hyps_small, hyps_large=hyps_large,
                          refs=refs)
-    small_scores = _sentence_scores(hyps_small, refs, canon, eps)
-    large_scores = _sentence_scores(hyps_large, refs, canon, eps)
+    small, large = tables or (sentence_table(hyps_small, refs, canon),
+                              sentence_table(hyps_large, refs, canon))
+    small_scores = small.sentence_scores(eps)
+    large_scores = large.sentence_scores(eps)
     categories = []
     for hs, hl, s, l in zip(hyps_small, hyps_large, small_scores,
                             large_scores):
@@ -113,15 +113,11 @@ def contribution(metric_small, metric_large, fraction):
     return (metric_large - metric_small) * fraction
 
 
-def _corpus_metric(hyps, refs, canon):
-    if canon == "bleu":
-        return corpus_bleu(hyps, refs).score
-    return corpus_wer(hyps, refs)
-
-
-def category_report(categories, hyps_small, hyps_large, refs, metric="bleu"):
+def category_report(categories, hyps_small, hyps_large, refs, metric="bleu",
+                    tables=None):
     """Per-category corpus metrics, mean hypothesis lengths, and weighted
-    contributions. Empty categories report null metrics and contribution 0."""
+    contributions. Empty categories report null metrics and contribution 0.
+    `tables` is as in classify."""
     canon = _canon_metric(metric)
     _require_same_length(categories=categories, hyps_small=hyps_small,
                          hyps_large=hyps_large, refs=refs)
@@ -131,6 +127,8 @@ def category_report(categories, hyps_small, hyps_large, refs, metric="bleu"):
     n = len(refs)
     if n == 0:
         raise DataError("need at least one classified sentence")
+    small, large = tables or (sentence_table(hyps_small, refs, canon),
+                              sentence_table(hyps_large, refs, canon))
     rows = []
     for cat in CATEGORIES:
         members = [i for i, c in enumerate(categories) if c == cat]
@@ -140,13 +138,10 @@ def category_report(categories, hyps_small, hyps_large, refs, metric="bleu"):
             rows.append(CategoryRow(cat, 0, 0.0, None, None, None, None,
                                     0.0, 0.0))
             continue
-        sub_small = [hyps_small[i] for i in members]
-        sub_large = [hyps_large[i] for i in members]
-        sub_refs = [refs[i] for i in members]
-        metric_small = _corpus_metric(sub_small, sub_refs, canon)
-        metric_large = _corpus_metric(sub_large, sub_refs, canon)
-        mean_small = sum(len(h) for h in sub_small) / count
-        mean_large = sum(len(h) for h in sub_large) / count
+        metric_small = small.score(members)
+        metric_large = large.score(members)
+        mean_small = sum(len(hyps_small[i]) for i in members) / count
+        mean_large = sum(len(hyps_large[i]) for i in members) / count
         rows.append(CategoryRow(
             cat, count, fraction, metric_small, metric_large,
             mean_small, mean_large,
@@ -200,9 +195,11 @@ class BucketReport:
     buckets: tuple
 
 
-def bucket_quality(hyps, refs, edges=DEFAULT_BUCKET_EDGES, metric="bleu"):
+def bucket_quality(hyps, refs, edges=DEFAULT_BUCKET_EDGES, metric="bleu",
+                   table=None):
     """Corpus metric per reference-length bucket. Buckets are (prev, edge]
-    starting from 0, plus an open final bucket past the last finite edge."""
+    starting from 0, plus an open final bucket past the last finite edge.
+    `table` may give the decode's sentence table."""
     canon = _canon_metric(metric)
     _require_same_length(hyps=hyps, refs=refs)
     if not refs:
@@ -219,19 +216,31 @@ def bucket_quality(hyps, refs, edges=DEFAULT_BUCKET_EDGES, metric="bleu"):
     bounds = list(zip((0,) + edges, edges))
     if not math.isinf(edges[-1]):
         bounds.append((edges[-1], math.inf))
+    if table is None:
+        table = sentence_table(hyps, refs, canon)
     buckets = []
     for low, high in bounds:
         members = [i for i, r in enumerate(refs) if low < len(r) <= high]
-        if members:
-            value = _corpus_metric([hyps[i] for i in members],
-                                   [refs[i] for i in members], canon)
-        else:
-            value = None
+        value = table.score(members) if members else None
         buckets.append(Bucket(low, high, len(members), value))
     return BucketReport(canon, edges, tuple(buckets))
 
 
 # -------------------------------------------------------------- serialization
+
+# the columns of a bucket CSV row
+BUCKET_COLUMNS = ("bucket_low", "bucket_high", "count", "metric")
+
+
+def bucket_rows(report, open_high=math.inf):
+    """One row per bucket under BUCKET_COLUMNS. The high edge of the open
+    final bucket is written as `open_high`: inf in CSV, so that every cell
+    stays numeric, and None in JSON."""
+    return [{"bucket_low": b.low,
+             "bucket_high": open_high if math.isinf(b.high) else b.high,
+             "count": b.count,
+             "metric": b.metric} for b in report.buckets]
+
 
 def _finite_or_none(value):
     return None if value is not None and math.isinf(value) else value

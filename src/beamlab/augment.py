@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError
 from .corpus import ParallelCorpus, SentencePair
 from .fileio import write_text_atomic
 
@@ -77,16 +77,6 @@ def simple_resample(corpus, size, seed):
     return ParallelCorpus(out, name=corpus.name + "+resample")
 
 
-def expected_mean_length(mean_length, n_max):
-    """Mean target length of msr output: concatenating k pairs for k uniform
-    on 1..N multiplies the mean by (N+1)/2."""
-    if mean_length <= 0:
-        raise ValueError("mean_length must be positive")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return mean_length * (n_max + 1) / 2.0
-
-
 def save_provenance(corpus, path):
     lines = []
     for pair in corpus:
@@ -94,13 +84,3 @@ def save_provenance(corpus, path):
         lines.append(" ".join(str(i) for i in prov))
     write_text_atomic(path, "".join(line + "\n" for line in lines))
 
-
-def load_provenance(path):
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as err:
-        raise FormatError("cannot read %s: %s" % (path, err.strerror)) from err
-    try:
-        return [[int(x) for x in line.split()] for line in text.splitlines()]
-    except ValueError as err:
-        raise FormatError("bad provenance line in %s: %s" % (path, err)) from err

@@ -15,8 +15,9 @@ import argparse
 import os
 import sys
 
-from .analysis import (CATEGORY_COLUMNS, DEFAULT_BUCKET_EDGES,
-                       bucket_quality, bucket_report_blob, category_report,
+from .analysis import (BUCKET_COLUMNS, CATEGORY_COLUMNS,
+                       DEFAULT_BUCKET_EDGES, bucket_quality,
+                       bucket_report_blob, bucket_rows, category_report,
                        category_report_blob, classify, length_report)
 from .augment import (MsrConfig, msr, resolve_output_size, save_provenance,
                       simple_resample)
@@ -25,7 +26,7 @@ from .corpus import (SynthConfig, generate_synthetic, length_histogram,
 from .errors import DataError
 from .experiment import SYNTH_DEFAULTS, run_experiment
 from .fileio import canonical_json, format_csv, write_text_atomic
-from .metrics import corpus_bleu, corpus_wer, paired_bootstrap, wer
+from .metrics import corpus_bleu, paired_bootstrap, sentence_table
 from .model import load_model, save_model, train
 from .search import (BeamConfig, decode_corpus, format_decode_tsv,
                      format_normalization, parse_decode_tsv,
@@ -154,6 +155,8 @@ def cmd_train(args):
 
 
 def cmd_decode(args):
+    if args.topk < 1:
+        raise ValueError("--topk must be >= 1, got %d" % args.topk)
     model = load_model(args.model)
     sources = _read_sentences(args.source, allow_blank=False)
     norm = parse_normalization(args.norm)
@@ -177,16 +180,10 @@ def cmd_evaluate(args):
         result = paired_bootstrap(hyps_a, hyps_b, refs, metric=args.metric,
                                   n_resamples=args.n_resamples,
                                   seed=_seed(args))
-        if args.metric == "bleu":
-            score_a = corpus_bleu(hyps_a, refs).score
-            score_b = corpus_bleu(hyps_b, refs).score
-        else:
-            score_a = corpus_wer(hyps_a, refs)
-            score_b = corpus_wer(hyps_b, refs)
         _emit(canonical_json({
             "metric": args.metric,
-            "score_a": score_a,
-            "score_b": score_b,
+            "score_a": result.score_a,
+            "score_b": result.score_b,
             "n_sentences": len(refs),
             "p_value": result.p_value,
             "wins_a": result.wins_a,
@@ -206,14 +203,12 @@ def cmd_evaluate(args):
                               "hyp_len": breakdown.hyp_len,
                               "ref_len": breakdown.ref_len}}
     else:
-        score = corpus_wer(hyps, refs)
-        parts = [wer(h, r) for h, r in zip(hyps, refs)]
-        blob = {"metric": "wer", "score": score, "n_sentences": len(refs),
-                "breakdown": {
-                    "substitutions": sum(p.substitutions for p in parts),
-                    "insertions": sum(p.insertions for p in parts),
-                    "deletions": sum(p.deletions for p in parts),
-                    "ref_len": sum(p.ref_len for p in parts)}}
+        table = sentence_table(hyps, refs, "wer")
+        subs, ins, dels, ref_len = table.sums()
+        blob = {"metric": "wer", "score": table.score(),
+                "n_sentences": len(refs),
+                "breakdown": {"substitutions": subs, "insertions": ins,
+                              "deletions": dels, "ref_len": ref_len}}
     _emit(canonical_json(blob))
     return 0
 
@@ -222,9 +217,12 @@ def cmd_analyze_categories(args):
     hyps_small = _read_hyps(args.small)
     hyps_large = _read_hyps(args.large)
     refs = _read_sentences(args.refs)
-    categories = classify(hyps_small, hyps_large, refs, metric=args.metric)
+    tables = (sentence_table(hyps_small, refs, args.metric),
+              sentence_table(hyps_large, refs, args.metric))
+    categories = classify(hyps_small, hyps_large, refs, metric=args.metric,
+                          tables=tables)
     report = category_report(categories, hyps_small, hyps_large, refs,
-                             metric=args.metric)
+                             metric=args.metric, tables=tables)
     blob = category_report_blob(report)
     if args.format == "csv":
         _emit(format_csv(CATEGORY_COLUMNS, blob["categories"]))
@@ -250,10 +248,7 @@ def cmd_analyze_buckets(args):
     report = bucket_quality(hyps, refs, edges=_parse_edges(args.edges),
                             metric=args.metric)
     if args.format == "csv":
-        _emit(format_csv(
-            ("bucket_low", "bucket_high", "count", "metric"),
-            [{"bucket_low": b.low, "bucket_high": b.high, "count": b.count,
-              "metric": b.metric} for b in report.buckets]))
+        _emit(format_csv(BUCKET_COLUMNS, bucket_rows(report)))
     else:
         _emit(canonical_json(bucket_report_blob(report)))
     return 0

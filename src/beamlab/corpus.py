@@ -220,19 +220,6 @@ def parse_length_law(text):
     raise ValueError("unknown length law %r" % (text,))
 
 
-def law_mean(law):
-    kind = law[0]
-    if kind == "geometric":
-        return 1.0 / law[1]
-    if kind == "negative_binomial":
-        r, p = law[1], law[2]
-        # drawn value is shifted by +1 so every length is a valid sentence
-        return 1.0 + r * (1.0 - p) / p
-    if kind == "uniform":
-        return (law[1] + law[2]) / 2.0
-    raise ValueError("unknown length law %r" % (law,))
-
-
 def draw_lengths(law, size, rng):
     kind = law[0]
     if kind == "geometric":
@@ -276,17 +263,6 @@ class SynthConfig:
 def _zipf_probs(exponent, size):
     weights = np.arange(1, size + 1, dtype=float) ** -exponent
     return weights / weights.sum()
-
-
-def dictionary_map(config):
-    """The task's source->target token bijection (the first thing the seeded
-    generator draws, so it can be reproduced without the corpora)."""
-    rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(config.vocab_size)
-    mapping = {"s%d" % i: "t%d" % perm[i] for i in range(config.vocab_size)}
-    if config.terminal_token is not None:
-        mapping[config.terminal_token] = config.terminal_token
-    return mapping
 
 
 def generate_synthetic(config):

@@ -265,8 +265,8 @@ def _hash_comment(config_hash):
 
 _QUALITY_COLUMNS = ("system", "normalization", "width", "score",
                     "mean_hyp_len")
-_BUCKET_COLUMNS = ("system", "normalization", "width", "bucket_low",
-                   "bucket_high", "count", "metric")
+_BUCKET_COLUMNS = ("system", "normalization", "width") \
+    + analysis.BUCKET_COLUMNS
 _SWEEP_COLUMNS = ("n", "width", "score", "mean_hyp_len")
 
 # the directories the pipeline owns under the output directory
@@ -324,63 +324,40 @@ def _decode_grid(cfg, models, sources, jobs):
     return top1, results
 
 
-def _corpus_score(cfg, hyps, refs):
-    if cfg.metric == "bleu":
-        return metrics.corpus_bleu(hyps, refs).score
-    return metrics.corpus_wer(hyps, refs)
-
-
 def _mean_length(hyps):
     return sum(len(h) for h in hyps) / len(hyps)
 
 
-def _quality_rows(cfg, top1, refs):
-    rows = []
-    for system in cfg.systems:
-        for norm in cfg.normalizations:
-            for width in cfg.widths:
-                hyps = top1[(system, width, norm)]
-                rows.append({
-                    "system": system,
-                    "normalization": search.format_normalization(norm),
-                    "width": width,
-                    "score": _corpus_score(cfg, hyps, refs),
-                    "mean_hyp_len": _mean_length(hyps),
-                })
-    return rows
+def _cells(cfg):
+    """The (system, width, norm) decode keys in report order."""
+    return [(system, width, norm) for system in cfg.systems
+            for norm in cfg.normalizations for width in cfg.widths]
 
 
-def _bucket_rows(cfg, top1, refs):
-    rows = []
-    for system in cfg.systems:
-        for norm in cfg.normalizations:
-            for width in cfg.widths:
-                report = analysis.bucket_quality(
-                    top1[(system, width, norm)], refs,
-                    edges=cfg.bucket_edges, metric=cfg.metric)
-                for b in report.buckets:
-                    rows.append({
-                        "system": system,
-                        "normalization": search.format_normalization(norm),
-                        "width": width,
-                        "bucket_low": b.low,
-                        "bucket_high": None if b.high == float("inf")
-                        else b.high,
-                        "count": b.count,
-                        "metric": b.metric,
-                    })
-    return rows
+def _cell_head(key):
+    system, width, norm = key
+    return {"system": system,
+            "normalization": search.format_normalization(norm),
+            "width": width}
 
 
-def _bucket_csv_rows(rows):
-    # CSV spells the unbounded edge as inf so every cell stays numeric
-    out = []
-    for row in rows:
-        fixed = dict(row)
-        if fixed["bucket_high"] is None:
-            fixed["bucket_high"] = float("inf")
-        out.append(fixed)
-    return out
+def _quality_rows(cfg, top1, tables):
+    return [dict(_cell_head(key), score=tables[key].score(),
+                 mean_hyp_len=_mean_length(top1[key]))
+            for key in _cells(cfg)]
+
+
+def _bucket_rows(cfg, top1, refs, tables):
+    """The bucket rows of every decode, for the CSV and for the JSON."""
+    csv_rows, json_rows = [], []
+    for key in _cells(cfg):
+        report = analysis.bucket_quality(top1[key], refs,
+                                         edges=cfg.bucket_edges,
+                                         metric=cfg.metric, table=tables[key])
+        for rows, open_high in ((csv_rows, float("inf")), (json_rows, None)):
+            rows.extend(dict(_cell_head(key), **row)
+                        for row in analysis.bucket_rows(report, open_high))
+    return csv_rows, json_rows
 
 
 def _sweep_rows(cfg, base_train, sources, refs, jobs):
@@ -400,8 +377,8 @@ def _sweep_rows(cfg, base_train, sources, refs, jobs):
                                            scorer=scorer)
             hyps = [vocab.decode(list(r.hypotheses[0].tokens))
                     for r in results]
-            rows.append({"n": n, "width": width,
-                         "score": _corpus_score(cfg, hyps, refs),
+            score = metrics.sentence_table(hyps, refs, cfg.metric).score()
+            rows.append({"n": n, "width": width, "score": score,
                          "mean_hyp_len": _mean_length(hyps)})
         # free this point's model and tables before the next point trains
         # (they would otherwise add to the peak RSS)
@@ -520,7 +497,10 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
             artifacts["decodes"].append(rel)
 
         stage = "evaluate"
-        quality = _quality_rows(cfg, top1, refs)
+        # every report below is sums over these per-sentence rows
+        tables = {key: metrics.sentence_table(hyps, refs, cfg.metric)
+                  for key, hyps in top1.items()}
+        quality = _quality_rows(cfg, top1, tables)
         rel = "reports/quality_curve.csv"
         write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
                           + format_csv(_QUALITY_COLUMNS, quality))
@@ -535,12 +515,14 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         small_w, large_w = cfg.category_pair
         for system in cfg.systems:
             for norm in cfg.normalizations:
-                cats = analysis.classify(top1[(system, small_w, norm)],
-                                         top1[(system, large_w, norm)],
-                                         refs, metric=cfg.metric)
+                small = (system, small_w, norm)
+                large = (system, large_w, norm)
+                pair = (tables[small], tables[large])
+                cats = analysis.classify(top1[small], top1[large], refs,
+                                         metric=cfg.metric, tables=pair)
                 report = analysis.category_report(
-                    cats, top1[(system, small_w, norm)],
-                    top1[(system, large_w, norm)], refs, metric=cfg.metric)
+                    cats, top1[small], top1[large], refs, metric=cfg.metric,
+                    tables=pair)
                 blob = analysis.category_report_blob(report)
                 stem = "reports/categories_%s_%s" % (system, _norm_slug(norm))
                 write_text_atomic(
@@ -557,16 +539,15 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
                 artifacts["reports"].append(stem + ".csv")
                 artifacts["reports"].append(stem + ".json")
 
-        bucket_rows = _bucket_rows(cfg, top1, refs)
+        bucket_csv, bucket_json = _bucket_rows(cfg, top1, refs, tables)
         rel = "reports/buckets.csv"
         write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
-                          + format_csv(_BUCKET_COLUMNS,
-                                       _bucket_csv_rows(bucket_rows)))
+                          + format_csv(_BUCKET_COLUMNS, bucket_csv))
         artifacts["reports"].append(rel)
         rel = "reports/buckets.json"
         write_json_atomic(os.path.join(out, rel), {
             "config_hash": config_hash, "metric": cfg.metric,
-            "edges": list(cfg.bucket_edges), "rows": bucket_rows})
+            "edges": list(cfg.bucket_edges), "rows": bucket_json})
         artifacts["reports"].append(rel)
 
         for system in cfg.systems:

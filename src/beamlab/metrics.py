@@ -6,6 +6,10 @@ whole corpus before any ratio is taken. WER is unit-cost token Levenshtein
 with a deterministic backtrace. The bootstrap is the paired resampling test:
 draw sentence indices with replacement, score both systems on each resample,
 and report how often each side wins.
+
+Reports score many subsets of one decode (corpus, length buckets, categories,
+resamples), so the statistics of each pair are computed once into a
+SentenceTable and every score is a sum over its rows.
 """
 
 import math
@@ -48,14 +52,8 @@ class BootstrapResult:
     ties: int
     p_value: float
     seed: int
-
-
-def _require_aligned(hyps, refs):
-    if len(hyps) != len(refs):
-        raise DataError("hypothesis/reference count mismatch: %d vs %d"
-                        % (len(hyps), len(refs)))
-    if not hyps:
-        raise DataError("need at least one sentence pair")
+    score_a: float
+    score_b: float
 
 
 # ----------------------------------------------------------------------- BLEU
@@ -95,26 +93,9 @@ def _bleu_from_sums(sums):
     return BleuBreakdown(precisions, bp, hyp_len, ref_len, score)
 
 
-def corpus_bleu(hyps, refs):
-    """Corpus-level BLEU with the full breakdown. Any n-gram order with no
-    corpus-wide match zeroes the score (no smoothing at corpus level)."""
-    _require_aligned(hyps, refs)
-    sums = [0] * 10
-    for hyp, ref in zip(hyps, refs):
-        for i, v in enumerate(_bleu_stats(hyp, ref)):
-            sums[i] += v
-    return _bleu_from_sums(sums)
-
-
-def sentence_bleu(hyp, ref, eps=SENTENCE_EPS):
-    """BLEU on a single pair with epsilon-floor smoothing: a zero-numerator
-    precision becomes eps/denominator, an empty denominator becomes eps.
-    Empty hypotheses score 0."""
-    if not ref:
-        raise DataError("reference sentence is empty")
-    if not hyp:
+def _sentence_bleu(stats, eps):
+    if not stats[8]:
         return 0.0
-    stats = _bleu_stats(hyp, ref)
     logs = 0.0
     for n in range(MAX_ORDER):
         clipped, total = stats[2 * n], stats[2 * n + 1]
@@ -125,8 +106,23 @@ def sentence_bleu(hyp, ref, eps=SENTENCE_EPS):
         else:
             p = clipped / total
         logs += math.log(p)
-    bp = min(1.0, math.exp(1.0 - len(ref) / len(hyp)))
+    bp = min(1.0, math.exp(1.0 - stats[9] / stats[8]))
     return 100.0 * bp * math.exp(logs / MAX_ORDER)
+
+
+def corpus_bleu(hyps, refs):
+    """Corpus-level BLEU with the full breakdown. Any n-gram order with no
+    corpus-wide match zeroes the score (no smoothing at corpus level)."""
+    return _bleu_from_sums(sentence_table(hyps, refs, "bleu").sums())
+
+
+def sentence_bleu(hyp, ref, eps=SENTENCE_EPS):
+    """BLEU on a single pair with epsilon-floor smoothing: a zero-numerator
+    precision becomes eps/denominator, an empty denominator becomes eps.
+    Empty hypotheses score 0."""
+    if not ref:
+        raise DataError("reference sentence is empty")
+    return _sentence_bleu(_bleu_stats(hyp, ref), eps)
 
 
 # ------------------------------------------------------------------------ WER
@@ -138,25 +134,32 @@ def wer(hyp, ref):
     if not ref:
         raise DataError("reference sentence is empty")
     n, m = len(hyp), len(ref)
-    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(n + 1)
-    dist[0, :] = np.arange(m + 1)
+    ids = {}
+    ref_ids = np.array([ids.setdefault(t, len(ids)) for t in ref])
+    hyp_ids = np.array([ids.get(t, -1) for t in hyp], dtype=ref_ids.dtype)
+    cost = hyp_ids[:, None] != ref_ids
+    # row i from row i-1: the diagonal and vertical moves first, then the
+    # horizontal ones, min over k <= j of tmp[k] + (j - k), as a running min
+    steps = np.arange(m + 1)
+    dist = np.empty((n + 1, m + 1), dtype=np.int64)
+    dist[0] = steps
+    tmp = np.empty(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dist[i, j] = min(
-                dist[i - 1, j - 1] + (hyp[i - 1] != ref[j - 1]),
-                dist[i, j - 1] + 1,
-                dist[i - 1, j] + 1,
-            )
+        prev = dist[i - 1]
+        tmp[0] = i
+        np.minimum(prev[:-1] + cost[i - 1], prev[1:] + 1, out=tmp[1:])
+        dist[i] = np.minimum.accumulate(tmp - steps) + steps
+    dist = dist.tolist()
+    cost = cost.tolist()
     subs = ins = dels = 0
     i, j = n, m
     while i > 0 or j > 0:
         if i > 0 and j > 0 and \
-                dist[i, j] == dist[i - 1, j - 1] + (hyp[i - 1] != ref[j - 1]):
-            if hyp[i - 1] != ref[j - 1]:
+                dist[i][j] == dist[i - 1][j - 1] + cost[i - 1][j - 1]:
+            if cost[i - 1][j - 1]:
                 subs += 1
             i, j = i - 1, j - 1
-        elif j > 0 and dist[i, j] == dist[i, j - 1] + 1:
+        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
             dels += 1
             j -= 1
         else:
@@ -168,14 +171,72 @@ def wer(hyp, ref):
 def corpus_wer(hyps, refs):
     """Micro-averaged WER: total edit operations over total reference
     tokens."""
-    _require_aligned(hyps, refs)
-    errors = 0
-    ref_tokens = 0
-    for hyp, ref in zip(hyps, refs):
-        w = wer(hyp, ref)
-        errors += w.substitutions + w.insertions + w.deletions
-        ref_tokens += w.ref_len
-    return errors / ref_tokens
+    return sentence_table(hyps, refs, "wer").score()
+
+
+# --------------------------------------------------------- per-sentence table
+
+class SentenceTable:
+    """The metric statistics of aligned (hypothesis, reference) pairs, one
+    int row per pair: the 10 `_bleu_stats` counts for BLEU; substitutions,
+    insertions, deletions and reference length for WER. The last column is
+    the reference length in both. Every corpus score of a subset of the
+    pairs is a function of the sum of its rows."""
+
+    def __init__(self, metric, rows):
+        self.metric = metric
+        self.rows = rows
+
+    def sums(self, index=None):
+        """Column sums, as Python ints, of the rows in `index` (every row
+        when None)."""
+        rows = self.rows if index is None else self.rows[index]
+        if not len(rows):
+            raise DataError("need at least one sentence pair")
+        if self.metric == "wer" and not rows[:, -1].all():
+            raise DataError("reference sentence is empty")
+        return rows.sum(axis=0).tolist()
+
+    def score(self, index=None):
+        """Corpus BLEU or micro-averaged WER of the rows in `index`."""
+        sums = self.sums(index)
+        if self.metric == "bleu":
+            return _bleu_from_sums(sums).score
+        return (sums[0] + sums[1] + sums[2]) / sums[3]
+
+    def sentence_scores(self, eps=SENTENCE_EPS):
+        """Per-pair smoothed BLEU (as sentence_bleu) or WER, in row order."""
+        if not self.rows[:, -1].all():
+            raise DataError("reference sentence is empty")
+        if self.metric == "bleu":
+            return [_sentence_bleu(row, eps) for row in self.rows.tolist()]
+        return [(s + i + d) / m for s, i, d, m in self.rows.tolist()]
+
+
+def _wer_row(hyp, ref):
+    if not ref:
+        return (0, 0, 0, 0)
+    w = wer(hyp, ref)
+    return (w.substitutions, w.insertions, w.deletions, w.ref_len)
+
+
+def sentence_table(hyps, refs, metric="bleu"):
+    """The SentenceTable of aligned hypotheses and references. WER rows take
+    one `wer` call per pair; a pair with an empty reference gets a zero row
+    instead, which every WER score and every sentence score refuses."""
+    if len(hyps) != len(refs):
+        raise DataError("hypothesis/reference count mismatch: %d vs %d"
+                        % (len(hyps), len(refs)))
+    if metric == "bleu":
+        rows = [_bleu_stats(h, r) for h, r in zip(hyps, refs)]
+        width = 2 * MAX_ORDER + 2
+    elif metric == "wer":
+        rows = [_wer_row(h, r) for h, r in zip(hyps, refs)]
+        width = 4
+    else:
+        raise ValueError("metric must be 'bleu' or 'wer', got %r" % (metric,))
+    return SentenceTable(metric, np.array(rows, dtype=np.int64).reshape(
+        len(rows), width))
 
 
 # ------------------------------------------------------------------ bootstrap
@@ -185,7 +246,9 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
     """Koehn-style paired bootstrap: resample sentence indices with
     replacement, score both systems on each resample with the corpus metric,
     and count wins. p = 1 - max(wins)/n_resamples. The index matrix is the
-    single RNG draw, rng.integers(0, n, size=(n_resamples, n))."""
+    single RNG draw, rng.integers(0, n, size=(n_resamples, n)). Each
+    system's sentence table is built once; the resamples and the full-set
+    scores (score_a, score_b) are sums over its rows."""
     if metric not in ("bleu", "wer"):
         raise ValueError("metric must be 'bleu' or 'wer', got %r" % (metric,))
     if n_resamples < 100:
@@ -196,27 +259,17 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
     if not refs:
         raise DataError("need at least one sentence pair")
 
+    table_a = sentence_table(hyps_a, refs, metric)
+    table_b = sentence_table(hyps_b, refs, metric)
+    score_a, score_b = table_a.score(), table_b.score()
     if metric == "bleu":
-        stats_a = np.array([_bleu_stats(h, r) for h, r in zip(hyps_a, refs)],
-                           dtype=np.float64)
-        stats_b = np.array([_bleu_stats(h, r) for h, r in zip(hyps_b, refs)],
-                           dtype=np.float64)
-
         def score(sums):
             return np.array([_bleu_from_sums(row).score
                              for row in sums.tolist()])
         better = np.greater
     else:
-        def _wer_row(hyp, ref):
-            w = wer(hyp, ref)
-            return [w.substitutions + w.insertions + w.deletions, w.ref_len]
-        stats_a = np.array([_wer_row(h, r) for h, r in zip(hyps_a, refs)],
-                           dtype=np.float64)
-        stats_b = np.array([_wer_row(h, r) for h, r in zip(hyps_b, refs)],
-                           dtype=np.float64)
-
         def score(sums):
-            return sums[:, 0] / sums[:, 1]
+            return sums[:, :3].sum(axis=1) / sums[:, 3]
         better = np.less
 
     n = len(refs)
@@ -225,10 +278,11 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
     wins_a = wins_b = 0
     for lo in range(0, n_resamples, _BOOTSTRAP_CHUNK):
         rows = idx[lo:lo + _BOOTSTRAP_CHUNK]
-        score_a = score(stats_a[rows].sum(axis=1))
-        score_b = score(stats_b[rows].sum(axis=1))
-        wins_a += int(better(score_a, score_b).sum())
-        wins_b += int(better(score_b, score_a).sum())
+        resampled_a = score(table_a.rows[rows].sum(axis=1))
+        resampled_b = score(table_b.rows[rows].sum(axis=1))
+        wins_a += int(better(resampled_a, resampled_b).sum())
+        wins_b += int(better(resampled_b, resampled_a).sum())
     ties = n_resamples - wins_a - wins_b
     p_value = 1.0 - max(wins_a, wins_b) / n_resamples
-    return BootstrapResult(n_resamples, wins_a, wins_b, ties, p_value, seed)
+    return BootstrapResult(n_resamples, wins_a, wins_b, ties, p_value, seed,
+                           score_a, score_b)

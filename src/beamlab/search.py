@@ -41,8 +41,9 @@ def parse_normalization(text):
         alpha = float(raw)
     except ValueError:
         raise ValueError("bad alpha in normalization %r" % (text,)) from None
-    if alpha < 0:
-        raise ValueError("normalization alpha must be >= 0")
+    if not math.isfinite(alpha) or alpha < 0:
+        raise ValueError("normalization alpha must be finite and >= 0, "
+                         "got %r" % (raw,))
     return (kind, alpha)
 
 

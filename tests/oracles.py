@@ -257,3 +257,82 @@ def zipf_probs(exponent, size):
 
 def gnmt_penalty_reference(logprob, length, alpha):
     return logprob * (6.0 ** alpha) / ((5.0 + length) ** alpha)
+
+
+def wer_reference(hyp, ref):
+    """Word error rate as (substitutions, insertions, deletions, ref_len,
+    wer): the full Levenshtein matrix filled cell by cell, then a backtrace
+    that resolves cost ties as substitution, then deletion, then insertion."""
+    if not ref:
+        raise ValueError("reference sentence is empty")
+    n, m = len(hyp), len(ref)
+    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
+    dist[:, 0] = np.arange(n + 1)
+    dist[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            dist[i, j] = min(
+                dist[i - 1, j - 1] + (hyp[i - 1] != ref[j - 1]),
+                dist[i, j - 1] + 1,
+                dist[i - 1, j] + 1,
+            )
+    subs = ins = dels = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and \
+                dist[i, j] == dist[i - 1, j - 1] + (hyp[i - 1] != ref[j - 1]):
+            if hyp[i - 1] != ref[j - 1]:
+                subs += 1
+            i, j = i - 1, j - 1
+        elif j > 0 and dist[i, j] == dist[i, j - 1] + 1:
+            dels += 1
+            j -= 1
+        else:
+            ins += 1
+            i -= 1
+    return subs, ins, dels, m, (subs + ins + dels) / m
+
+
+# ------------------------------------------------ test-only corpus helpers
+
+def law_mean(law):
+    """Mean of a parsed length law (see corpus.parse_length_law)."""
+    kind = law[0]
+    if kind == "geometric":
+        return 1.0 / law[1]
+    if kind == "negative_binomial":
+        r, p = law[1], law[2]
+        # drawn value is shifted by +1 so every length is a valid sentence
+        return 1.0 + r * (1.0 - p) / p
+    if kind == "uniform":
+        return (law[1] + law[2]) / 2.0
+    raise ValueError("unknown length law %r" % (law,))
+
+
+def dictionary_map(config):
+    """The task's source->target token bijection of a SynthConfig (the first
+    thing the seeded generator draws, so it can be reproduced without the
+    corpora)."""
+    rng = np.random.default_rng(config.seed)
+    perm = rng.permutation(config.vocab_size)
+    mapping = {"s%d" % i: "t%d" % perm[i] for i in range(config.vocab_size)}
+    if config.terminal_token is not None:
+        mapping[config.terminal_token] = config.terminal_token
+    return mapping
+
+
+def expected_mean_length(mean_length, n_max):
+    """Mean target length of msr output: concatenating k pairs for k uniform
+    on 1..N multiplies the mean by (N+1)/2."""
+    if mean_length <= 0:
+        raise ValueError("mean_length must be positive")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return mean_length * (n_max + 1) / 2.0
+
+
+def load_provenance(path):
+    """The pair indices of each line of a .prov sidecar."""
+    with open(path, encoding="utf-8") as handle:
+        return [[int(x) for x in line.split()]
+                for line in handle.read().splitlines()]

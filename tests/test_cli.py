@@ -13,10 +13,10 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
 
 import beamlab
 from beamlab import cli
-from beamlab.augment import load_provenance
 from beamlab.corpus import load_corpus
 from beamlab.model import load_model
 from beamlab.search import parse_decode_tsv
+from oracles import load_provenance
 
 
 def run(capsys, *argv):
@@ -247,6 +247,30 @@ def test_decode_bad_normalization_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "decode", model, src, "--norm", "by_len:1")
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("norm", ["by_length:nan", "by_length:inf",
+                                  "gnmt:inf", "gnmt:-inf", "gnmt:nan"])
+def test_decode_rejects_non_finite_alpha(capsys, tmp_path, norm):
+    model, src = train_toy_model(capsys, tmp_path)
+    out = tmp_path / "dec"
+    code, _, err = run(capsys, "decode", model, src, "--norm", norm,
+                       "--out", str(out))
+    assert code == 1
+    assert "finite" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("topk", ["0", "-1"])
+def test_decode_rejects_topk_below_one(capsys, tmp_path, topk):
+    model, src = train_toy_model(capsys, tmp_path)
+    out = tmp_path / "dec"
+    code, _, err = run(capsys, "decode", model, src, "--topk", topk,
+                       "--out", str(out))
+    assert code == 1
+    assert "--topk" in err
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_decode_rejects_blank_source_line(capsys, tmp_path):
@@ -519,6 +543,192 @@ def test_analyze_histogram_bytes(capsys, tmp_path):
                       "# mean=3.3333333333333335 total=3\n")
 
 
+# CLI outputs on a small fixed corpus, pinned byte for byte (the three
+# categories and an empty bucket all occur); the command line is split on
+# spaces
+
+PIN_REFS = ["a b c d e f g .", "h i j k .", "l m n o p q r s t u v w .",
+            "x y z .", "a c e g i k m o q s u w y .", "b d f h ."]
+PIN_SMALL = ["a b c d e f g .", "h i x k .", "l m n o p q r s t u v .",
+             "x y z z .", "a c e g i k m o q s u w y .", "b d h ."]
+PIN_LARGE = ["a b c d", "h i j k .", "l m n o p", "x .", "a c e x i k m o q",
+             "b d f h . ."]
+
+PINNED_OUTPUTS = {
+    "evaluate_wer": (
+        'evaluate wer large.txt refs.txt',
+        '{\n'
+        ' "breakdown": {\n'
+        '  "deletions": 19,\n'
+        '  "insertions": 1,\n'
+        '  "ref_len": 49,\n'
+        '  "substitutions": 1\n'
+        ' },\n'
+        ' "metric": "wer",\n'
+        ' "n_sentences": 6,\n'
+        ' "score": 0.42857142857142855\n'
+        '}\n'),
+    "evaluate_bleu": (
+        'evaluate bleu large.txt refs.txt',
+        '{\n'
+        ' "breakdown": {\n'
+        '  "brevity_penalty": 0.5595372583118381,\n'
+        '  "hyp_len": 31,\n'
+        '  "precisions": [\n'
+        '   0.9354838709677419,\n'
+        '   0.84,\n'
+        '   0.7894736842105263,\n'
+        '   0.6428571428571429\n'
+        '  ],\n'
+        '  "ref_len": 49\n'
+        ' },\n'
+        ' "metric": "bleu",\n'
+        ' "n_sentences": 6,\n'
+        ' "score": 44.465270741516626\n'
+        '}\n'),
+    "bootstrap_bleu": (
+        'evaluate bootstrap small.txt large.txt refs.txt --metric bleu '
+        '--n-resamples 200 --seed 3',
+        '{\n'
+        ' "metric": "bleu",\n'
+        ' "n_resamples": 200,\n'
+        ' "n_sentences": 6,\n'
+        ' "p_value": 0.07999999999999996,\n'
+        ' "score_a": 83.37883729809055,\n'
+        ' "score_b": 44.465270741516626,\n'
+        ' "seed": 3,\n'
+        ' "ties": 0,\n'
+        ' "wins_a": 184,\n'
+        ' "wins_b": 16\n'
+        '}\n'),
+    "bootstrap_wer": (
+        'evaluate bootstrap small.txt large.txt refs.txt --metric wer '
+        '--n-resamples 200 --seed 3',
+        '{\n'
+        ' "metric": "wer",\n'
+        ' "n_resamples": 200,\n'
+        ' "n_sentences": 6,\n'
+        ' "p_value": 0.0050000000000000044,\n'
+        ' "score_a": 0.08163265306122448,\n'
+        ' "score_b": 0.42857142857142855,\n'
+        ' "seed": 3,\n'
+        ' "ties": 0,\n'
+        ' "wins_a": 199,\n'
+        ' "wins_b": 1\n'
+        '}\n'),
+    "categories_wer_json": (
+        'analyze categories --small small.txt --large large.txt --refs '
+        'refs.txt --metric wer',
+        '{\n'
+        ' "categories": [\n'
+        '  {\n'
+        '   "category": "Improved",\n'
+        '   "contribution": -0.03333333333333333,\n'
+        '   "count": 2,\n'
+        '   "fraction": 0.3333333333333333,\n'
+        '   "length_contribution": 0.3333333333333333,\n'
+        '   "mean_len_large": 5.5,\n'
+        '   "mean_len_small": 4.5,\n'
+        '   "metric_large": 0.1,\n'
+        '   "metric_small": 0.2\n'
+        '  },\n'
+        '  {\n'
+        '   "category": "Prefix",\n'
+        '   "contribution": 0.24000000000000002,\n'
+        '   "count": 3,\n'
+        '   "fraction": 0.5,\n'
+        '   "length_contribution": -2.333333333333334,\n'
+        '   "mean_len_large": 3.6666666666666665,\n'
+        '   "mean_len_small": 8.333333333333334,\n'
+        '   "metric_large": 0.56,\n'
+        '   "metric_small": 0.08\n'
+        '  },\n'
+        '  {\n'
+        '   "category": "OtherDrop",\n'
+        '   "contribution": 0.07142857142857142,\n'
+        '   "count": 1,\n'
+        '   "fraction": 0.16666666666666666,\n'
+        '   "length_contribution": -0.8333333333333333,\n'
+        '   "mean_len_large": 9.0,\n'
+        '   "mean_len_small": 14.0,\n'
+        '   "metric_large": 0.42857142857142855,\n'
+        '   "metric_small": 0.0\n'
+        '  }\n'
+        ' ],\n'
+        ' "metric": "wer",\n'
+        ' "n_sentences": 6\n'
+        '}\n'),
+    "categories_wer_csv": (
+        'analyze categories --small small.txt --large large.txt --refs '
+        'refs.txt --metric wer --format csv',
+        'category,count,fraction,metric_small,metric_large,mean_len_small,'
+        'mean_len_large,contribution,length_contribution\n'
+        'Improved,2,0.3333333333333333,0.2,0.1,4.5,5.5,'
+        '-0.03333333333333333,0.3333333333333333\n'
+        'Prefix,3,0.5,0.08,0.56,8.333333333333334,3.6666666666666665,'
+        '0.24000000000000002,-2.333333333333334\n'
+        'OtherDrop,1,0.16666666666666666,0.0,0.42857142857142855,14.0,9.0,'
+        '0.07142857142857142,-0.8333333333333333\n'),
+    "buckets_wer_json": (
+        'analyze buckets --hyps large.txt --refs refs.txt --edges 4,8,12 '
+        '--metric wer',
+        '{\n'
+        ' "buckets": [\n'
+        '  {\n'
+        '   "count": 1,\n'
+        '   "high": 4,\n'
+        '   "low": 0,\n'
+        '   "metric": 0.5\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 3,\n'
+        '   "high": 8,\n'
+        '   "low": 4,\n'
+        '   "metric": 0.2777777777777778\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 0,\n'
+        '   "high": 12,\n'
+        '   "low": 8,\n'
+        '   "metric": null\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 2,\n'
+        '   "high": null,\n'
+        '   "low": 12,\n'
+        '   "metric": 0.5185185185185185\n'
+        '  }\n'
+        ' ],\n'
+        ' "edges": [\n'
+        '  4,\n'
+        '  8,\n'
+        '  12\n'
+        ' ],\n'
+        ' "metric": "wer"\n'
+        '}\n'),
+    "buckets_wer_csv": (
+        'analyze buckets --hyps large.txt --refs refs.txt --edges 4,8,12 '
+        '--metric wer --format csv',
+        'bucket_low,bucket_high,count,metric\n'
+        '0,4,1,0.5\n'
+        '4,8,3,0.2777777777777778\n'
+        '8,12,0,\n'
+        '12,inf,2,0.5185185185185185\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_cli_output_bytes_pinned(capsys, tmp_path, monkeypatch, case):
+    for name, lines in (("refs", PIN_REFS), ("small", PIN_SMALL),
+                        ("large", PIN_LARGE)):
+        write_lines(tmp_path / (name + ".txt"), [s.split() for s in lines])
+    monkeypatch.chdir(tmp_path)
+    command, expected = PINNED_OUTPUTS[case]
+    code, stdout, _ = run(capsys, *command.split())
+    assert code == 0
+    assert stdout == expected
+
+
 # ------------------------------------------------------------------- experiment
 
 EXPERIMENT_YAML = """\
@@ -580,6 +790,20 @@ def test_experiment_bad_config_value_is_data_error(capsys, tmp_path):
                        "--out", str(out))
     assert code == 2
     assert err.startswith("error: config: bad normalization 5")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_experiment_non_finite_alpha_is_data_error(capsys, tmp_path):
+    config = tmp_path / "exp.yaml"
+    config.write_text(EXPERIMENT_YAML.replace(
+        'normalizations: ["none"]', 'normalizations: ["by_length:nan"]'),
+        encoding="utf-8")
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "experiment", "--config", str(config),
+                       "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: config: bad normalization 'by_length:nan'")
+    assert "finite" in err
     assert not out.exists() or not any(out.iterdir())
 
 

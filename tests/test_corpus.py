@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from beamlab import corpus as C
 from beamlab.errors import AlignmentError, FormatError
 
-from oracles import bleu_corpus_reference, zipf_probs
+from oracles import (bleu_corpus_reference, dictionary_map, law_mean,
+                     zipf_probs)
 
 
 def write_lines(path, lines):
@@ -206,17 +207,17 @@ def test_parse_length_law_rejects_garbage():
 
 
 def test_law_means():
-    assert C.law_mean(("geometric", 0.05)) == 20.0
-    assert C.law_mean(("uniform", 4, 16)) == 10.0
+    assert law_mean(("geometric", 0.05)) == 20.0
+    assert law_mean(("uniform", 4, 16)) == 10.0
     # shifted by one so every draw is a valid sentence length
-    assert C.law_mean(("negative_binomial", 2, 0.5)) == 1 + 2 * 0.5 / 0.5
+    assert law_mean(("negative_binomial", 2, 0.5)) == 1 + 2 * 0.5 / 0.5
 
 
 def test_draw_lengths_negative_binomial_positive():
     rng = np.random.default_rng(0)
     draws = C.draw_lengths(("negative_binomial", 2, 0.5), 10_000, rng)
     assert draws.min() >= 1
-    mean = C.law_mean(("negative_binomial", 2, 0.5))
+    mean = law_mean(("negative_binomial", 2, 0.5))
     assert abs(draws.mean() - mean) / mean < 0.05
 
 
@@ -234,7 +235,7 @@ def small_cfg(**kw):
 def test_synthetic_noise_free_is_dictionary_image():
     cfg = small_cfg()
     splits = C.generate_synthetic(cfg)
-    mapping = C.dictionary_map(cfg)
+    mapping = dictionary_map(cfg)
     for split in splits.values():
         for pair in split:
             assert len(pair.source) == len(pair.target)
@@ -244,7 +245,7 @@ def test_synthetic_noise_free_is_dictionary_image():
 def test_synthetic_noise_free_dictionary_bleu_is_100():
     cfg = small_cfg()
     splits = C.generate_synthetic(cfg)
-    mapping = C.dictionary_map(cfg)
+    mapping = dictionary_map(cfg)
     hyps = [[mapping[s] for s in p.source] for p in splits["test"]]
     refs = [p.target for p in splits["test"]]
     score, _, _, _, _ = bleu_corpus_reference(hyps, refs)
@@ -301,7 +302,7 @@ def test_synthetic_test_split_can_use_longer_law():
 def test_synthetic_noise_rate_close_to_config():
     cfg = small_cfg(noise_prob=0.25, train_size=4000)
     splits = C.generate_synthetic(cfg)
-    mapping = C.dictionary_map(cfg)
+    mapping = dictionary_map(cfg)
     flips = total = 0
     for pair in splits["train"]:
         for s, t in zip(pair.source, pair.target):
@@ -316,7 +317,7 @@ def test_synthetic_noise_rate_close_to_config():
 def test_synthetic_terminal_token_mode():
     cfg = small_cfg(terminal_token=".", noise_prob=0.5, train_size=2000)
     splits = C.generate_synthetic(cfg)
-    mapping = C.dictionary_map(cfg)
+    mapping = dictionary_map(cfg)
     assert mapping["."] == "."
     for pair in splits["train"]:
         assert pair.source[-1] == "." and pair.target[-1] == "."

@@ -4,6 +4,7 @@ import os
 import pytest
 
 import beamlab.experiment as E
+from beamlab import metrics
 from beamlab.errors import DataError
 
 TINY_YAML = """\
@@ -90,6 +91,8 @@ def test_config_validation_errors(tmp_path):
     "analysis:\n  bucket_edges: [4, null]\n",
     "analysis:\n  bucket_edges: [true, 8]\n",
     "decode:\n  normalizations: [5]\n",
+    'decode:\n  normalizations: ["by_length:nan"]\n',
+    'decode:\n  normalizations: ["gnmt:inf"]\n',
     "synth:\n  terminal_token: 5\n",
     "synth:\n  vocab_size: 1\n",
     "systems: [[baseline]]\n",
@@ -264,6 +267,27 @@ def test_successful_rerun_removes_stale_failure_marker(tmp_path):
     E.run_experiment(os.path.join(repo, "configs", "tiny.yaml"), out, jobs=1)
     assert not (out / "failed").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_wer_experiment_scores_each_pair_once(tmp_path, monkeypatch):
+    # two systems x two widths x two normalizations, plus two sweep points x
+    # two widths: every report reads the sentence table of its decode, so
+    # each (decode, test sentence) pair reaches metrics.wer exactly once
+    text = TINY_YAML.replace(
+        "systems: [baseline]", "systems: [baseline, msr]").replace(
+        'normalizations: ["none"]', 'normalizations: ["none", "by_length:1"]'
+    ).replace("  multiplier: 2\n", "  multiplier: 2\n  n_sweep: [1, 2]\n")
+    text += "evaluate:\n  metric: wer\n"
+    calls = []
+    real_wer = metrics.wer
+
+    def counting_wer(hyp, ref):
+        calls.append(1)
+        return real_wer(hyp, ref)
+    monkeypatch.setattr(metrics, "wer", counting_wer)
+    E.run_experiment(write_config(tmp_path, text), tmp_path / "run")
+    decodes = 2 * 2 * 2 + 2 * 2
+    assert len(calls) == decodes * 20
 
 
 def test_rerun_removes_artifacts_the_config_no_longer_makes(tmp_path):

@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import beamlab.metrics as X
 from beamlab.errors import DataError
 from oracles import (bleu_corpus_reference, levenshtein_reference,
-                     sentence_bleu_reference)
+                     sentence_bleu_reference, wer_reference)
 
 
 def random_sentence(rng, vocab, lo=1, hi=12):
@@ -213,6 +215,28 @@ def test_wer_rejects_empty_reference():
         X.wer(["a"], [])
 
 
+@st.composite
+def wer_pair(draw):
+    # one to three symbols force many cost ties in the backtrace
+    size = draw(st.one_of(st.integers(1, 3), st.integers(4, 48)))
+    symbol = st.integers(0, size - 1).map("w%d".__mod__)
+    hyp = draw(st.lists(symbol, max_size=60))
+    ref = draw(st.lists(symbol, min_size=1, max_size=60))
+    return hyp, ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(wer_pair())
+@example(([], ["w0"] * 60))
+@example((["w0"] * 60, ["w0"]))
+@example((["w0", "w1"] * 30, ["w1", "w0"] * 30))
+def test_wer_matches_textbook_oracle_field_for_field(pair):
+    hyp, ref = pair
+    w = X.wer(hyp, ref)
+    assert (w.substitutions, w.insertions, w.deletions, w.ref_len,
+            w.wer) == wer_reference(hyp, ref)
+
+
 def test_corpus_wer_micro_average():
     hyps = [["x"], ["a", "b", "c", "d", "e", "f", "g", "h", "i"]]
     refs = [["y"], ["a", "b", "c", "d", "e", "f", "g", "h", "i"]]
@@ -232,6 +256,47 @@ def test_corpus_wer_identity_and_validation():
     assert X.corpus_wer([list(r) for r in refs], refs) == 0.0
     with pytest.raises(DataError):
         X.corpus_wer([["a"]], refs)
+
+
+# --------------------------------------------------------- sentence tables
+
+def test_sentence_table_subsets_equal_corpus_scores():
+    rng = random.Random(31)
+    vocab = ["a", "b", "c", "d", "e"]
+    pairs = [random_pair(rng, vocab) for _ in range(40)]
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    bleu = X.sentence_table(hyps, refs, "bleu")
+    wer = X.sentence_table(hyps, refs, "wer")
+    assert bleu.rows.shape == (40, 10) and wer.rows.shape == (40, 4)
+    for subset in (list(range(40)), [3], [0, 5, 7, 39], list(range(1, 40, 3))):
+        sub_h = [hyps[i] for i in subset]
+        sub_r = [refs[i] for i in subset]
+        assert bleu.score(subset) == X.corpus_bleu(sub_h, sub_r).score
+        assert wer.score(subset) == X.corpus_wer(sub_h, sub_r)
+    assert bleu.score() == X.corpus_bleu(hyps, refs).score
+    assert bleu.sentence_scores(eps=0.1) == [
+        X.sentence_bleu(h, r, eps=0.1) for h, r in pairs]
+    assert wer.sentence_scores() == [X.wer(h, r).wer for h, r in pairs]
+
+
+def test_sentence_table_empty_reference_and_validation():
+    hyps = [["a"], ["b", "c"]]
+    refs = [["a"], []]
+    bleu = X.sentence_table(hyps, refs, "bleu")
+    wer = X.sentence_table(hyps, refs, "wer")
+    # corpus BLEU allows an empty reference; WER and sentence scores do not
+    assert bleu.score() == X.corpus_bleu(hyps, refs).score
+    assert wer.score([0]) == 0.0
+    for fail in (wer.score, bleu.sentence_scores, wer.sentence_scores):
+        with pytest.raises(DataError, match="empty"):
+            fail()
+    with pytest.raises(DataError, match="at least one"):
+        bleu.score([])
+    with pytest.raises(DataError):
+        X.sentence_table(hyps, refs[:1], "wer")
+    with pytest.raises(ValueError):
+        X.sentence_table(hyps, refs, "chrf")
 
 
 # ------------------------------------------------------------------ bootstrap
@@ -303,6 +368,15 @@ def test_paired_bootstrap_deterministic_and_validated():
     again = X.paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
                                n_resamples=150, seed=21)
     assert first == again
+    assert first.score_a == X.corpus_bleu(hyps_a, refs).score
+    assert first.score_b == X.corpus_bleu(hyps_b, refs).score
+    wer = X.paired_bootstrap(hyps_a, hyps_b, refs, metric="wer",
+                             n_resamples=100, seed=0)
+    assert (wer.score_a, wer.score_b) == (X.corpus_wer(hyps_a, refs),
+                                          X.corpus_wer(hyps_b, refs))
+    with pytest.raises(DataError, match="empty"):
+        X.paired_bootstrap(hyps_a, hyps_b, refs[:2] + [[]], metric="wer",
+                           n_resamples=100, seed=0)
     with pytest.raises(ValueError):
         X.paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
                            n_resamples=99, seed=0)

@@ -9,7 +9,7 @@ from beamlab import corpus as C
 from beamlab import model as M
 from beamlab import search as S
 
-from oracles import (beam_search_reference, context_code,
+from oracles import (beam_search_reference, context_code, dictionary_map,
                      enumerate_best_sequence, gnmt_penalty_reference,
                      transducer_logprob_reference, transducer_prob_reference)
 
@@ -484,7 +484,7 @@ def test_dictionary_task_decodes_to_dictionary_image():
                         noise_prob=0.0, train_size=600, dev_size=1,
                         test_size=40, seed=2, terminal_token=".")
     splits = C.generate_synthetic(cfg)
-    mapping = C.dictionary_map(cfg)
+    mapping = dictionary_map(cfg)
     m = M.train(splits["train"])
     norm = S.parse_normalization("by_length:1.0")
     rng = random.Random(0)
