@@ -116,18 +116,19 @@ def cmd_gen_synth(args):
 
 
 def cmd_augment(args):
-    corpus = load_corpus(args.source, args.target)
     seed = _seed(args)
     multiplier, size = args.multiplier, args.size
     if multiplier is None and size is None:
         multiplier = 10.0
+    # the flags are checked before the input is read
+    config = MsrConfig(n_max=args.n if args.mode == "msr" else 1,
+                       multiplier=multiplier, size=size, seed=seed)
+    corpus = load_corpus(args.source, args.target)
     if args.mode == "msr":
-        augmented = msr(corpus, MsrConfig(n_max=args.n, multiplier=multiplier,
-                                          size=size, seed=seed))
+        augmented = msr(corpus, config)
     else:
-        wanted = resolve_output_size(len(corpus), MsrConfig(
-            n_max=1, multiplier=multiplier, size=size, seed=seed))
-        augmented = simple_resample(corpus, wanted, seed)
+        augmented = simple_resample(
+            corpus, resolve_output_size(len(corpus), config), seed)
     stem = args.prefix or "%s_%s" % (
         os.path.splitext(os.path.basename(args.source))[0], args.mode)
     out = _out_dir(args)
@@ -157,11 +158,11 @@ def cmd_train(args):
 def cmd_decode(args):
     if args.topk < 1:
         raise ValueError("--topk must be >= 1, got %d" % args.topk)
-    model = load_model(args.model)
-    sources = _read_sentences(args.source, allow_blank=False)
     norm = parse_normalization(args.norm)
     config = BeamConfig(width=args.beam, normalization=norm,
                         max_len_a=args.max_len_a, max_len_b=args.max_len_b)
+    model = load_model(args.model)
+    sources = _read_sentences(args.source, allow_blank=False)
     results = decode_corpus(model, sources, config, jobs=args.jobs)
     name = args.name or "decode_w%d_%s.tsv" % (
         args.beam, format_normalization(norm).replace(":", "_"))

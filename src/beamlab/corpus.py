@@ -1,6 +1,12 @@
 """Parallel-corpus data model, vocabulary, length statistics, and a synthetic
 length-biased translation task.
 
+A corpus holds token ids only. Each side is a `Side`: a table of distinct
+token strings, the flat ids of every sentence into it, and CSR offsets
+(sentence i is ids[offsets[i]:offsets[i + 1]]). Synthesis, loading,
+resampling, vocabularies, training and histograms read these arrays;
+`SentencePair` lists of strings are views built on demand.
+
 The synthetic task is a noisy bijective dictionary map: source tokens are
 drawn i.i.d. from a Zipf distribution, the target is the token-by-token
 dictionary image, and sentence lengths follow a configurable law that may
@@ -8,21 +14,28 @@ differ between train and test. That length mismatch is the experimental lever
 the rest of the package studies.
 """
 
+import operator
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .errors import AlignmentError, FormatError
-from .fileio import format_csv, write_text_atomic
+from .fileio import format_csv, write_bytes_atomic
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 BOS_ID, EOS_ID, UNK_ID = 0, 1, 2
 RESERVED = (BOS, EOS, UNK)
+
+# the largest vocabulary and split a synthetic corpus may ask for
+MAX_VOCAB_SIZE = 1_000_000
+MAX_SPLIT_SIZE = 1_000_000
+
+# tokens written per slice by `rows_bytes`
+_ROWS_BYTES_SLICE = 2 ** 12
 
 
 @dataclass
@@ -32,40 +45,159 @@ class SentencePair:
     pair_id: int
 
 
-class ParallelCorpus:
-    def __init__(self, pairs, name="corpus"):
-        self.pairs = list(pairs)
-        self.name = name
-        for i, pair in enumerate(self.pairs):
-            if pair.pair_id != i:
-                raise ValueError("pair ids must be 0..n-1 in order")
-            if not pair.source or not pair.target:
-                raise ValueError("pair %d has an empty side" % i)
+@dataclass
+class AugmentedPair(SentencePair):
+    provenance: list = field(default_factory=list)
+
+
+def _offsets(lengths):
+    offsets = np.zeros(len(lengths) + 1, np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _gather_rows(ids, offsets, rows):
+    """The CSR (ids, offsets) of rows `rows` of the CSR (ids, offsets), in
+    the order given."""
+    rows = np.asarray(rows, np.int64)
+    starts = offsets.take(rows)
+    lengths = offsets.take(rows + 1) - starts
+    out_offsets = _offsets(lengths)
+    # token k of output row r is token starts[r] + k - out_offsets[r]
+    index = np.repeat(starts - out_offsets[:-1], lengths)
+    index += np.arange(out_offsets[-1])
+    return ids.take(index), out_offsets
+
+
+def rows_bytes(table, ids, offsets):
+    """The rows of the CSR (ids, offsets) as UTF-8 lines of the `table`
+    strings they index, joined by spaces. Every row must be non-empty."""
+    words = [t.encode("utf-8") for t in table]
+    words = [w + b" " for w in words] + [w + b"\n" for w in words]
+    blob = np.frombuffer(b"".join(words), np.uint8)
+    word_offsets = _offsets(np.fromiter(map(len, words), np.int64, len(words)))
+    codes = ids.astype(np.int64)
+    codes[offsets[1:] - 1] += len(table)
+    # each word's bytes are a row of the CSR (blob, word_offsets); the
+    # gather's byte index takes 8 bytes per output byte, so go in slices
+    return b"".join(
+        _gather_rows(blob, word_offsets, codes[i:i + _ROWS_BYTES_SLICE])[0]
+        .tobytes() for i in range(0, len(codes), _ROWS_BYTES_SLICE))
+
+
+class Side:
+    """One side of a corpus: sentence i is the strings of `table` at
+    ids[offsets[i]:offsets[i + 1]]. `table` holds distinct strings, `ids`
+    is int32 and `offsets` is int64 of length n + 1, starting at 0."""
+
+    def __init__(self, table, ids, offsets):
+        self.table = tuple(table)
+        self.ids = np.asarray(ids, np.int32)
+        self.offsets = np.asarray(offsets, np.int64)
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.offsets) - 1
 
-    def __iter__(self):
-        return iter(self.pairs)
+    def lengths(self):
+        return np.diff(self.offsets)
+
+    def sentence(self, i):
+        return [self.table[j] for j in
+                self.ids[self.offsets[i]:self.offsets[i + 1]].tolist()]
+
+    def sentences(self):
+        words = list(map(self.table.__getitem__, self.ids.tolist()))
+        bounds = self.offsets.tolist()
+        return [words[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _side_from_sentences(sentences):
+    """The Side of token lists; its table lists tokens in first-seen
+    order."""
+    flat = list(chain.from_iterable(sentences))
+    table = list(dict.fromkeys(flat))
+    index = {tok: i for i, tok in enumerate(table)}
+    return Side(table, np.fromiter(map(index.__getitem__, flat), np.int32,
+                                   len(flat)),
+                _offsets([len(s) for s in sentences]))
+
+
+class ParallelCorpus:
+    """Two sides of equal length. An augmented corpus also holds
+    `provenance`, the CSR (pair indices, offsets) of the original pairs
+    that built each pair; a plain corpus has None. Indexing and iteration
+    give SentencePair (AugmentedPair) views."""
+
+    def __init__(self, source, target, name="corpus", provenance=None):
+        if len(source) != len(target):
+            raise ValueError("the sides hold %d and %d sentences"
+                             % (len(source), len(target)))
+        for side in (source, target):
+            empty = np.flatnonzero(side.lengths() < 1)
+            if len(empty):
+                raise ValueError("pair %d has an empty side" % empty[0])
+        self.source = source
+        self.target = target
+        self.name = name
+        self.provenance = provenance
+
+    def __len__(self):
+        return len(self.source)
 
     def __getitem__(self, i):
-        return self.pairs[i]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("pair index out of range")
+        source, target = self.source.sentence(i), self.target.sentence(i)
+        if self.provenance is None:
+            return SentencePair(source, target, i)
+        rows, offsets = self.provenance
+        return AugmentedPair(source, target, i,
+                             rows[offsets[i]:offsets[i + 1]].tolist())
 
-    def side(self, which):
+    def __iter__(self):
+        pairs = zip(self.source.sentences(), self.target.sentences())
+        if self.provenance is None:
+            return (SentencePair(s, t, i) for i, (s, t) in enumerate(pairs))
+        rows, offsets = self.provenance
+        rows, bounds = rows.tolist(), offsets.tolist()
+        return (AugmentedPair(s, t, i, rows[bounds[i]:bounds[i + 1]])
+                for i, (s, t) in enumerate(pairs))
+
+    def arrays(self, which):
+        """The Side named 'source' or 'target'."""
         if which == "source":
-            return [p.source for p in self.pairs]
+            return self.source
         if which == "target":
-            return [p.target for p in self.pairs]
+            return self.target
         raise ValueError("side must be 'source' or 'target', got %r" % (which,))
 
+    def side(self, which):
+        return self.arrays(which).sentences()
+
     def lengths(self, which):
-        return [len(s) for s in self.side(which)]
+        return self.arrays(which).lengths()
+
+
+def concatenated(corpus, rows, offsets, name):
+    """The corpus whose pair j joins pairs rows[offsets[j]:offsets[j + 1]]
+    of `corpus` end to end, with those rows as its provenance."""
+    rows = np.asarray(rows, np.int64)
+    offsets = np.asarray(offsets, np.int64)
+    sides = []
+    for side in (corpus.source, corpus.target):
+        ids, token_offsets = _gather_rows(side.ids, side.offsets, rows)
+        sides.append(Side(side.table, ids, token_offsets.take(offsets)))
+    return ParallelCorpus(*sides, name=name, provenance=(rows, offsets))
 
 
 def corpus_from_token_pairs(pairs, name="corpus"):
-    return ParallelCorpus(
-        [SentencePair(list(src), list(tgt), i) for i, (src, tgt) in enumerate(pairs)],
-        name=name)
+    pairs = list(pairs)
+    return ParallelCorpus(_side_from_sentences([src for src, _ in pairs]),
+                          _side_from_sentences([tgt for _, tgt in pairs]),
+                          name=name)
 
 
 def tokenize(line):
@@ -83,17 +215,19 @@ def _read_lines(path):
 
 
 def _parse_side(path, lines):
-    sentences = []
-    for lineno, line in enumerate(lines, start=1):
-        tokens = tokenize(line)
-        if not tokens:
-            raise FormatError("%s:%d: blank line" % (path, lineno))
-        for tok in tokens:
-            if tok in RESERVED:
-                raise FormatError(
-                    "%s:%d: reserved marker %r in text" % (path, lineno, tok))
-        sentences.append(tokens)
-    return sentences
+    sentences = list(map(tokenize, lines))
+    side = _side_from_sentences(sentences)
+    # markers are looked for among the distinct tokens; the line-by-line
+    # walk only names the first bad line
+    if not set(RESERVED).isdisjoint(side.table) or not side.lengths().all():
+        for lineno, tokens in enumerate(sentences, start=1):
+            if not tokens:
+                raise FormatError("%s:%d: blank line" % (path, lineno))
+            for tok in tokens:
+                if tok in RESERVED:
+                    raise FormatError("%s:%d: reserved marker %r in text"
+                                      % (path, lineno, tok))
+    return side
 
 
 def load_corpus(source_path, target_path, name=None):
@@ -103,18 +237,18 @@ def load_corpus(source_path, target_path, name=None):
         raise AlignmentError(
             "line counts differ: %s has %d, %s has %d"
             % (source_path, len(src_lines), target_path, len(tgt_lines)))
-    sources = _parse_side(source_path, src_lines)
-    targets = _parse_side(target_path, tgt_lines)
+    source = _parse_side(source_path, src_lines)
+    del src_lines
+    target = _parse_side(target_path, tgt_lines)
     if name is None:
         name = str(source_path)
-    return corpus_from_token_pairs(zip(sources, targets), name=name)
+    return ParallelCorpus(source, target, name=name)
 
 
 def save_corpus(corpus, source_path, target_path):
-    write_text_atomic(source_path,
-                      "".join(" ".join(p.source) + "\n" for p in corpus))
-    write_text_atomic(target_path,
-                      "".join(" ".join(p.target) + "\n" for p in corpus))
+    for side, path in ((corpus.source, source_path),
+                       (corpus.target, target_path)):
+        write_bytes_atomic(path, rows_bytes(side.table, side.ids, side.offsets))
 
 
 class Vocabulary:
@@ -140,6 +274,12 @@ class Vocabulary:
     def encode(self, tokens):
         return [self.id(t) for t in tokens]
 
+    def encode_side(self, side):
+        """The id of every token of a Side, UNK if unknown: one lookup per
+        table entry, then one take."""
+        return np.array([self.id(t) for t in side.table],
+                        np.int32).take(side.ids)
+
     def decode(self, ids):
         return [self.id_to_token[i] for i in ids]
 
@@ -156,8 +296,11 @@ class Vocabulary:
 def build_vocabulary(corpus, side, min_count=1):
     if not len(corpus):
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    counts = Counter(chain.from_iterable(corpus.side(side)))
-    kept = sorted((t for t, c in counts.items() if c >= min_count),
+    arrays = corpus.arrays(side)
+    counts = dict(zip(arrays.table, np.bincount(
+        arrays.ids, minlength=len(arrays.table)).tolist()))
+    # the table may hold tokens that never occur (count 0)
+    kept = sorted((t for t, c in counts.items() if c >= max(min_count, 1)),
                   key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
 
@@ -181,13 +324,12 @@ def length_histogram(corpus, side, bucket_width):
     if bucket_width < 1:
         raise ValueError("bucket_width must be >= 1")
     lengths = corpus.lengths(side)
-    if not lengths:
+    if not len(lengths):
         raise ValueError("empty corpus has no length histogram")
-    counts = [0] * (max(lengths) // bucket_width + 1)
-    for n in lengths:
-        counts[n // bucket_width] += 1
-    return LengthHistogram(bucket_width=bucket_width, counts=counts,
-                           mean=sum(lengths) / len(lengths), total=len(lengths))
+    return LengthHistogram(bucket_width=bucket_width,
+                           counts=np.bincount(lengths // bucket_width).tolist(),
+                           mean=int(lengths.sum()) / len(lengths),
+                           total=len(lengths))
 
 
 # ----------------------------------------------------------------- synthesis
@@ -245,13 +387,15 @@ class SynthConfig:
     terminal_token: str = None
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
+        if not 2 <= self.vocab_size <= MAX_VOCAB_SIZE:
+            raise ValueError("vocab_size must be in 2..%d, got %d"
+                             % (MAX_VOCAB_SIZE, self.vocab_size))
         if not 0.0 <= self.noise_prob <= 1.0:
             raise ValueError("noise_prob must be in [0, 1]")
         for size in (self.train_size, self.dev_size, self.test_size):
-            if size < 1:
-                raise ValueError("split sizes must be >= 1")
+            if not 1 <= size <= MAX_SPLIT_SIZE:
+                raise ValueError("split sizes must be in 1..%d, got %d"
+                                 % (MAX_SPLIT_SIZE, size))
         if self.zipf_exponent <= 0:
             raise ValueError("zipf_exponent must be positive")
         term = self.terminal_token
@@ -265,16 +409,28 @@ def _zipf_probs(exponent, size):
     return weights / weights.sum()
 
 
+def _table_with(table, token):
+    """`table` with `token` appended unless it is there, and its index."""
+    if token in table:
+        return table, table.index(token)
+    return table + [token], len(table)
+
+
 def generate_synthetic(config):
     """Build {train, dev, test} corpora. Deterministic in config.seed; the rng
     stream is consumed in a fixed order: dictionary permutation first, then per
-    split lengths, source ranks, noise mask, noise replacements."""
+    split lengths, source ranks, noise mask, noise replacements. A token's
+    id is its rank (source) or its dictionary image (target); the terminal
+    token, if any, follows the words in each table."""
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(config.vocab_size)
     probs = _zipf_probs(config.zipf_exponent, config.vocab_size)
-    src_names = ["s%d" % i for i in range(config.vocab_size)]
-    tgt_names = ["t%d" % i for i in range(config.vocab_size)]
+    src_table = ["s%d" % i for i in range(config.vocab_size)]
+    tgt_table = ["t%d" % i for i in range(config.vocab_size)]
     term = config.terminal_token
+    if term is not None:
+        src_table, src_term = _table_with(src_table, term)
+        tgt_table, tgt_term = _table_with(tgt_table, term)
 
     splits = {}
     plan = (("train", config.train_size, config.length_law),
@@ -289,16 +445,12 @@ def generate_synthetic(config):
         replacements = rng.integers(0, config.vocab_size, size=total)
         tgt_ranks = perm[ranks]
         tgt_ranks[noisy] = replacements[noisy]
-
-        pairs = []
-        offsets = np.concatenate([[0], np.cumsum(content)])
-        for i in range(size):
-            lo, hi = offsets[i], offsets[i + 1]
-            src = [src_names[r] for r in ranks[lo:hi]]
-            tgt = [tgt_names[r] for r in tgt_ranks[lo:hi]]
-            if term is not None:
-                src.append(term)
-                tgt.append(term)
-            pairs.append(SentencePair(src, tgt, i))
-        splits[split_name] = ParallelCorpus(pairs, name=split_name)
+        if term is not None:
+            ends = np.cumsum(content)
+            ranks = np.insert(ranks, ends, src_term)
+            tgt_ranks = np.insert(tgt_ranks, ends, tgt_term)
+        offsets = _offsets(lengths)
+        splits[split_name] = ParallelCorpus(
+            Side(src_table, ranks, offsets), Side(tgt_table, tgt_ranks, offsets),
+            name=split_name)
     return splits

@@ -19,8 +19,8 @@ from datetime import datetime, timezone
 import yaml
 
 from . import __version__, analysis, augment, metrics, model as model_mod, search
-from .corpus import (SynthConfig, generate_synthetic, length_histogram,
-                     parse_length_law, save_corpus)
+from .corpus import (RESERVED, SynthConfig, generate_synthetic,
+                     length_histogram, parse_length_law, save_corpus)
 from .errors import DataError
 from .fileio import (format_csv, write_bytes_atomic, write_json_atomic,
                      write_text_atomic)
@@ -203,23 +203,52 @@ def _config_from_blob(blob):
                 for n in sweep):
         raise DataError("config: augment.n_sweep must be a list of "
                         "positive integers")
+    n_max = _require_int("augment.n_max", aug["n_max"], minimum=1)
+    multiplier = _require_number("augment.multiplier", aug["multiplier"])
+    try:
+        size = augment.resolve_output_size(synth_cfg.train_size,
+                                           augment.MsrConfig(
+                                               n_max=n_max,
+                                               multiplier=multiplier))
+    except ValueError as exc:
+        raise DataError("config: augment.multiplier: %s" % exc) from None
+    if size < 1 and (sweep or set(systems) - {"baseline"}):
+        raise DataError("config: augment.multiplier %r gives no training "
+                        "pairs" % (multiplier,))
+
+    order = _require_int("model.order", mdl["order"], minimum=1)
+    # the largest target vocabulary synth can make: its words, the reserved
+    # ids and the terminal token
+    largest = synth_cfg.vocab_size + len(RESERVED) + \
+        (synth_cfg.terminal_token is not None)
+    try:
+        model_mod.check_order(largest, order)
+    except ValueError as exc:
+        raise DataError("config: model.%s" % exc) from None
+
+    max_len_a = _require_number("decode.max_len_a", dec["max_len_a"])
+    max_len_b = _require_int("decode.max_len_b", dec["max_len_b"])
+    try:
+        search.BeamConfig(width=1, max_len_a=max_len_a, max_len_b=max_len_b)
+    except ValueError as exc:
+        raise DataError("config: decode: %s" % exc) from None
 
     return ExperimentConfig(
         seed=seed,
         systems=tuple(systems),
         synth=synth_cfg,
-        n_max=_require_int("augment.n_max", aug["n_max"], minimum=1),
-        multiplier=_require_number("augment.multiplier", aug["multiplier"]),
+        n_max=n_max,
+        multiplier=multiplier,
         n_sweep=tuple(sweep),
-        order=_require_int("model.order", mdl["order"], minimum=1),
+        order=order,
         add_k_lex=_require_number("model.add_k_lex", mdl["add_k_lex"]),
         add_k_ngram=_require_number("model.add_k_ngram", mdl["add_k_ngram"]),
         lam=_require_number("model.lambda", mdl["lambda"]),
         min_count=_require_int("model.min_count", mdl["min_count"], minimum=1),
         widths=tuple(widths),
         normalizations=tuple(parsed_norms),
-        max_len_a=_require_number("decode.max_len_a", dec["max_len_a"]),
-        max_len_b=_require_int("decode.max_len_b", dec["max_len_b"]),
+        max_len_a=max_len_a,
+        max_len_b=max_len_b,
         topk=_require_int("decode.topk", dec["topk"], minimum=1),
         metric=metric,
         category_pair=tuple(pair),
@@ -417,11 +446,12 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
     """Run the full pipeline under out_dir and return the manifest. Any
     stage failure writes failed/error.txt naming the stage, keeps whatever
     partial outputs exist, writes a manifest of the failed run (its stage,
-    the artifacts it wrote, and as `stale` what the earlier manifest listed
-    and it did not write) and re-raises; a successful run removes the
-    failed/ of an earlier one and every file that the earlier run's manifest
-    lists and this run's does not. `jobs` goes through
-    search.resolve_jobs."""
+    the artifacts it wrote or began to write, and as `stale` what the
+    earlier manifest listed and it did not) and re-raises. Each path is
+    listed before its write, so no file the run wrote goes unlisted. A
+    successful run removes the failed/ of an earlier one and every file
+    that the earlier run's manifest lists and this run's does not. `jobs`
+    goes through search.resolve_jobs."""
     raw = _read_config_bytes(config_path)
     cfg = _parse_config(raw, config_path)
     jobs = search.resolve_jobs(jobs)
@@ -456,9 +486,9 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         for name, corpus in splits.items():
             src = "data/%s.src" % name
             tgt = "data/%s.tgt" % name
-            save_corpus(corpus, os.path.join(out, src), os.path.join(out, tgt))
             artifacts["data"]["%s_src" % name] = src
             artifacts["data"]["%s_tgt" % name] = tgt
+            save_corpus(corpus, os.path.join(out, src), os.path.join(out, tgt))
 
         stage = "augment"
         train_corpora = _augmented_corpora(cfg, splits["train"])
@@ -466,26 +496,26 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
             if system == "baseline":
                 continue
             stem = "data/train_%s" % system
+            for ext in (".src", ".tgt", ".prov"):
+                artifacts["data"]["train_%s%s"
+                                  % (system, ext.lstrip("."))] = stem + ext
             save_corpus(train_corpora[system],
                         os.path.join(out, stem + ".src"),
                         os.path.join(out, stem + ".tgt"))
             augment.save_provenance(train_corpora[system],
                                     os.path.join(out, stem + ".prov"))
-            for ext in (".src", ".tgt", ".prov"):
-                artifacts["data"]["train_%s%s"
-                                  % (system, ext.lstrip("."))] = stem + ext
 
         stage = "train"
         models = {}
         for system in cfg.systems:
             models[system] = _train_model(cfg, train_corpora[system])
             rel = "models/%s.json" % system
-            model_mod.save_model(models[system], os.path.join(out, rel))
             artifacts["models"][system] = rel
+            model_mod.save_model(models[system], os.path.join(out, rel))
 
         stage = "decode"
-        sources = [pair.source for pair in splits["test"]]
-        refs = [pair.target for pair in splits["test"]]
+        sources = splits["test"].side("source")
+        refs = splits["test"].side("target")
         top1, results = _decode_grid(cfg, models, sources, jobs)
         for (system, width, norm), reranked in sorted(
                 results.items(), key=lambda kv: (kv[0][0], kv[0][1],
@@ -493,8 +523,8 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
             rel = "decodes/%s_w%d_%s.tsv" % (system, width, _norm_slug(norm))
             text = search.format_decode_tsv(
                 reranked, models[system].target_vocab, topk=cfg.topk)
-            write_text_atomic(os.path.join(out, rel), text)
             artifacts["decodes"].append(rel)
+            write_text_atomic(os.path.join(out, rel), text)
 
         stage = "evaluate"
         # every report below is sums over these per-sentence rows
@@ -502,14 +532,14 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
                   for key, hyps in top1.items()}
         quality = _quality_rows(cfg, top1, tables)
         rel = "reports/quality_curve.csv"
+        artifacts["reports"].append(rel)
         write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
                           + format_csv(_QUALITY_COLUMNS, quality))
-        artifacts["reports"].append(rel)
         rel = "reports/quality_curve.json"
+        artifacts["reports"].append(rel)
         write_json_atomic(os.path.join(out, rel), {
             "config_hash": config_hash, "metric": cfg.metric,
             "rows": quality})
-        artifacts["reports"].append(rel)
 
         stage = "analyze"
         small_w, large_w = cfg.category_pair
@@ -525,6 +555,8 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
                     tables=pair)
                 blob = analysis.category_report_blob(report)
                 stem = "reports/categories_%s_%s" % (system, _norm_slug(norm))
+                artifacts["reports"].append(stem + ".csv")
+                artifacts["reports"].append(stem + ".json")
                 write_text_atomic(
                     os.path.join(out, stem + ".csv"),
                     _hash_comment(config_hash) + format_csv(
@@ -536,40 +568,38 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
                     "width_small": small_w,
                     "width_large": large_w,
                     "report": blob})
-                artifacts["reports"].append(stem + ".csv")
-                artifacts["reports"].append(stem + ".json")
 
         bucket_csv, bucket_json = _bucket_rows(cfg, top1, refs, tables)
         rel = "reports/buckets.csv"
+        artifacts["reports"].append(rel)
         write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
                           + format_csv(_BUCKET_COLUMNS, bucket_csv))
-        artifacts["reports"].append(rel)
         rel = "reports/buckets.json"
+        artifacts["reports"].append(rel)
         write_json_atomic(os.path.join(out, rel), {
             "config_hash": config_hash, "metric": cfg.metric,
             "edges": list(cfg.bucket_edges), "rows": bucket_json})
-        artifacts["reports"].append(rel)
 
         for system in cfg.systems:
             hist = length_histogram(train_corpora[system], "target",
                                     cfg.histogram_bucket_width)
             rel = "reports/length_histogram_%s.csv" % system
+            artifacts["reports"].append(rel)
             write_text_atomic(os.path.join(out, rel),
                               _hash_comment(config_hash) + hist.to_csv())
-            artifacts["reports"].append(rel)
 
         if cfg.n_sweep:
             stage = "n-sweep"
             sweep = _sweep_rows(cfg, splits["train"], sources, refs, jobs)
             rel = "reports/n_sweep.csv"
+            artifacts["reports"].append(rel)
             write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
                               + format_csv(_SWEEP_COLUMNS, sweep))
-            artifacts["reports"].append(rel)
             rel = "reports/n_sweep.json"
+            artifacts["reports"].append(rel)
             write_json_atomic(os.path.join(out, rel), {
                 "config_hash": config_hash, "metric": cfg.metric,
                 "multiplier": cfg.multiplier, "rows": sweep})
-            artifacts["reports"].append(rel)
     except BaseException as exc:
         failed_dir = os.path.join(out, "failed")
         os.makedirs(failed_dir, exist_ok=True)

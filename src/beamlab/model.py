@@ -18,7 +18,6 @@ turns the counts into the probabilities above.
 """
 
 import json
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -29,9 +28,10 @@ from .fileio import write_json_atomic
 FORMAT_NAME = "beamlab.model"
 FORMAT_VERSION = 1
 
-# sentences counted at a time: training holds per-token arrays of one block
-# only, beside the running tally of distinct (key, token) pairs
-_BLOCK = 128
+# target tokens counted at a time (a longer sentence is a block of its own):
+# training holds per-token arrays of one block only, beside the running
+# tally of distinct (key, token) pairs
+_BLOCK_TOKENS = 2 ** 15
 
 
 class CountTable:
@@ -54,6 +54,17 @@ class CountTable:
         self.totals = sums[self.offsets[1:]] - sums[self.offsets[:-1]]
 
 
+def check_order(vocab_size, order):
+    """Raise ValueError unless every context of `order` ids below
+    `vocab_size` has an int64 code: vocab_size ** order <= 2^63 - 1."""
+    # two ids or more already need 2^63 codes at order 63; testing that
+    # first keeps a huge order from building a huge power
+    if vocab_size >= 2 and (order >= 63 or
+                            vocab_size ** order > np.iinfo(np.int64).max):
+        raise ValueError("order %d over %d target ids is too long for int64 "
+                         "context codes" % (order, vocab_size))
+
+
 class TransducerModel:
     def __init__(self, lam, order, ngram, lex, source_vocab, target_vocab,
                  support):
@@ -61,9 +72,7 @@ class TransducerModel:
             raise ValueError("lambda must be in [0, 1]")
         if type(order) is not int or order < 1:
             raise ValueError("order must be an integer >= 1")
-        if len(target_vocab) ** order > np.iinfo(np.int64).max:
-            raise ValueError("order %d over %d target ids is too long for "
-                             "int64 context codes" % (order, len(target_vocab)))
+        check_order(len(target_vocab), order)
         if not (all(type(t) is int for t in support) and EOS_ID in support
                 and list(support) == sorted(set(support))
                 and 0 <= support[0] and support[-1] < len(target_vocab)):
@@ -98,25 +107,15 @@ def _count(tally, values):
             np.insert(known_counts, pos[~hit], counts[~hit]))
 
 
-def _ids(vocab, sentences, count):
-    """The ids of the `count` tokens of `sentences`, UNK if unknown."""
-    return np.fromiter(map(vocab.token_to_id.get, chain.from_iterable(sentences),
-                           repeat(UNK_ID)), np.int64, count)
-
-
-def _block_keys(pairs, source_vocab, target_vocab, order):
-    """The lexical and n-gram keys of every target step of `pairs`, each as
-    key * base + token, and whether a target token mapped to UNK."""
-    base = len(target_vocab)
-    n_src = np.array([len(p.source) for p in pairs])
-    n_tgt = np.array([len(p.target) for p in pairs])
-    src = _ids(source_vocab, (p.source for p in pairs), n_src.sum())
-    ids = _ids(target_vocab, (p.target for p in pairs), n_tgt.sum())
-    unk_seen = bool((ids == UNK_ID).any())
+def _block_keys(src, n_src, ids, n_tgt, base, order):
+    """The lexical and n-gram keys of every target step of a block of
+    sentences, each as key * base + token: `src` and `ids` are the block's
+    source and target vocabulary ids, `n_src` and `n_tgt` its sentence
+    lengths."""
+    src = src.astype(np.int64)
     # each target with its EOS step; step is t - 1 for target position t
     steps = n_tgt + 1
-    y = np.insert(ids, n_tgt.cumsum(), EOS_ID)
-    del ids
+    y = np.insert(ids.astype(np.int64), n_tgt.cumsum(), EOS_ID)
     step = np.arange(len(y))
     step -= np.repeat(steps.cumsum() - steps, steps)
     aligned = np.minimum(step, np.repeat(n_src - 1, steps))
@@ -132,15 +131,16 @@ def _block_keys(pairs, source_vocab, target_vocab, order):
         code[back:] += y[:-back] * (step[back:] >= back)
     code *= base
     code += y
-    return lex, code, unk_seen
+    return lex, code
 
 
 def train(corpus, order=3, add_k_lex=0.1, add_k_ngram=0.1, lam=0.6, min_count=1):
     """Accumulate lexical and n-gram counts over the corpus. The emission
     support is every target vocabulary word plus EOS, plus UNK if (and only
-    if) some training target token actually mapped to UNK. Each block of
-    _BLOCK sentences is counted by sorting and run length, then merged into
-    the tally."""
+    if) some training target token actually mapped to UNK. The corpus ids
+    of each side become vocabulary ids in one take; each block of at most
+    _BLOCK_TOKENS target tokens is then counted by sorting and run length,
+    and merged into the tally."""
     if not len(corpus):
         raise DataError("cannot train on an empty corpus")
     if min_count < 1:
@@ -148,14 +148,23 @@ def train(corpus, order=3, add_k_lex=0.1, add_k_ngram=0.1, lam=0.6, min_count=1)
     source_vocab = build_vocabulary(corpus, "source", min_count)
     target_vocab = build_vocabulary(corpus, "target", min_count)
     base = len(target_vocab)
+    check_order(base, order)
+    src = source_vocab.encode_side(corpus.source)
+    tgt = target_vocab.encode_side(corpus.target)
+    unk_seen = bool((tgt == UNK_ID).any())
+    src_bounds, tgt_bounds = corpus.source.offsets, corpus.target.offsets
     lex = ngram = None
-    unk_seen = False
-    for start in range(0, len(corpus), _BLOCK):
-        lex_keys, ngram_keys, unk = _block_keys(
-            corpus.pairs[start:start + _BLOCK], source_vocab, target_vocab,
-            order)
+    start = 0
+    while start < len(corpus):
+        # the most sentences from `start` on that hold _BLOCK_TOKENS targets
+        stop = max(start + 1, int(tgt_bounds.searchsorted(
+            tgt_bounds[start] + _BLOCK_TOKENS, "right")) - 1)
+        src_at, tgt_at = src_bounds[start:stop + 1], tgt_bounds[start:stop + 1]
+        lex_keys, ngram_keys = _block_keys(
+            src[src_at[0]:src_at[-1]], np.diff(src_at),
+            tgt[tgt_at[0]:tgt_at[-1]], np.diff(tgt_at), base, order)
         lex, ngram = _count(lex, lex_keys), _count(ngram, ngram_keys)
-        unk_seen = unk_seen or unk
+        start = stop
 
     support = [EOS_ID] + ([UNK_ID] if unk_seen else []) + \
         list(range(3, len(target_vocab)))

@@ -29,6 +29,10 @@ from .corpus import BOS_ID, EOS_ID
 
 NORMALIZATIONS = ("none", "by_length", "gnmt")
 
+# the largest length-cap coefficients a search accepts
+MAX_LEN_A = 16.0
+MAX_LEN_B = 1024
+
 
 def parse_normalization(text):
     """Parse 'none', 'by_length:ALPHA' or 'gnmt:ALPHA'."""
@@ -81,8 +85,12 @@ class BeamConfig:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be >= 1")
-        if self.max_len_a < 0 or self.max_len_b < 0:
-            raise ValueError("length-cap coefficients must be >= 0")
+        if not (0 <= self.max_len_a <= MAX_LEN_A
+                and 0 <= self.max_len_b <= MAX_LEN_B):
+            raise ValueError("length-cap coefficients must be in [0, %g] and "
+                             "[0, %d], got %r and %r"
+                             % (MAX_LEN_A, MAX_LEN_B, self.max_len_a,
+                                self.max_len_b))
         if self.max_len_a == 0 and self.max_len_b < 1:
             raise ValueError("length cap would be 0 for every input")
         if self.normalization[0] not in NORMALIZATIONS:

@@ -336,3 +336,90 @@ def load_provenance(path):
     with open(path, encoding="utf-8") as handle:
         return [[int(x) for x in line.split()]
                 for line in handle.read().splitlines()]
+
+
+# ---------------------------------------- list-based corpus construction
+#
+# The corpus pipeline as lists of token strings, one pair at a time: the
+# id-array code in beamlab.corpus and beamlab.augment must give the same
+# pairs, provenance and vocabularies.
+
+def vocabulary_reference(sentences, min_count=1):
+    """The content tokens of a vocabulary: every token seen at least
+    min_count times, most frequent first, ties in string order."""
+    counts = Counter(itertools.chain.from_iterable(sentences))
+    return sorted((t for t, c in counts.items() if c >= min_count),
+                  key=lambda t: (-counts[t], t))
+
+
+def msr_reference(pairs, n_max, size, seed):
+    """Multi-sentence resampling of (source, target) token lists: per output
+    example, a count n uniform on 1..n_max, then n uniform pair indices;
+    returns (source, target, provenance) triples."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(size):
+        n = int(rng.integers(1, n_max + 1))
+        picks = [int(i) for i in rng.integers(0, len(pairs), size=n)]
+        src, tgt = [], []
+        for i in picks:
+            src.extend(pairs[i][0])
+            tgt.extend(pairs[i][1])
+        out.append((src, tgt, picks))
+    return out
+
+
+def simple_resample_reference(pairs, size, seed):
+    """`size` pairs drawn with probability proportional to target length,
+    as (source, target, [pair index]) triples."""
+    lengths = np.array([len(tgt) for _, tgt in pairs], dtype=float)
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(pairs), size=size, p=lengths / lengths.sum())
+    return [(list(pairs[i][0]), list(pairs[i][1]), [int(i)]) for i in picks]
+
+
+def _draw_lengths_reference(law, size, rng):
+    kind = law[0]
+    if kind == "geometric":
+        return rng.geometric(law[1], size=size)
+    if kind == "negative_binomial":
+        return rng.negative_binomial(law[1], law[2], size=size) + 1
+    return rng.integers(law[1], law[2] + 1, size=size)
+
+
+def synthetic_pairs_reference(config):
+    """{split: [(source, target)]} of a SynthConfig, built token by token
+    from the same draws in the same order: dictionary permutation, then per
+    split lengths, source ranks, noise mask and noise replacements."""
+    rng = np.random.default_rng(config.seed)
+    vocab = config.vocab_size
+    perm = rng.permutation(vocab)
+    probs = np.arange(1, vocab + 1, dtype=float) ** -config.zipf_exponent
+    probs /= probs.sum()
+    term = config.terminal_token
+    splits = {}
+    plan = (("train", config.train_size, config.length_law),
+            ("dev", config.dev_size, config.length_law),
+            ("test", config.test_size,
+             config.test_length_law or config.length_law))
+    for name, size, law in plan:
+        lengths = _draw_lengths_reference(law, size, rng)
+        content = lengths - 1 if term is not None else lengths
+        total = int(content.sum())
+        ranks = rng.choice(vocab, size=total, p=probs)
+        noisy = rng.random(total) < config.noise_prob
+        replacements = rng.integers(0, vocab, size=total)
+        tgt_ranks = perm[ranks]
+        tgt_ranks[noisy] = replacements[noisy]
+        pairs = []
+        start = 0
+        for n in content.tolist():
+            src = ["s%d" % r for r in ranks[start:start + n]]
+            tgt = ["t%d" % r for r in tgt_ranks[start:start + n]]
+            if term is not None:
+                src.append(term)
+                tgt.append(term)
+            pairs.append((src, tgt))
+            start += n
+        splits[name] = pairs
+    return splits

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from beamlab import augment as A
 from beamlab import corpus as C
 from beamlab.errors import DataError
-from oracles import expected_mean_length, load_provenance
+from oracles import (expected_mean_length, load_provenance, msr_reference,
+                     simple_resample_reference)
 
 
 def toy_corpus(n_pairs=3, tgt_lengths=None):
@@ -51,6 +52,27 @@ def test_msr_multiplier_sets_output_size():
 def test_msr_fractional_multiplier_rounds_half_up():
     assert A.resolve_output_size(3, A.MsrConfig(n_max=2, multiplier=2.5, seed=0)) == 8
     assert A.resolve_output_size(2, A.MsrConfig(n_max=2, multiplier=1.25, seed=0)) == 3
+
+
+@pytest.mark.parametrize("multiplier", [math.inf, math.nan, -math.inf, 0.0,
+                                        -2.0])
+def test_msr_config_refuses_non_positive_or_non_finite_multiplier(multiplier):
+    with pytest.raises(ValueError, match="multiplier"):
+        A.MsrConfig(n_max=2, multiplier=multiplier)
+
+
+def test_output_size_is_capped_before_anything_is_drawn():
+    cap = A.MAX_OUTPUT_SIZE
+    assert A.resolve_output_size(9000, A.MsrConfig(
+        n_max=4, multiplier=cap / 9000)) == cap
+    for multiplier in (1e9, 1e308, (cap + 1) / 9000):
+        with pytest.raises(ValueError, match="more than %d" % cap):
+            A.resolve_output_size(9000, A.MsrConfig(n_max=4,
+                                                    multiplier=multiplier))
+    with pytest.raises(ValueError, match="output size"):
+        A.MsrConfig(n_max=4, size=cap + 1)
+    with pytest.raises(ValueError, match="output size"):
+        A.simple_resample(toy_corpus(3), cap + 1, seed=0)
 
 
 def test_msr_config_requires_exactly_one_size_spec():
@@ -109,6 +131,46 @@ def test_msr_provenance_reconcatenation_property(n_max, size, seed):
     for ex in out:
         assert ex.source == [t for i in ex.provenance for t in corp[i].source]
         assert ex.target == [t for i in ex.provenance for t in corp[i].target]
+
+
+pairs_strategy = st.lists(
+    st.tuples(st.lists(st.sampled_from(["s1", "s9", "s10", "x"]), min_size=1,
+                       max_size=5),
+              st.lists(st.sampled_from(["t2", "t10", "y"]), min_size=1,
+                       max_size=5)),
+    min_size=1, max_size=8)
+
+
+def triples(corpus):
+    return [(p.source, p.target, p.provenance) for p in corpus]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs_strategy, st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=30),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_msr_matches_list_reference(pairs, n_max, size, seed):
+    out = A.msr(C.corpus_from_token_pairs(pairs),
+                A.MsrConfig(n_max=n_max, size=size, seed=seed))
+    want = msr_reference(pairs, n_max, size, seed)
+    assert triples(out) == want
+    assert [triples([out[i]])[0] for i in range(len(out))] == want
+
+
+def test_msr_matches_list_reference_at_edges():
+    pairs = [(["s9", "s10"], ["t10"]), (["s10"], ["t2", "t10"])]
+    corp = C.corpus_from_token_pairs(pairs)
+    for n_max, size in ((1, 7), (3, 0), (4, 1)):
+        out = A.msr(corp, A.MsrConfig(n_max=n_max, size=size, seed=3))
+        assert triples(out) == msr_reference(pairs, n_max, size, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs_strategy, st.integers(min_value=0, max_value=30),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_simple_resample_matches_list_reference(pairs, size, seed):
+    out = A.simple_resample(C.corpus_from_token_pairs(pairs), size, seed)
+    assert triples(out) == simple_resample_reference(pairs, size, seed)
 
 
 # ---------------------------------------------------------------- resample

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -178,6 +179,88 @@ def test_augment_resample_size_and_no_prov(capsys, tmp_path):
     assert not (out / "toy_resample.prov").exists()
     originals = {tuple(p.source) for p in load_corpus(src, tgt)}
     assert all(tuple(p.source) in originals for p in resampled)
+
+
+@pytest.mark.parametrize("flags", [
+    ("msr", "--multiplier", "inf"),
+    ("msr", "--multiplier", "nan"),
+    ("resample", "--multiplier", "inf"),
+    ("resample", "--multiplier", "nan"),
+    ("msr", "--multiplier", "1e9"),
+    ("resample", "--multiplier", "1e300"),
+    ("msr", "--size", "1000001"),
+    ("resample", "--size", "-1"),
+])
+def test_augment_refuses_sizes_past_the_cap(capsys, tmp_path, flags):
+    src, tgt = toy_corpus_files(tmp_path)
+    out = tmp_path / "aug"
+    mode, *rest = flags
+    code, stdout, err = run(capsys, "augment", mode, src, tgt, *rest,
+                            "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
+def test_length_caps_and_split_sizes_are_usage_errors(capsys, tmp_path):
+    code, _, err = run(capsys, "gen-synth", "--train-size", "1000001",
+                       "--out", str(tmp_path / "data"))
+    assert code == 1 and "split sizes" in err
+    assert not (tmp_path / "data").exists()
+    src, tgt = toy_corpus_files(tmp_path)
+    assert run(capsys, "train", src, tgt, "--out", str(tmp_path))[0] == 0
+    for flag, value in (("--max-len-a", "inf"), ("--max-len-a", "nan"),
+                        ("--max-len-a", "17"), ("--max-len-b", "1025")):
+        code, _, err = run(capsys, "decode", str(tmp_path / "model.json"),
+                           src, flag, value, "--out", str(tmp_path / "dec"))
+        assert code == 1 and "length-cap" in err
+    assert not (tmp_path / "dec").exists()
+
+
+# sha256 of every file the chain below writes, as written by the list-based
+# corpus code that preceded the id arrays
+CHAIN_SHA256 = {
+    "baseline.json": "0bd4bf27a760bd6fd40562c8dfafc9f61ea1850f3f304c18402aace517380a47",
+    "dev.src": "c11683c93b97340276296ca436678c5a9cda65729e5424182439891791ff88bd",
+    "dev.tgt": "2bd5641ef786c6d44dc4e0a7d56d766fd1d3bbd87aa32d41a72d13cb9fb7000b",
+    "msr.json": "f649c1175e4cc1086a33ec74d0ddb33968956c9668be857b6bdb68f9d075a340",
+    "resample.json": "a592c158566e4f382efec9bea287779623c9fcd303616ed303b355cb96a22479",
+    "test.src": "20681de1af2237d5eea2da7817408c1b80433d1e74ed8ead6a95325eeb71252f",
+    "test.tgt": "2ed364a1836f1833383a9a57ca6aa06b3efce7853838a3a26c67031652ceb236",
+    "train.src": "e0e92983c01f1186acb2846d01fc52e058b88a439a1d866563ccfb58ce085bf5",
+    "train.tgt": "6ac9eb18f4b452c1d1cf8c02ff999259927a4f3316196968094a5c7556d4c605",
+    "train_msr.prov": "2a881e66703a00a9a458dfe815343851ebcb5781d927f9310895f29edb7695be",
+    "train_msr.src": "64119692cff59758bf83e26ce550e0793efefb98102edc99cc55694b291a07cb",
+    "train_msr.tgt": "ce9c281286851e04af5ebcdda0b0eba0bcccd77db898f6c04a5a2dd1cf578bf0",
+    "train_resample.prov": "2232fd55fffb423ab9f2e79657ed85973e1cb288d41db99a66ee16c5e8ba5dfc",
+    "train_resample.src": "3ede4a28cf2e425ecce5bacbc71e71c90da2bbe093bb8561ee86faf537f5e8eb",
+    "train_resample.tgt": "2b3ebf9dd1a403f597c6b02a478ca8d5598a4f7feec0e2f7d4ecb13338cefc03",
+}
+
+
+def test_corpus_chain_outputs_are_byte_pinned(capsys, tmp_path):
+    d = str(tmp_path)
+    steps = [
+        ("gen-synth", "--vocab-size", "20", "--train-size", "60",
+         "--dev-size", "5", "--test-size", "7", "--seed", "11"),
+        ("augment", "msr", d + "/train.src", d + "/train.tgt", "--n", "3",
+         "--multiplier", "2.5", "--seed", "5"),
+        ("augment", "resample", d + "/train.src", d + "/train.tgt",
+         "--size", "90", "--seed", "6"),
+        ("train", d + "/train.src", d + "/train.tgt", "--name", "baseline"),
+        # these min counts map the rarest tokens to UNK
+        ("train", d + "/train_msr.src", d + "/train_msr.tgt", "--order", "2",
+         "--min-count", "30", "--name", "msr"),
+        ("train", d + "/train_resample.src", d + "/train_resample.tgt",
+         "--min-count", "20", "--name", "resample"),
+    ]
+    for argv in steps:
+        assert run(capsys, *argv, "--out", d)[0] == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in os.listdir(d)}
+    assert got == CHAIN_SHA256
+    assert len(load_model(tmp_path / "msr.json").source_vocab) == 23
+    assert 2 in load_model(tmp_path / "resample.json").support
 
 
 def test_augment_missing_corpus_is_data_error(capsys, tmp_path):
@@ -790,6 +873,25 @@ def test_experiment_bad_config_value_is_data_error(capsys, tmp_path):
                        "--out", str(out))
     assert code == 2
     assert err.startswith("error: config: bad normalization 5")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("old, new", [
+    ("  multiplier: 2\n", "  multiplier: .inf\n"),
+    ("  multiplier: 2\n", "  multiplier: .nan\n"),
+    ("  order: 2\n", "  order: 40\n"),
+    ("  train_size: 60\n", "  train_size: 5000000\n"),
+])
+def test_experiment_resource_knob_is_data_error_before_any_write(
+        capsys, tmp_path, old, new):
+    config = tmp_path / "exp.yaml"
+    assert old in EXPERIMENT_YAML
+    config.write_text(EXPERIMENT_YAML.replace(old, new), encoding="utf-8")
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "experiment", "--config", str(config),
+                       "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: config: ") and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

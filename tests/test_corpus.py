@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from beamlab import corpus as C
 from beamlab.errors import AlignmentError, FormatError
 
 from oracles import (bleu_corpus_reference, dictionary_map, law_mean,
+                     synthetic_pairs_reference, vocabulary_reference,
                      zipf_probs)
 
 
@@ -60,6 +62,31 @@ def test_load_rejects_reserved_markers_in_text(tmp_path):
         C.load_corpus(tmp_path / "a.src", tmp_path / "a.tgt")
 
 
+def test_load_names_the_first_bad_line(tmp_path):
+    write_lines(tmp_path / "a.src", ["a", "b <unk> </s>", "", "c"])
+    write_lines(tmp_path / "a.tgt", ["a", "b", "c", "d"])
+    with pytest.raises(FormatError) as err:
+        C.load_corpus(tmp_path / "a.src", tmp_path / "a.tgt")
+    assert str(err.value) == "%s:2: reserved marker '<unk>' in text" \
+        % (tmp_path / "a.src")
+    write_lines(tmp_path / "a.src", ["a", "b", "c", "d"])
+    write_lines(tmp_path / "a.tgt", ["a", "", "<s>", "d"])
+    with pytest.raises(FormatError) as err:
+        C.load_corpus(tmp_path / "a.src", tmp_path / "a.tgt")
+    assert str(err.value) == "%s:2: blank line" % (tmp_path / "a.tgt")
+
+
+def test_loaded_sides_hold_ids_into_first_seen_tables(tmp_path):
+    write_lines(tmp_path / "a.src", ["s9 s10", "s10 s1 s9"])
+    write_lines(tmp_path / "a.tgt", ["x", "y x"])
+    corp = C.load_corpus(tmp_path / "a.src", tmp_path / "a.tgt")
+    assert corp.source.table == ("s9", "s10", "s1")
+    assert corp.source.ids.tolist() == [0, 1, 1, 2, 0]
+    assert corp.source.offsets.tolist() == [0, 2, 5]
+    assert corp.lengths("target").tolist() == [1, 2]
+    assert corp.provenance is None
+
+
 def test_missing_file_is_data_error(tmp_path):
     write_lines(tmp_path / "a.src", ["a"])
     with pytest.raises(FormatError):
@@ -93,16 +120,30 @@ def test_save_unicode_round_trip(tmp_path):
     assert [(p.source, p.target) for p in back] == pairs
 
 
-token_strategy = st.text(alphabet="abzé日ß0_", min_size=1, max_size=5)
+def test_save_round_trip_of_tokens_holding_nul(tmp_path):
+    pairs = [(["a\x00", "b"], ["\x00"]), (["b"], ["c\x00d", "\x00"])]
+    corp = C.corpus_from_token_pairs(pairs)
+    C.save_corpus(corp, tmp_path / "o.src", tmp_path / "o.tgt")
+    assert (tmp_path / "o.tgt").read_bytes() == b"\x00\nc\x00d \x00\n"
+    back = C.load_corpus(tmp_path / "o.src", tmp_path / "o.tgt")
+    assert [(p.source, p.target) for p in back] == pairs
+
+
+token_strategy = st.text(alphabet="abzé日ß0_\x00", min_size=1, max_size=5)
 sentence_strategy = st.lists(token_strategy, min_size=1, max_size=6)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(sentence_strategy, sentence_strategy), max_size=12))
-def test_round_trip_identity_property(tmp_path_factory, pairs):
+@given(st.lists(st.tuples(sentence_strategy, sentence_strategy), max_size=12),
+       st.integers(min_value=1, max_value=8))
+def test_round_trip_identity_property(tmp_path_factory, pairs, slice_tokens):
     tmp = tmp_path_factory.mktemp("rt")
     corp = C.corpus_from_token_pairs(pairs)
-    C.save_corpus(corp, tmp / "o.src", tmp / "o.tgt")
+    # small slices, so that a save spans several of them
+    with mock.patch.object(C, "_ROWS_BYTES_SLICE", slice_tokens):
+        C.save_corpus(corp, tmp / "o.src", tmp / "o.tgt")
+    assert (tmp / "o.src").read_bytes() == "".join(
+        " ".join(src) + "\n" for src, _ in pairs).encode("utf-8")
     back = C.load_corpus(tmp / "o.src", tmp / "o.tgt")
     assert [(p.source, p.target) for p in back] == [(list(s), list(t)) for s, t in pairs]
 
@@ -139,6 +180,60 @@ def test_vocabulary_reserved_ids_fixed():
     assert vocab.id("never-seen") == 2
     assert vocab.token(3) == "q"
     assert vocab.decode(vocab.encode(["q", "nope"])) == ["q", C.UNK]
+
+
+def test_vocabulary_sorts_by_string_not_first_seen_order():
+    corp = C.corpus_from_token_pairs([(["s9", "s10", "s2"], ["x"]),
+                                      (["s10", "s9"], ["x"])])
+    vocab = C.build_vocabulary(corp, "source")
+    assert vocab.content_tokens() == ["s10", "s9", "s2"]
+
+
+def test_encode_side_maps_rare_tokens_to_unk():
+    pairs = [(["q"], ["s9", "s10", "s9"]), (["q"], ["s2", "s10", "s1"])]
+    corp = C.corpus_from_token_pairs(pairs)
+    vocab = C.build_vocabulary(corp, "target", min_count=2)
+    assert vocab.content_tokens() == ["s10", "s9"]
+    assert vocab.encode_side(corp.target).tolist() == \
+        [vocab.id(t) for _, tgt in pairs for t in tgt] == [4, 3, 4, 2, 3, 2]
+
+
+pool_strategy = st.sampled_from(["s1", "s2", "s9", "s10", "s11", "a", "B"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(pool_strategy, min_size=1, max_size=6),
+                          st.lists(pool_strategy, min_size=1, max_size=6)),
+                min_size=1, max_size=10),
+       st.integers(min_value=0, max_value=3),
+       st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+                max_size=10))
+def test_vocabulary_and_encoding_match_list_reference(pairs, min_count,
+                                                      picks):
+    # a resampled corpus keeps the whole token table, so the tokens of
+    # pairs it did not pick are in the table with count 0
+    picks = [i % len(pairs) for i in picks]
+    corp = C.concatenated(C.corpus_from_token_pairs(pairs), picks,
+                          np.arange(len(picks) + 1), "resample")
+    pairs = [pairs[i] for i in picks]
+    for which, index in (("source", 0), ("target", 1)):
+        sentences = [pair[index] for pair in pairs]
+        vocab = C.build_vocabulary(corp, which, min_count)
+        assert vocab.content_tokens() == vocabulary_reference(sentences,
+                                                              min_count)
+        assert vocab.encode_side(corp.arrays(which)).tolist() == \
+            [vocab.id(t) for s in sentences for t in s]
+        assert corp.side(which) == sentences
+        assert corp.lengths(which).tolist() == [len(s) for s in sentences]
+
+
+def test_pair_views_index_like_a_list():
+    pairs = [(["a"], ["x"]), (["b", "c"], ["y"]), (["d"], ["z", "z"])]
+    corp = C.corpus_from_token_pairs(pairs)
+    assert corp[-1] == C.SentencePair(["d"], ["z", "z"], 2)
+    assert list(corp) == [corp[i] for i in range(3)]
+    with pytest.raises(IndexError):
+        corp[3]
 
 
 # ---------------------------------------------------------------- histograms
@@ -328,6 +423,32 @@ def test_synthetic_terminal_token_mode():
     assert min(lengths) >= 2 and max(lengths) <= 9
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=14),
+       st.sampled_from([None, ".", "s1", "t0"]),
+       st.sampled_from([("uniform", 1, 5), ("geometric", 0.4),
+                        ("negative_binomial", 2, 0.5)]),
+       st.sampled_from([0.0, 0.3]),
+       st.integers(min_value=1, max_value=30),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_synthetic_pairs_match_list_reference(vocab_size, terminal, law,
+                                              noise, size, seed):
+    cfg = C.SynthConfig(vocab_size=vocab_size, zipf_exponent=1.1,
+                        length_law=law, noise_prob=noise, train_size=size,
+                        dev_size=1, test_size=3, seed=seed,
+                        terminal_token=terminal)
+    got = C.generate_synthetic(cfg)
+    for name, pairs in synthetic_pairs_reference(cfg).items():
+        assert [(p.source, p.target) for p in got[name]] == pairs
+
+
+def test_synthetic_terminal_named_like_a_word_is_one_token():
+    splits = C.generate_synthetic(small_cfg(terminal_token="s1"))
+    side = splits["train"].source
+    assert side.table.count("s1") == 1
+    assert all(p.source[-1] == "s1" for p in splits["train"])
+
+
 def test_synthetic_validates_config():
     with pytest.raises(ValueError):
         C.generate_synthetic(small_cfg(vocab_size=1))
@@ -335,3 +456,12 @@ def test_synthetic_validates_config():
         C.generate_synthetic(small_cfg(noise_prob=1.5))
     with pytest.raises(ValueError):
         C.generate_synthetic(small_cfg(train_size=0))
+
+
+def test_synthetic_sizes_are_capped():
+    # refused when the config is made, before anything is drawn
+    with pytest.raises(ValueError, match="split sizes"):
+        small_cfg(test_size=C.MAX_SPLIT_SIZE + 1)
+    with pytest.raises(ValueError, match="vocab_size"):
+        small_cfg(vocab_size=C.MAX_VOCAB_SIZE + 1)
+    small_cfg(train_size=C.MAX_SPLIT_SIZE, vocab_size=C.MAX_VOCAB_SIZE)

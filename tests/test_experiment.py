@@ -104,6 +104,43 @@ def test_bad_config_values_are_data_errors(tmp_path, text):
         E.load_experiment_config(write_config(tmp_path, text))
 
 
+# each is refused at config load, from the config's numbers alone, before
+# a corpus is drawn or a file is written
+@pytest.mark.parametrize("text, message", [
+    ("augment:\n  multiplier: .inf\n", "finite"),
+    ("augment:\n  multiplier: .nan\n", "finite"),
+    ("augment:\n  multiplier: 0\n", "finite"),
+    ("augment:\n  multiplier: 1.0e+9\n", "more than 1000000"),
+    ("augment:\n  multiplier: 1.0e-9\n", "no training pairs"),
+    ("synth:\n  train_size: 1000001\n", "split sizes"),
+    ("synth:\n  vocab_size: 1000001\n", "vocab_size"),
+    ("decode:\n  max_len_a: .inf\n", "length-cap"),
+    ("decode:\n  max_len_a: 16.5\n", "length-cap"),
+    ("decode:\n  max_len_b: 1025\n", "length-cap"),
+    ("decode:\n  max_len_a: 0\n  max_len_b: 0\n", "length cap"),
+    ("model:\n  order: 40\n", "int64"),
+    ("model:\n  order: 10000000000\n", "int64"),
+    # 52 target ids (48 words, 3 reserved, the terminal): 52^11 < 2^63 - 1
+    # < 52^12
+    ("model:\n  order: 12\n", "int64"),
+])
+def test_resource_knobs_are_refused_at_config_load(tmp_path, text, message):
+    with pytest.raises(DataError, match=message):
+        E.load_experiment_config(write_config(tmp_path, text))
+
+
+def test_config_caps_admit_their_bounds(tmp_path):
+    cfg = E.load_experiment_config(write_config(tmp_path, (
+        "synth:\n  train_size: 100000\naugment:\n  multiplier: 10\n"
+        "model:\n  order: 11\ndecode:\n  max_len_a: 16\n"
+        "  max_len_b: 1024\n")))
+    assert (cfg.order, cfg.max_len_a, cfg.max_len_b) == (11, 16.0, 1024)
+    # a baseline-only run draws no augmented corpus, so its multiplier may
+    # round to zero pairs
+    E.load_experiment_config(write_config(
+        tmp_path, "systems: [baseline]\naugment:\n  multiplier: 1.0e-9\n"))
+
+
 def test_config_accepts_lambda_key(tmp_path):
     cfg = E.load_experiment_config(write_config(
         tmp_path, "model:\n  lambda: 0.4\n"))
@@ -257,6 +294,38 @@ def test_experiment_stage_failure_leaves_marker(tmp_path, monkeypatch):
     assert "synthetic failure" in text
     # partial outputs from completed stages are retained
     assert (out / "data" / "train.src").exists()
+
+
+def _files_under_pipeline_dirs(out):
+    return {os.path.relpath(os.path.join(d, n), out).replace(os.sep, "/")
+            for sub in ("data", "models", "decodes", "reports")
+            for d, _, names in os.walk(out / sub) for n in names}
+
+
+@pytest.mark.parametrize("target", ["augment.save_provenance",
+                                    "model_mod.save_model"])
+def test_failure_between_two_writes_leaves_no_unlisted_file(
+        tmp_path, monkeypatch, target):
+    # the run fails right after the second call of a writer has written
+    module, name = target.split(".")
+    real = getattr(getattr(E, module), name)
+    calls = []
+
+    def fail_after_second_call(*args, **kwargs):
+        real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("injected failure after a write")
+
+    monkeypatch.setattr(getattr(E, module), name, fail_after_second_call)
+    text = TINY_YAML.replace("systems: [baseline]",
+                             "systems: [baseline, msr, resample]")
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError):
+        E.run_experiment(write_config(tmp_path, text), out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert _files_under_pipeline_dirs(out) == \
+        E._listed_paths(manifest["artifacts"])
 
 
 def test_successful_rerun_removes_stale_failure_marker(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_train_rejects_empty_corpus_and_bad_params():
         M.train(C.corpus_from_token_pairs([]))
     with pytest.raises(ValueError):
         M.train(corp, order=0)
+    # refused before any counting, without building the huge power
+    with pytest.raises(ValueError, match="int64"):
+        M.train(corp, order=10 ** 10)
     with pytest.raises(ValueError):
         M.train(corp, add_k_lex=0.0)
     with pytest.raises(ValueError):
@@ -139,16 +143,20 @@ def test_train_rejects_empty_corpus_and_bad_params():
            min_size=1, max_size=12),
        st.integers(min_value=1, max_value=300),
        st.integers(min_value=1, max_value=4),
-       st.integers(min_value=1, max_value=2))
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=200))
 def test_train_counts_equal_the_per_token_loop(pairs, n_pairs, order,
-                                               min_count):
-    # up to 300 pairs, so that a corpus often spans several blocks; the
-    # stride mixes sources shorter and longer than their targets, and the
-    # first target token occurs once, so min_count 2 maps it to UNK
+                                               min_count, block_tokens):
+    # up to 300 pairs in blocks of a few target tokens, so that a corpus
+    # spans several blocks, some of them single sentences longer than the
+    # block; the stride mixes sources shorter and longer than their
+    # targets, and the first target token occurs once, so min_count 2 maps
+    # it to UNK
     corp = C.corpus_from_token_pairs(
         [(["a"], ["once", "x"])]
         + [pairs[(i * 7) % len(pairs)] for i in range(n_pairs)])
-    m = M.train(corp, order=order, min_count=min_count)
+    with mock.patch.object(M, "_BLOCK_TOKENS", block_tokens):
+        m = M.train(corp, order=order, min_count=min_count)
     lex, ngram, unk_seen = count_reference(
         corp, m.source_vocab, m.target_vocab, order, C.BOS_ID, C.EOS_ID,
         C.UNK_ID)
