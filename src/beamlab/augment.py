@@ -16,8 +16,10 @@ from .errors import DataError
 from .corpus import concatenated, rows_bytes
 from .fileio import write_bytes_atomic
 
-# the most pairs one resampling may produce
+# the most pairs one resampling may produce, and the most original pairs
+# msr may expect to copy into them (size x mean pairs per example)
 MAX_OUTPUT_SIZE = 1_000_000
+MAX_MSR_PICKS = 10_000_000
 
 
 def _check_size(size):
@@ -59,6 +61,14 @@ def resolve_output_size(corpus_size, config):
     return math.floor(scaled)
 
 
+def check_msr_picks(size, n_max):
+    """ValueError if `size` msr examples of 1..n_max pairs expect more than
+    MAX_MSR_PICKS picks."""
+    if size * (n_max + 1) / 2 > MAX_MSR_PICKS:
+        raise ValueError("%d examples of up to %d pairs expect more than %d "
+                         "pair picks" % (size, n_max, MAX_MSR_PICKS))
+
+
 def msr(corpus, config):
     """Concatenative resampling. One rng stream, consumed in output-example
     order: the example's pair count n first, then its n pair indices. The
@@ -68,6 +78,7 @@ def msr(corpus, config):
     if not len(corpus):
         raise DataError("cannot augment an empty corpus")
     size = resolve_output_size(len(corpus), config)
+    check_msr_picks(size, config.n_max)
     rng = np.random.default_rng(config.seed)
     integers, high, n_pairs = rng.integers, config.n_max + 1, len(corpus)
     picks = [integers(0, n_pairs, size=integers(1, high))

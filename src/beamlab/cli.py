@@ -22,14 +22,15 @@ from .analysis import (BUCKET_COLUMNS, CATEGORY_COLUMNS,
 from .augment import (MsrConfig, msr, resolve_output_size, save_provenance,
                       simple_resample)
 from .corpus import (SynthConfig, generate_synthetic, length_histogram,
-                     load_corpus, parse_length_law, save_corpus, tokenize)
+                     load_corpus, parse_length_law, read_lines, save_corpus,
+                     tokenize)
 from .errors import DataError
 from .experiment import SYNTH_DEFAULTS, run_experiment
 from .fileio import canonical_json, format_csv, write_text_atomic
 from .metrics import corpus_bleu, paired_bootstrap, sentence_table
 from .model import load_model, save_model, train
 from .search import (BeamConfig, decode_corpus, format_decode_tsv,
-                     format_normalization, parse_decode_tsv,
+                     normalization_slug, parse_decode_tsv,
                      parse_normalization)
 
 DEFAULT_SEED = 1234
@@ -45,10 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _seed(args):
-    return DEFAULT_SEED if args.seed is None else args.seed
-
-
 def _out_dir(args):
     out = args.out or os.environ.get("BEAMLAB_OUT") or "."
     os.makedirs(out, exist_ok=True)
@@ -56,12 +53,7 @@ def _out_dir(args):
 
 
 def _read_sentences(path, allow_blank=True):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise DataError("cannot read %s: %s" % (path, exc.strerror)) from None
-    sentences = [tokenize(line) for line in lines]
+    sentences = [tokenize(line) for line in read_lines(path)]
     if not allow_blank:
         for lineno, tokens in enumerate(sentences, start=1):
             if not tokens:
@@ -75,11 +67,7 @@ def _read_hyps(path):
     if not os.fspath(path).endswith(".tsv"):
         return _read_sentences(path)
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise DataError("cannot read %s: %s" % (path, exc.strerror)) from None
-    try:
+        text = "".join(line + "\n" for line in read_lines(path))
         return [group[0][3] for group in parse_decode_tsv(text)]
     except (IndexError, ValueError) as exc:
         raise DataError("%s is not a decode file: %s" % (path, exc)) from None
@@ -100,7 +88,7 @@ def cmd_gen_synth(args):
         train_size=args.train_size,
         dev_size=args.dev_size,
         test_size=args.test_size,
-        seed=_seed(args),
+        seed=args.seed,
         test_length_law=parse_length_law(args.test_length_law)
         if args.test_length_law else None,
         terminal_token=args.terminal_token or None)
@@ -116,19 +104,18 @@ def cmd_gen_synth(args):
 
 
 def cmd_augment(args):
-    seed = _seed(args)
     multiplier, size = args.multiplier, args.size
     if multiplier is None and size is None:
         multiplier = 10.0
     # the flags are checked before the input is read
     config = MsrConfig(n_max=args.n if args.mode == "msr" else 1,
-                       multiplier=multiplier, size=size, seed=seed)
+                       multiplier=multiplier, size=size, seed=args.seed)
     corpus = load_corpus(args.source, args.target)
     if args.mode == "msr":
         augmented = msr(corpus, config)
     else:
         augmented = simple_resample(
-            corpus, resolve_output_size(len(corpus), config), seed)
+            corpus, resolve_output_size(len(corpus), config), args.seed)
     stem = args.prefix or "%s_%s" % (
         os.path.splitext(os.path.basename(args.source))[0], args.mode)
     out = _out_dir(args)
@@ -164,8 +151,8 @@ def cmd_decode(args):
     model = load_model(args.model)
     sources = _read_sentences(args.source, allow_blank=False)
     results = decode_corpus(model, sources, config, jobs=args.jobs)
-    name = args.name or "decode_w%d_%s.tsv" % (
-        args.beam, format_normalization(norm).replace(":", "_"))
+    name = args.name or "decode_w%d_%s.tsv" % (args.beam,
+                                                normalization_slug(norm))
     path = os.path.join(_out_dir(args), name)
     write_text_atomic(path, format_decode_tsv(results, model.target_vocab,
                                               topk=args.topk))
@@ -180,7 +167,7 @@ def cmd_evaluate(args):
         hyps_b = _read_hyps(args.hyps_b)
         result = paired_bootstrap(hyps_a, hyps_b, refs, metric=args.metric,
                                   n_resamples=args.n_resamples,
-                                  seed=_seed(args))
+                                  seed=args.seed)
         _emit(canonical_json({
             "metric": args.metric,
             "score_a": result.score_a,
@@ -273,8 +260,6 @@ def cmd_analyze_histogram(args):
 
 
 def cmd_experiment(args):
-    if not args.config:
-        raise ValueError("experiment requires --config <file>")
     out = _out_dir(args)
     run_experiment(args.config, out, jobs=args.jobs, seed_override=args.seed)
     print(os.path.join(out, "manifest.json"))
@@ -284,15 +269,15 @@ def cmd_experiment(args):
 # --------------------------------------------------------------------- parser
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: %d)" % DEFAULT_SEED)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for decoding (default: 1)")
-    common.add_argument("--out", default=None,
-                        help="output directory (default: $BEAMLAB_OUT or .)")
-    common.add_argument("--config", default=None,
-                        help="experiment config file (YAML)")
+    # one parent parser per shared flag, given to the subcommands that read it
+    seed, jobs, out = (argparse.ArgumentParser(add_help=False)
+                       for _ in range(3))
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                      help="random seed (default: %(default)s)")
+    jobs.add_argument("--jobs", type=int, default=1,
+                      help="parallel workers for decoding (default: 1)")
+    out.add_argument("--out", default=None,
+                     help="output directory (default: $BEAMLAB_OUT or .)")
 
     parser = _Parser(prog="beamlab",
                      description="Length-bias laboratory: synthetic corpora, "
@@ -302,7 +287,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 required=True)
 
-    p = sub.add_parser("gen-synth", parents=[common],
+    p = sub.add_parser("gen-synth", parents=[seed, out],
                        help="generate synthetic train/dev/test corpora")
     p.add_argument("--vocab-size", type=int,
                    default=SYNTH_DEFAULTS["vocab_size"])
@@ -330,7 +315,7 @@ def build_parser():
     aug = p.add_subparsers(dest="mode", metavar="{msr,resample}",
                            required=True)
     for mode in ("msr", "resample"):
-        q = aug.add_parser(mode, parents=[common])
+        q = aug.add_parser(mode, parents=[seed, out])
         q.add_argument("source", help="input source-side text file")
         q.add_argument("target", help="input target-side text file")
         group = q.add_mutually_exclusive_group()
@@ -348,7 +333,7 @@ def build_parser():
                        help="skip the .prov sidecar")
         q.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[out],
                        help="train a count-based translation model")
     p.add_argument("source")
     p.add_argument("target")
@@ -361,7 +346,7 @@ def build_parser():
     p.add_argument("--name", default="model", help="model file stem")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("decode", parents=[common],
+    p = sub.add_parser("decode", parents=[jobs, out],
                        help="beam-search decode a source file")
     p.add_argument("model", help="trained model file")
     p.add_argument("source", help="source-side text file")
@@ -379,11 +364,11 @@ def build_parser():
     ev = p.add_subparsers(dest="mode", metavar="{bleu,wer,bootstrap}",
                           required=True)
     for mode in ("bleu", "wer"):
-        q = ev.add_parser(mode, parents=[common])
+        q = ev.add_parser(mode)
         q.add_argument("hyps", help="hypothesis file (.tsv or plain text)")
         q.add_argument("refs", help="reference text file")
         q.set_defaults(func=cmd_evaluate)
-    q = ev.add_parser("bootstrap", parents=[common])
+    q = ev.add_parser("bootstrap", parents=[seed])
     q.add_argument("hyps_a")
     q.add_argument("hyps_b")
     q.add_argument("refs")
@@ -395,7 +380,7 @@ def build_parser():
     an = p.add_subparsers(dest="mode",
                           metavar="{categories,buckets,lengths,histogram}",
                           required=True)
-    q = an.add_parser("categories", parents=[common])
+    q = an.add_parser("categories")
     q.add_argument("--small", required=True,
                    help="hypotheses from the smaller beam")
     q.add_argument("--large", required=True,
@@ -405,7 +390,7 @@ def build_parser():
     q.add_argument("--format", choices=("json", "csv"), default="json")
     q.set_defaults(func=cmd_analyze_categories)
 
-    q = an.add_parser("buckets", parents=[common])
+    q = an.add_parser("buckets")
     q.add_argument("--hyps", required=True)
     q.add_argument("--refs", required=True)
     q.add_argument("--edges",
@@ -415,21 +400,25 @@ def build_parser():
     q.add_argument("--format", choices=("json", "csv"), default="json")
     q.set_defaults(func=cmd_analyze_buckets)
 
-    q = an.add_parser("lengths", parents=[common])
+    q = an.add_parser("lengths")
     q.add_argument("--hyps", action="append", required=True,
                    metavar="LABEL=PATH",
                    help="repeatable: one labelled hypothesis file per beam")
     q.set_defaults(func=cmd_analyze_lengths)
 
-    q = an.add_parser("histogram", parents=[common])
+    q = an.add_parser("histogram")
     q.add_argument("source")
     q.add_argument("target")
     q.add_argument("--side", choices=("source", "target"), default="target")
     q.add_argument("--bucket-width", type=int, default=4)
     q.set_defaults(func=cmd_analyze_histogram)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment", parents=[jobs, out],
                        help="run the full pipeline from a config file")
+    p.add_argument("--seed", type=int, default=None,
+                   help="overrides the config's seed")
+    p.add_argument("--config", required=True,
+                   help="experiment config file (YAML)")
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -30,9 +30,11 @@ UNK = "<unk>"
 BOS_ID, EOS_ID, UNK_ID = 0, 1, 2
 RESERVED = (BOS, EOS, UNK)
 
-# the largest vocabulary and split a synthetic corpus may ask for
+# the largest vocabulary and split a synthetic corpus may ask for, and
+# the most tokens a split may expect (law mean x split size)
 MAX_VOCAB_SIZE = 1_000_000
 MAX_SPLIT_SIZE = 1_000_000
+MAX_SPLIT_TOKENS = 50_000_000
 
 # tokens written per slice by `rows_bytes`
 _ROWS_BYTES_SLICE = 2 ** 12
@@ -204,7 +206,8 @@ def tokenize(line):
     return line.split()
 
 
-def _read_lines(path):
+def read_lines(path):
+    """The lines of a UTF-8 file; FormatError names a file it cannot read."""
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read().splitlines()
@@ -231,8 +234,8 @@ def _parse_side(path, lines):
 
 
 def load_corpus(source_path, target_path, name=None):
-    src_lines = _read_lines(source_path)
-    tgt_lines = _read_lines(target_path)
+    src_lines = read_lines(source_path)
+    tgt_lines = read_lines(target_path)
     if len(src_lines) != len(tgt_lines):
         raise AlignmentError(
             "line counts differ: %s has %d, %s has %d"
@@ -373,6 +376,19 @@ def draw_lengths(law, size, rng):
     raise ValueError("unknown length law %r" % (law,))
 
 
+def law_mean(law):
+    """The mean length `draw_lengths` draws from `law`; the
+    negative-binomial draw is shifted by one."""
+    kind = law[0]
+    if kind == "geometric":
+        return 1.0 / law[1]
+    if kind == "negative_binomial":
+        return 1.0 + law[1] * (1.0 - law[2]) / law[2]
+    if kind == "uniform":
+        return (law[1] + law[2]) / 2.0
+    raise ValueError("unknown length law %r" % (law,))
+
+
 @dataclass
 class SynthConfig:
     vocab_size: int
@@ -392,16 +408,27 @@ class SynthConfig:
                              % (MAX_VOCAB_SIZE, self.vocab_size))
         if not 0.0 <= self.noise_prob <= 1.0:
             raise ValueError("noise_prob must be in [0, 1]")
-        for size in (self.train_size, self.dev_size, self.test_size):
+        for _, size, law in self.plan():
             if not 1 <= size <= MAX_SPLIT_SIZE:
                 raise ValueError("split sizes must be in 1..%d, got %d"
                                  % (MAX_SPLIT_SIZE, size))
+            if law_mean(law) * size > MAX_SPLIT_TOKENS:
+                raise ValueError("a split of %d sentences of mean length %g "
+                                 "expects more than %d tokens"
+                                 % (size, law_mean(law), MAX_SPLIT_TOKENS))
         if self.zipf_exponent <= 0:
             raise ValueError("zipf_exponent must be positive")
         term = self.terminal_token
         if term is not None and (not isinstance(term, str) or not term
                                  or term.split() != [term] or term in RESERVED):
             raise ValueError("bad terminal token %r" % (term,))
+
+    def plan(self):
+        """(name, size, length law) of each split, in drawing order."""
+        return (("train", self.train_size, self.length_law),
+                ("dev", self.dev_size, self.length_law),
+                ("test", self.test_size,
+                 self.test_length_law or self.length_law))
 
 
 def _zipf_probs(exponent, size):
@@ -433,10 +460,7 @@ def generate_synthetic(config):
         tgt_table, tgt_term = _table_with(tgt_table, term)
 
     splits = {}
-    plan = (("train", config.train_size, config.length_law),
-            ("dev", config.dev_size, config.length_law),
-            ("test", config.test_size, config.test_length_law or config.length_law))
-    for split_name, size, law in plan:
+    for split_name, size, law in config.plan():
         lengths = draw_lengths(law, size, rng)
         content = lengths - 1 if term is not None else lengths
         total = int(content.sum())

@@ -205,13 +205,16 @@ def _config_from_blob(blob):
                         "positive integers")
     n_max = _require_int("augment.n_max", aug["n_max"], minimum=1)
     multiplier = _require_number("augment.multiplier", aug["multiplier"])
+    # the largest n an msr corpus of the run is drawn with
+    msr_n = max(sweep + ([n_max] if "msr" in systems else []), default=1)
     try:
         size = augment.resolve_output_size(synth_cfg.train_size,
                                            augment.MsrConfig(
                                                n_max=n_max,
                                                multiplier=multiplier))
+        augment.check_msr_picks(size, msr_n)
     except ValueError as exc:
-        raise DataError("config: augment.multiplier: %s" % exc) from None
+        raise DataError("config: augment: %s" % exc) from None
     if size < 1 and (sweep or set(systems) - {"baseline"}):
         raise DataError("config: augment.multiplier %r gives no training "
                         "pairs" % (multiplier,))
@@ -284,14 +287,6 @@ def load_experiment_config(path):
 
 # ------------------------------------------------------------------- pipeline
 
-def _norm_slug(norm):
-    return search.format_normalization(norm).replace(":", "_")
-
-
-def _hash_comment(config_hash):
-    return "# config_hash=%s\n" % config_hash
-
-
 _QUALITY_COLUMNS = ("system", "normalization", "width", "score",
                     "mean_hyp_len")
 _BUCKET_COLUMNS = ("system", "normalization", "width") \
@@ -329,28 +324,40 @@ def _augmented_corpora(cfg, base_train):
     return corpora
 
 
-def _decode_grid(cfg, models, sources, jobs):
-    """Decode once per (system, width) with raw scores, then rerank per
-    normalization; the widths of one system share its scorer. Returns top-1
-    token lists and the full reranked results."""
+def _decodes(cfg, model, sources, jobs):
+    """(width, raw results) for each width, under no normalization; the
+    widths share one scorer of the model."""
+    scorer = search.DenseScorer(model)
+    for width in cfg.widths:
+        beam = search.BeamConfig(width=width, max_len_a=cfg.max_len_a,
+                                 max_len_b=cfg.max_len_b)
+        yield width, search.decode_corpus(model, sources, beam, jobs=jobs,
+                                          scorer=scorer)
+
+
+def _top1(results, vocab):
+    return [vocab.decode(list(r.hypotheses[0].tokens)) for r in results]
+
+
+def _decode_grid(cfg, models, sources, jobs, listed):
+    """Decode once per (system, width) and rerank per normalization; each
+    decode file is written as soon as it is ranked, through `listed`, and
+    only the top-1 token lists are kept."""
     top1 = {}
-    results = {}
     for system in cfg.systems:
         vocab = models[system].target_vocab
-        scorer = search.DenseScorer(models[system])
-        for width in cfg.widths:
-            beam = search.BeamConfig(width=width,
-                                     max_len_a=cfg.max_len_a,
-                                     max_len_b=cfg.max_len_b)
-            raw = search.decode_corpus(models[system], sources, beam,
-                                       jobs=jobs, scorer=scorer)
+        for width, raw in _decodes(cfg, models[system], sources, jobs):
             for norm in cfg.normalizations:
-                reranked = [search.rerank(r, norm) for r in raw]
-                results[(system, width, norm)] = reranked
-                top1[(system, width, norm)] = [
-                    vocab.decode(list(r.hypotheses[0].tokens))
-                    for r in reranked]
-    return top1, results
+                ranked = [search.rerank(r, norm) for r in raw]
+                top1[(system, width, norm)] = _top1(ranked, vocab)
+                rel = "decodes/%s_w%d_%s.tsv" % (
+                    system, width, search.normalization_slug(norm))
+                write_text_atomic(listed("decodes", rel),
+                                  search.format_decode_tsv(ranked, vocab,
+                                                           topk=cfg.topk))
+            # else they would live on while the next width decodes
+            del raw, ranked
+    return top1
 
 
 def _mean_length(hyps):
@@ -391,27 +398,18 @@ def _bucket_rows(cfg, top1, refs, tables):
 
 def _sweep_rows(cfg, base_train, sources, refs, jobs):
     rows = []
-    none_norm = search.parse_normalization("none")
     for n in cfg.n_sweep:
         # the augmented corpus is dropped as soon as the model is trained
         swept = _train_model(cfg, augment.msr(base_train, augment.MsrConfig(
             n_max=n, multiplier=cfg.multiplier, seed=cfg.seed + 1)))
-        vocab = swept.target_vocab
-        scorer = search.DenseScorer(swept)
-        for width in cfg.widths:
-            beam = search.BeamConfig(width=width, normalization=none_norm,
-                                     max_len_a=cfg.max_len_a,
-                                     max_len_b=cfg.max_len_b)
-            results = search.decode_corpus(swept, sources, beam, jobs=jobs,
-                                           scorer=scorer)
-            hyps = [vocab.decode(list(r.hypotheses[0].tokens))
-                    for r in results]
+        for width, results in _decodes(cfg, swept, sources, jobs):
+            hyps = _top1(results, swept.target_vocab)
             score = metrics.sentence_table(hyps, refs, cfg.metric).score()
             rows.append({"n": n, "width": width, "score": score,
                          "mean_hyp_len": _mean_length(hyps)})
-        # free this point's model and tables before the next point trains
-        # (they would otherwise add to the peak RSS)
-        del swept, scorer
+        # free this point's model before the next point trains (it would
+        # otherwise add to the peak RSS); its scorer went with the loop
+        del swept
     return rows
 
 
@@ -464,6 +462,7 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
     for sub in _OUTPUT_DIRS:
         os.makedirs(os.path.join(out, sub), exist_ok=True)
     config_hash = hashlib.sha256(raw).hexdigest()
+    hash_line = "# config_hash=%s\n" % config_hash
     write_bytes_atomic(os.path.join(out, "config.yaml"), raw)
     created = _utc_now()
 
@@ -480,66 +479,61 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         "systems": list(cfg.systems),
         "artifacts": artifacts,
     }
+
+    def listed(group, rel, key=None):
+        """The full path of artifact `rel`, listed under `group` (by `key`
+        in a mapping group) before anything writes it."""
+        if key is None:
+            artifacts[group].append(rel)
+        else:
+            artifacts[group][key] = rel
+        return os.path.join(out, rel)
+
+    def report(stem, columns, csv_rows, **json_fields):
+        write_text_atomic(listed("reports", stem + ".csv"),
+                          hash_line + format_csv(columns, csv_rows))
+        write_json_atomic(listed("reports", stem + ".json"),
+                          dict(json_fields, config_hash=config_hash))
+
     stage = "gen-synth"
     try:
         splits = generate_synthetic(cfg.synth)
         for name, corpus in splits.items():
-            src = "data/%s.src" % name
-            tgt = "data/%s.tgt" % name
-            artifacts["data"]["%s_src" % name] = src
-            artifacts["data"]["%s_tgt" % name] = tgt
-            save_corpus(corpus, os.path.join(out, src), os.path.join(out, tgt))
+            save_corpus(corpus,
+                        listed("data", "data/%s.src" % name, name + "_src"),
+                        listed("data", "data/%s.tgt" % name, name + "_tgt"))
 
         stage = "augment"
         train_corpora = _augmented_corpora(cfg, splits["train"])
         for system in cfg.systems:
             if system == "baseline":
                 continue
-            stem = "data/train_%s" % system
-            for ext in (".src", ".tgt", ".prov"):
-                artifacts["data"]["train_%s%s"
-                                  % (system, ext.lstrip("."))] = stem + ext
-            save_corpus(train_corpora[system],
-                        os.path.join(out, stem + ".src"),
-                        os.path.join(out, stem + ".tgt"))
-            augment.save_provenance(train_corpora[system],
-                                    os.path.join(out, stem + ".prov"))
+            stem = "train_" + system
+            src, tgt, prov = (listed("data", "data/%s.%s" % (stem, ext),
+                                     stem + ext)
+                              for ext in ("src", "tgt", "prov"))
+            save_corpus(train_corpora[system], src, tgt)
+            augment.save_provenance(train_corpora[system], prov)
 
         stage = "train"
         models = {}
         for system in cfg.systems:
             models[system] = _train_model(cfg, train_corpora[system])
-            rel = "models/%s.json" % system
-            artifacts["models"][system] = rel
-            model_mod.save_model(models[system], os.path.join(out, rel))
+            model_mod.save_model(models[system], listed(
+                "models", "models/%s.json" % system, system))
 
         stage = "decode"
         sources = splits["test"].side("source")
         refs = splits["test"].side("target")
-        top1, results = _decode_grid(cfg, models, sources, jobs)
-        for (system, width, norm), reranked in sorted(
-                results.items(), key=lambda kv: (kv[0][0], kv[0][1],
-                                                 _norm_slug(kv[0][2]))):
-            rel = "decodes/%s_w%d_%s.tsv" % (system, width, _norm_slug(norm))
-            text = search.format_decode_tsv(
-                reranked, models[system].target_vocab, topk=cfg.topk)
-            artifacts["decodes"].append(rel)
-            write_text_atomic(os.path.join(out, rel), text)
+        top1 = _decode_grid(cfg, models, sources, jobs, listed)
 
         stage = "evaluate"
         # every report below is sums over these per-sentence rows
         tables = {key: metrics.sentence_table(hyps, refs, cfg.metric)
                   for key, hyps in top1.items()}
         quality = _quality_rows(cfg, top1, tables)
-        rel = "reports/quality_curve.csv"
-        artifacts["reports"].append(rel)
-        write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
-                          + format_csv(_QUALITY_COLUMNS, quality))
-        rel = "reports/quality_curve.json"
-        artifacts["reports"].append(rel)
-        write_json_atomic(os.path.join(out, rel), {
-            "config_hash": config_hash, "metric": cfg.metric,
-            "rows": quality})
+        report("reports/quality_curve", _QUALITY_COLUMNS, quality,
+               metric=cfg.metric, rows=quality)
 
         stage = "analyze"
         small_w, large_w = cfg.category_pair
@@ -550,56 +544,33 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
                 pair = (tables[small], tables[large])
                 cats = analysis.classify(top1[small], top1[large], refs,
                                          metric=cfg.metric, tables=pair)
-                report = analysis.category_report(
+                blob = analysis.category_report_blob(analysis.category_report(
                     cats, top1[small], top1[large], refs, metric=cfg.metric,
-                    tables=pair)
-                blob = analysis.category_report_blob(report)
-                stem = "reports/categories_%s_%s" % (system, _norm_slug(norm))
-                artifacts["reports"].append(stem + ".csv")
-                artifacts["reports"].append(stem + ".json")
-                write_text_atomic(
-                    os.path.join(out, stem + ".csv"),
-                    _hash_comment(config_hash) + format_csv(
-                        analysis.CATEGORY_COLUMNS, blob["categories"]))
-                write_json_atomic(os.path.join(out, stem + ".json"), {
-                    "config_hash": config_hash,
-                    "system": system,
-                    "normalization": search.format_normalization(norm),
-                    "width_small": small_w,
-                    "width_large": large_w,
-                    "report": blob})
+                    tables=pair))
+                report("reports/categories_%s_%s"
+                       % (system, search.normalization_slug(norm)),
+                       analysis.CATEGORY_COLUMNS, blob["categories"],
+                       system=system,
+                       normalization=search.format_normalization(norm),
+                       width_small=small_w, width_large=large_w, report=blob)
 
         bucket_csv, bucket_json = _bucket_rows(cfg, top1, refs, tables)
-        rel = "reports/buckets.csv"
-        artifacts["reports"].append(rel)
-        write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
-                          + format_csv(_BUCKET_COLUMNS, bucket_csv))
-        rel = "reports/buckets.json"
-        artifacts["reports"].append(rel)
-        write_json_atomic(os.path.join(out, rel), {
-            "config_hash": config_hash, "metric": cfg.metric,
-            "edges": list(cfg.bucket_edges), "rows": bucket_json})
+        report("reports/buckets", _BUCKET_COLUMNS, bucket_csv,
+               metric=cfg.metric, edges=list(cfg.bucket_edges),
+               rows=bucket_json)
 
         for system in cfg.systems:
             hist = length_histogram(train_corpora[system], "target",
                                     cfg.histogram_bucket_width)
-            rel = "reports/length_histogram_%s.csv" % system
-            artifacts["reports"].append(rel)
-            write_text_atomic(os.path.join(out, rel),
-                              _hash_comment(config_hash) + hist.to_csv())
+            write_text_atomic(
+                listed("reports", "reports/length_histogram_%s.csv" % system),
+                hash_line + hist.to_csv())
 
         if cfg.n_sweep:
             stage = "n-sweep"
             sweep = _sweep_rows(cfg, splits["train"], sources, refs, jobs)
-            rel = "reports/n_sweep.csv"
-            artifacts["reports"].append(rel)
-            write_text_atomic(os.path.join(out, rel), _hash_comment(config_hash)
-                              + format_csv(_SWEEP_COLUMNS, sweep))
-            rel = "reports/n_sweep.json"
-            artifacts["reports"].append(rel)
-            write_json_atomic(os.path.join(out, rel), {
-                "config_hash": config_hash, "metric": cfg.metric,
-                "multiplier": cfg.multiplier, "rows": sweep})
+            report("reports/n_sweep", _SWEEP_COLUMNS, sweep,
+                   metric=cfg.metric, multiplier=cfg.multiplier, rows=sweep)
     except BaseException as exc:
         failed_dir = os.path.join(out, "failed")
         os.makedirs(failed_dir, exist_ok=True)

@@ -55,6 +55,11 @@ def format_normalization(norm):
     return norm[0] if norm[0] == "none" else "%s:%g" % norm
 
 
+def normalization_slug(norm):
+    """The normalization as decode file names spell it."""
+    return format_normalization(norm).replace(":", "_")
+
+
 def normalize_score(logprob, length, norm):
     """Score used to rank finished hypotheses; length counts tokens plus the
     EOS step, so the empty hypothesis has length 1."""
@@ -102,8 +107,8 @@ class BeamConfig:
 
 @dataclass
 class DecodeResult:
+    """The finished hypotheses of one search, best first."""
     hypotheses: list
-    width: int
 
 
 def saturating_width(support_size, cap):
@@ -243,6 +248,16 @@ def _rank_key(hyp):
     return (-hyp.normalized_score, -hyp.logprob, len(hyp.tokens), list(hyp.tokens))
 
 
+def _ranked(pairs, norm):
+    """Hypotheses of (tokens, logprob) pairs, best first under `norm`."""
+    hyps = [Hypothesis(tokens=tokens, logprob=logprob,
+                       normalized_score=normalize_score(
+                           logprob, len(tokens) + 1, norm))
+            for tokens, logprob in pairs]
+    hyps.sort(key=_rank_key)
+    return hyps
+
+
 def beam_search(model, source_tokens, config, scorer=None):
     if scorer is None:
         scorer = DenseScorer(model)
@@ -252,13 +267,6 @@ def beam_search(model, source_tokens, config, scorer=None):
     width = config.width
     score_rows = scorer.mixed_log_rows
     roll = scorer.roll
-    norm = config.normalization
-
-    def finish(prefix, length, logprob):
-        tokens = tuple(prefix[:length].tolist())
-        score = normalize_score(logprob, length + 1, norm)
-        return Hypothesis(tokens=tokens, logprob=logprob,
-                          normalized_score=score)
 
     # a flat candidate index is parent * size + support position
     size = scorer.size
@@ -271,6 +279,7 @@ def beam_search(model, source_tokens, config, scorer=None):
     live = np.zeros((1, cap), dtype=np.int64)
     codes = np.array([scorer.start_code])
     live_cost = np.zeros(1)
+    # (tokens, logprob) of each finished hypothesis
     finished = []
     for step in range(1, cap + 1):
         n_live = len(live_cost)
@@ -293,8 +302,8 @@ def beam_search(model, source_tokens, config, scorer=None):
             ranked = ranked[cost.take(ranked).argsort(kind="stable")]
         is_eos = ranked % size == eos_pos
         for idx in ranked[:width][is_eos[:width]].tolist():
-            finished.append(finish(live[idx // size], step - 1,
-                                   -float(cost[idx])))
+            finished.append((tuple(live[idx // size, :step - 1].tolist()),
+                             -float(cost[idx])))
         # children of a lexicographically ordered live set over a sorted
         # support are in lexicographic order by flat index
         keep = ranked[~is_eos][:width]
@@ -310,11 +319,8 @@ def beam_search(model, source_tokens, config, scorer=None):
         # length cap reached: force-finish the survivors with their EOS step
         x = src_ids[min(cap + 1, n_src) - 1]
         final_lp = -live_cost + score_rows(x, codes)[:, eos_pos]
-        for prefix, logprob in zip(live, final_lp.tolist()):
-            finished.append(finish(prefix, cap, logprob))
-
-    finished.sort(key=_rank_key)
-    return DecodeResult(hypotheses=finished, width=width)
+        finished.extend(zip(map(tuple, live.tolist()), final_lp.tolist()))
+    return DecodeResult(_ranked(finished, config.normalization))
 
 
 def exact_search(model, source_tokens, max_len, scorer=None):
@@ -356,12 +362,8 @@ def exact_search(model, source_tokens, max_len, scorer=None):
 def rerank(result, normalization):
     """Re-rank a DecodeResult's finished set under another normalization.
     Search order is unaffected by normalization, so this equals re-decoding."""
-    hyps = [Hypothesis(tokens=h.tokens, logprob=h.logprob,
-                       normalized_score=normalize_score(
-                           h.logprob, len(h.tokens) + 1, normalization))
-            for h in result.hypotheses]
-    hyps.sort(key=_rank_key)
-    return DecodeResult(hypotheses=hyps, width=result.width)
+    return DecodeResult(_ranked(((h.tokens, h.logprob)
+                                 for h in result.hypotheses), normalization))
 
 
 # ------------------------------------------------------------ corpus decode

@@ -295,20 +295,6 @@ def wer_reference(hyp, ref):
 
 # ------------------------------------------------ test-only corpus helpers
 
-def law_mean(law):
-    """Mean of a parsed length law (see corpus.parse_length_law)."""
-    kind = law[0]
-    if kind == "geometric":
-        return 1.0 / law[1]
-    if kind == "negative_binomial":
-        r, p = law[1], law[2]
-        # drawn value is shifted by +1 so every length is a valid sentence
-        return 1.0 + r * (1.0 - p) / p
-    if kind == "uniform":
-        return (law[1] + law[2]) / 2.0
-    raise ValueError("unknown length law %r" % (law,))
-
-
 def dictionary_map(config):
     """The task's source->target token bijection of a SynthConfig (the first
     thing the seeded generator draws, so it can be reproduced without the

@@ -73,6 +73,44 @@ def test_missing_input_is_data_error(capsys, tmp_path):
     assert "nope.txt" in err
 
 
+# each subcommand takes only the shared flags its handler reads
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "bleu", "h.txt", "r.txt", "--jobs", "2"),
+    ("evaluate", "wer", "h.txt", "r.txt", "--seed", "3"),
+    ("evaluate", "bootstrap", "a.txt", "b.txt", "r.txt", "--out", "d"),
+    ("analyze", "buckets", "--hyps", "h.txt", "--refs", "r.txt",
+     "--out", "d"),
+    ("train", "a.src", "a.tgt", "--jobs", "8"),
+    ("decode", "m.json", "a.src", "--seed", "3"),
+    ("gen-synth", "--config", "c.yaml"),
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, argv):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert "unrecognized arguments: " + argv[-2] in err
+    assert stdout == ""
+
+
+# OK, BAD, MODEL and DEC stand for paths the test makes
+@pytest.mark.parametrize("name, argv", [
+    ("bad.txt", ("evaluate", "bleu", "OK", "BAD")),
+    ("bad.tsv", ("evaluate", "bleu", "BAD", "OK")),
+    ("bad.src", ("decode", "MODEL", "BAD", "--out", "DEC")),
+])
+def test_input_that_is_not_utf8_is_data_error(capsys, tmp_path, name, argv):
+    bad = tmp_path / name
+    bad.write_bytes(b"s0 s1\n\xff\xfe s2\n")
+    paths = {"OK": write_lines(tmp_path / "ok.txt", [["s0", "s1"], ["s2"]]),
+             "BAD": str(bad), "DEC": str(tmp_path / "dec")}
+    if "MODEL" in argv:
+        paths["MODEL"] = train_toy_model(capsys, tmp_path)[0]
+    code, _, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2
+    assert err.startswith("error: %s is not valid UTF-8" % bad)
+    assert "Traceback" not in err
+    assert not (tmp_path / "dec").exists()
+
+
 def test_bad_flag_value_is_usage_error(capsys, tmp_path):
     src, tgt = toy_corpus_files(tmp_path)
     code, _, err = run(capsys, "analyze", "histogram", src, tgt,
@@ -215,6 +253,23 @@ def test_length_caps_and_split_sizes_are_usage_errors(capsys, tmp_path):
                            src, flag, value, "--out", str(tmp_path / "dec"))
         assert code == 1 and "length-cap" in err
     assert not (tmp_path / "dec").exists()
+
+
+# the expected token count of a split and msr's expected pick count are
+# refused from the flags, before anything is drawn or allocated
+def test_token_and_pick_caps_are_usage_errors(capsys, tmp_path):
+    code, stdout, err = run(capsys, "gen-synth", "--length-law",
+                            "uniform(100000, 200000)", "--train-size",
+                            "1000000", "--out", str(tmp_path / "data"))
+    assert code == 1 and "expects more than 50000000 tokens" in err
+    assert stdout == "" and not (tmp_path / "data").exists()
+    src, tgt = toy_corpus_files(tmp_path)
+    code, stdout, err = run(capsys, "augment", "msr", src, tgt,
+                            "--n", "100000000000", "--size", "3",
+                            "--out", str(tmp_path / "aug"))
+    assert code == 1 and "more than 10000000 pair picks" in err
+    assert "Traceback" not in err
+    assert stdout == "" and not (tmp_path / "aug").exists()
 
 
 # sha256 of every file the chain below writes, as written by the list-based

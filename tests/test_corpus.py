@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from beamlab import corpus as C
 from beamlab.errors import AlignmentError, FormatError
 
-from oracles import (bleu_corpus_reference, dictionary_map, law_mean,
+from oracles import (bleu_corpus_reference, dictionary_map,
                      synthetic_pairs_reference, vocabulary_reference,
                      zipf_probs)
 
@@ -302,17 +302,17 @@ def test_parse_length_law_rejects_garbage():
 
 
 def test_law_means():
-    assert law_mean(("geometric", 0.05)) == 20.0
-    assert law_mean(("uniform", 4, 16)) == 10.0
+    assert C.law_mean(("geometric", 0.05)) == 20.0
+    assert C.law_mean(("uniform", 4, 16)) == 10.0
     # shifted by one so every draw is a valid sentence length
-    assert law_mean(("negative_binomial", 2, 0.5)) == 1 + 2 * 0.5 / 0.5
+    assert C.law_mean(("negative_binomial", 2, 0.5)) == 1 + 2 * 0.5 / 0.5
 
 
 def test_draw_lengths_negative_binomial_positive():
     rng = np.random.default_rng(0)
     draws = C.draw_lengths(("negative_binomial", 2, 0.5), 10_000, rng)
     assert draws.min() >= 1
-    mean = law_mean(("negative_binomial", 2, 0.5))
+    mean = C.law_mean(("negative_binomial", 2, 0.5))
     assert abs(draws.mean() - mean) / mean < 0.05
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -123,6 +124,11 @@ def test_bad_config_values_are_data_errors(tmp_path, text):
     # 52 target ids (48 words, 3 reserved, the terminal): 52^11 < 2^63 - 1
     # < 52^12
     ("model:\n  order: 12\n", "int64"),
+    ('synth:\n  length_law: "uniform(100000, 200000)"\n'
+     "  train_size: 1000000\n", "tokens"),
+    ('synth:\n  test_length_law: "geometric(0.000001)"\n', "tokens"),
+    ("augment:\n  n_max: 100000000000\n", "pair picks"),
+    ("augment:\n  n_sweep: [2, 100000000000]\n", "pair picks"),
 ])
 def test_resource_knobs_are_refused_at_config_load(tmp_path, text, message):
     with pytest.raises(DataError, match=message):
@@ -136,9 +142,16 @@ def test_config_caps_admit_their_bounds(tmp_path):
         "  max_len_b: 1024\n")))
     assert (cfg.order, cfg.max_len_a, cfg.max_len_b) == (11, 16.0, 1024)
     # a baseline-only run draws no augmented corpus, so its multiplier may
-    # round to zero pairs
+    # round to zero pairs, and its n_max may be any size
     E.load_experiment_config(write_config(
         tmp_path, "systems: [baseline]\naugment:\n  multiplier: 1.0e-9\n"))
+    E.load_experiment_config(write_config(
+        tmp_path, "systems: [baseline]\naugment:\n  n_max: 100000000000\n"))
+    # 1,000,000 pairs of mean length 50, and 1,000,000 examples of 1..19
+    # pairs (10 picks each on average), are the largest admitted
+    E.load_experiment_config(write_config(tmp_path, (
+        'synth:\n  length_law: "uniform(1, 99)"\n  train_size: 1000000\n'
+        "augment:\n  multiplier: 1\n  n_max: 19\n")))
 
 
 def test_config_accepts_lambda_key(tmp_path):
@@ -451,3 +464,50 @@ def test_failed_rerun_replaces_the_manifest_and_keeps_pruning(
                for sub in ("data", "models", "decodes", "reports")
                for d, _, names in os.walk(out / sub) for n in names}
     assert on_disk == listed
+
+
+def test_each_decode_file_is_written_before_the_next_decode(
+        tmp_path, monkeypatch):
+    text = TINY_YAML.replace(
+        "systems: [baseline]", "systems: [baseline, msr]").replace(
+        'normalizations: ["none"]', 'normalizations: ["none", "by_length:1"]')
+    out = tmp_path / "run"
+    on_disk = []
+    real = E.search.decode_corpus
+
+    def recording_decode(model, sources, config, **kwargs):
+        on_disk.append(sorted(p.name for p in (out / "decodes").iterdir()))
+        return real(model, sources, config, **kwargs)
+
+    monkeypatch.setattr(E.search, "decode_corpus", recording_decode)
+    E.run_experiment(write_config(tmp_path, text), out)
+    cells = [(system, width) for system in ("baseline", "msr")
+             for width in (1, 4)]
+    assert len(on_disk) == len(cells)
+    # the files of every (system, width) decoded so far, and no others
+    for k, files in enumerate(on_disk):
+        assert files == sorted("%s_w%d_%s.tsv" % (system, width, slug)
+                               for system, width in cells[:k]
+                               for slug in ("none", "by_length_1"))
+
+
+def _digest(root):
+    """The artifact digest of an output directory: sha256 over the
+    `sha256sum` lines of every file but the manifest, in byte order of
+    their ./-relative paths; the first 16 hex digits."""
+    paths = sorted("./" + os.path.relpath(os.path.join(d, n), root)
+                   .replace(os.sep, "/")
+                   for d, _, names in os.walk(root) for n in names
+                   if n != "manifest.json")
+    lines = "".join("%s  %s\n" % (hashlib.sha256(
+        (root / p).read_bytes()).hexdigest(), p) for p in paths)
+    return len(paths), hashlib.sha256(lines.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tiny_config_reproduces_the_pinned_digest(tmp_path, jobs):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = tmp_path / "run"
+    E.run_experiment(os.path.join(repo, "configs", "tiny.yaml"), out,
+                     jobs=jobs)
+    assert _digest(out) == (55, "a9ff690eff33576e")
