@@ -19,21 +19,11 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import DataError
-from .metrics import SENTENCE_EPS, sentence_table
+from .metrics import sentence_table
 
 CATEGORIES = ("Improved", "Prefix", "OtherDrop")
 
 DEFAULT_BUCKET_EDGES = (10, 20, 30, 40, 50, 60)
-
-_METRIC_ALIASES = {"bleu": "bleu", "sentence_bleu": "bleu", "wer": "wer"}
-
-
-def _canon_metric(metric):
-    try:
-        return _METRIC_ALIASES[metric]
-    except KeyError:
-        raise ValueError("metric must be one of %s, got %r"
-                         % (sorted(set(_METRIC_ALIASES)), metric)) from None
 
 
 def _require_same_length(**named):
@@ -56,23 +46,22 @@ def is_prefix_modulo_eos(short, long):
 
 # -------------------------------------------------------------- classification
 
-def classify(hyps_small, hyps_large, refs, metric="bleu", eps=SENTENCE_EPS,
-             tables=None):
+def classify(hyps_small, hyps_large, refs, metric="bleu", tables=None):
     """Assign each sentence to Improved, Prefix, or OtherDrop, in that
     precedence order. Improved means the large-beam hypothesis scores at
     least as well per sentence (BLEU: >=, WER: <=). `tables` may give the
-    (small, large) sentence tables of the two decodes."""
-    canon = _canon_metric(metric)
+    (small, large) sentence tables of the two decodes; the metric is then
+    theirs."""
     _require_same_length(hyps_small=hyps_small, hyps_large=hyps_large,
                          refs=refs)
-    small, large = tables or (sentence_table(hyps_small, refs, canon),
-                              sentence_table(hyps_large, refs, canon))
-    small_scores = small.sentence_scores(eps)
-    large_scores = large.sentence_scores(eps)
+    small, large = tables or (sentence_table(hyps_small, refs, metric),
+                              sentence_table(hyps_large, refs, metric))
+    small_scores = small.sentence_scores()
+    large_scores = large.sentence_scores()
     categories = []
     for hs, hl, s, l in zip(hyps_small, hyps_large, small_scores,
                             large_scores):
-        improved = l >= s if canon == "bleu" else l <= s
+        improved = l >= s if small.metric == "bleu" else l <= s
         if improved:
             categories.append("Improved")
         elif is_prefix_modulo_eos(hl, hs):
@@ -118,7 +107,6 @@ def category_report(categories, hyps_small, hyps_large, refs, metric="bleu",
     """Per-category corpus metrics, mean hypothesis lengths, and weighted
     contributions. Empty categories report null metrics and contribution 0.
     `tables` is as in classify."""
-    canon = _canon_metric(metric)
     _require_same_length(categories=categories, hyps_small=hyps_small,
                          hyps_large=hyps_large, refs=refs)
     bad = set(categories) - set(CATEGORIES)
@@ -127,8 +115,8 @@ def category_report(categories, hyps_small, hyps_large, refs, metric="bleu",
     n = len(refs)
     if n == 0:
         raise DataError("need at least one classified sentence")
-    small, large = tables or (sentence_table(hyps_small, refs, canon),
-                              sentence_table(hyps_large, refs, canon))
+    small, large = tables or (sentence_table(hyps_small, refs, metric),
+                              sentence_table(hyps_large, refs, metric))
     rows = []
     for cat in CATEGORIES:
         members = [i for i, c in enumerate(categories) if c == cat]
@@ -147,7 +135,7 @@ def category_report(categories, hyps_small, hyps_large, refs, metric="bleu",
             mean_small, mean_large,
             contribution(metric_small, metric_large, fraction),
             contribution(mean_small, mean_large, fraction)))
-    return CategoryReport(canon, n, tuple(rows))
+    return CategoryReport(small.metric, n, tuple(rows))
 
 
 # --------------------------------------------------------------- length report
@@ -195,35 +183,41 @@ class BucketReport:
     buckets: tuple
 
 
+def check_bucket_edges(edges):
+    """`edges` as a tuple; ValueError unless it holds at least one edge, the
+    first positive and each above the one before (a NaN edge fails both)."""
+    edges = tuple(edges)
+    if not edges:
+        raise ValueError("need at least one bucket edge")
+    if not edges[0] > 0:
+        raise ValueError("first bucket edge must be positive, got %r"
+                         % (edges[0],))
+    if not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError("bucket edges must be strictly ascending: %r"
+                         % (edges,))
+    return edges
+
+
 def bucket_quality(hyps, refs, edges=DEFAULT_BUCKET_EDGES, metric="bleu",
                    table=None):
     """Corpus metric per reference-length bucket. Buckets are (prev, edge]
     starting from 0, plus an open final bucket past the last finite edge.
     `table` may give the decode's sentence table."""
-    canon = _canon_metric(metric)
     _require_same_length(hyps=hyps, refs=refs)
     if not refs:
         raise DataError("need at least one sentence pair")
-    edges = tuple(edges)
-    if not edges:
-        raise ValueError("need at least one bucket edge")
-    if edges[0] <= 0:
-        raise ValueError("first bucket edge must be positive, got %r"
-                         % (edges[0],))
-    if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise ValueError("bucket edges must be strictly ascending: %r"
-                         % (edges,))
+    edges = check_bucket_edges(edges)
     bounds = list(zip((0,) + edges, edges))
     if not math.isinf(edges[-1]):
         bounds.append((edges[-1], math.inf))
     if table is None:
-        table = sentence_table(hyps, refs, canon)
+        table = sentence_table(hyps, refs, metric)
     buckets = []
     for low, high in bounds:
         members = [i for i, r in enumerate(refs) if low < len(r) <= high]
         value = table.score(members) if members else None
         buckets.append(Bucket(low, high, len(members), value))
-    return BucketReport(canon, edges, tuple(buckets))
+    return BucketReport(table.metric, edges, tuple(buckets))
 
 
 # -------------------------------------------------------------- serialization

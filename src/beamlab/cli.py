@@ -221,13 +221,10 @@ def cmd_analyze_categories(args):
 
 def _parse_edges(text):
     try:
-        edges = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ValueError("edges must be comma-separated integers, got %r"
                          % (text,)) from None
-    if not edges:
-        raise ValueError("edges must name at least one threshold")
-    return edges
 
 
 def cmd_analyze_buckets(args):

@@ -14,6 +14,7 @@ differ between train and test. That length mismatch is the experimental lever
 the rest of the package studies.
 """
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -323,9 +324,14 @@ class LengthHistogram:
                 + "# mean=%r total=%d\n" % (self.mean, self.total))
 
 
-def length_histogram(corpus, side, bucket_width):
+def check_bucket_width(bucket_width):
     if bucket_width < 1:
-        raise ValueError("bucket_width must be >= 1")
+        raise ValueError("histogram bucket width must be >= 1, got %r"
+                         % (bucket_width,))
+
+
+def length_histogram(corpus, side, bucket_width):
+    check_bucket_width(bucket_width)
     lengths = corpus.lengths(side)
     if not len(lengths):
         raise ValueError("empty corpus has no length histogram")
@@ -354,8 +360,9 @@ def parse_length_law(text):
         return ("geometric", p)
     if kind == "negative_binomial" and len(args) == 2:
         r, p = float(args[0]), float(args[1])
-        if r <= 0 or not 0 < p <= 1:
-            raise ValueError("negative_binomial needs r > 0 and p in (0, 1]")
+        if not 0 < r < math.inf or not 0 < p <= 1:
+            raise ValueError("negative_binomial needs a finite r > 0 and p "
+                             "in (0, 1]")
         return ("negative_binomial", r, p)
     if kind == "uniform" and len(args) == 2:
         lo, hi = int(args[0]), int(args[1])
@@ -416,8 +423,11 @@ class SynthConfig:
                 raise ValueError("a split of %d sentences of mean length %g "
                                  "expects more than %d tokens"
                                  % (size, law_mean(law), MAX_SPLIT_TOKENS))
-        if self.zipf_exponent <= 0:
-            raise ValueError("zipf_exponent must be positive")
+        if not 0 < self.zipf_exponent < math.inf:
+            raise ValueError("zipf_exponent must be finite and positive, "
+                             "got %r" % (self.zipf_exponent,))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
         term = self.terminal_token
         if term is not None and (not isinstance(term, str) or not term
                                  or term.split() != [term] or term in RESERVED):

@@ -13,14 +13,16 @@ import json
 import os
 import posixpath
 import shutil
+import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import yaml
 
 from . import __version__, analysis, augment, metrics, model as model_mod, search
-from .corpus import (RESERVED, SynthConfig, generate_synthetic,
-                     length_histogram, parse_length_law, save_corpus)
+from .corpus import (RESERVED, SynthConfig, check_bucket_width,
+                     generate_synthetic, length_histogram, parse_length_law,
+                     save_corpus)
 from .errors import DataError
 from .fileio import (format_csv, write_bytes_atomic, write_json_atomic,
                      write_text_atomic)
@@ -38,36 +40,42 @@ SYNTH_DEFAULTS = {
     "dev_size": 300,
     "test_size": 600,
 }
-_AUGMENT_DEFAULTS = {"n_max": 4, "multiplier": 10, "n_sweep": []}
-_MODEL_DEFAULTS = {"order": 3, "add_k_lex": 0.1, "add_k_ngram": 0.1,
-                   "lambda": 0.8, "min_count": 1}
-_DECODE_DEFAULTS = {"widths": [1, 4, 32, 200],
-                    "normalizations": ["none", "by_length:1.0"],
-                    "max_len_a": 2.0, "max_len_b": 10, "topk": 1}
-_EVALUATE_DEFAULTS = {"metric": "bleu"}
-_ANALYSIS_DEFAULTS = {"category_pair": [4, 200],
-                      "bucket_edges": [8, 16, 24, 32, 40, 48, 56],
-                      "histogram_bucket_width": 4}
-_SECTIONS = ("synth", "augment", "model", "decode", "evaluate", "analysis")
+# every key of a config, with its default; a given value must have the type
+# of its default (see _checked)
+_DEFAULTS = {
+    "seed": 1234,
+    "systems": list(SYSTEMS),
+    "synth": SYNTH_DEFAULTS,
+    "augment": {"n_max": 4, "multiplier": 10.0, "n_sweep": []},
+    "model": {"order": 3, "add_k_lex": 0.1, "add_k_ngram": 0.1,
+              "lambda": 0.8, "min_count": 1},
+    "decode": {"widths": [1, 4, 32, 200],
+               "normalizations": ["none", "by_length:1.0"],
+               "max_len_a": 2.0, "max_len_b": 10, "topk": 1},
+    "evaluate": {"metric": "bleu"},
+    "analysis": {"category_pair": [4, 200],
+                 "bucket_edges": [8, 16, 24, 32, 40, 48, 56],
+                 "histogram_bucket_width": 4},
+}
+# the keys that may be null: the test split draws from length_law, and
+# sentences get no terminal token
+_NULLABLE = ("synth.test_length_law", "synth.terminal_token")
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked config, its sections built into the library objects that
+    take them. The seeds of augmentation are offsets from `seed`, applied
+    at use."""
     seed: int
     systems: tuple
     synth: SynthConfig
-    n_max: int
-    multiplier: float
-    n_sweep: tuple
-    order: int
-    add_k_lex: float
-    add_k_ngram: float
-    lam: float
-    min_count: int
-    widths: tuple
+    msr: augment.MsrConfig
+    n_sweep: tuple  # an MsrConfig per sweep point
+    train: dict  # the keyword arguments of model.train
+    beams: tuple  # a BeamConfig per width, ascending
     normalizations: tuple
-    max_len_a: float
-    max_len_b: int
     topk: int
     metric: str
     category_pair: tuple
@@ -75,191 +83,121 @@ class ExperimentConfig:
     histogram_bucket_width: int
 
 
-def _merge_section(name, given, defaults):
-    if given is None:
-        given = {}
-    if not isinstance(given, dict):
-        raise DataError("config section '%s' must be a mapping" % name)
-    unknown = sorted(str(key) for key in set(given) - set(defaults))
-    if unknown:
-        raise DataError("config section '%s': unknown key(s) %s"
-                        % (name, ", ".join(unknown)))
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
-
-
-def _require_int(name, value, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError("config: %s must be an integer, got %r" % (name, value))
-    if minimum is not None and value < minimum:
-        raise DataError("config: %s must be >= %d, got %d"
-                        % (name, minimum, value))
+def _checked(name, value, default):
+    """`value` of config key `name` (None at the root), checked against the
+    type of its `default`. A mapping default is a section: null reads as
+    empty, unknown keys are refused, and each key is checked in turn, its
+    default taken when it is absent. A float default takes an int or a
+    float and gives a float; an int or string default takes its own type;
+    a list default takes a list whose items are checked against its first
+    item (integers for the empty n_sweep). A bool is never a number. Ranges,
+    finiteness included, are checked by the library objects."""
+    if isinstance(default, dict):
+        if value is None:
+            value = {}
+        if not isinstance(value, dict):
+            raise ValueError("%s must be a mapping, got %r"
+                             % (name or "the root", value))
+        unknown = sorted(str(key) for key in set(value) - set(default))
+        if unknown:
+            raise ValueError("unknown key(s) %s" % ", ".join(
+                name + "." + key if name else key for key in unknown))
+        return {key: _checked(name + "." + key if name else key,
+                              value.get(key, sub), sub)
+                for key, sub in default.items()}
+    if value is None and name in _NULLABLE:
+        return None
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ValueError("%s must be a list, got %r" % (name, value))
+        return [_checked("%s[%d]" % (name, i), item,
+                         default[0] if default else 0)
+                for i, item in enumerate(value)]
+    kind = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError("%s must be %s, got %r"
+                         % (name, _KINDS[type(default)], value))
+    if isinstance(default, float):
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError("%s is past the float range" % name)
+        return float(value)
     return value
 
 
-def _require_number(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError("config: %s must be a number, got %r" % (name, value))
-    return float(value)
-
-
-def _parse_law(name, text):
-    try:
-        return parse_length_law(text)
-    except (TypeError, ValueError) as exc:
-        raise DataError("config: bad %s: %s" % (name, exc)) from None
-
-
 def _config_from_blob(blob):
-    if blob is None:
-        blob = {}
-    if not isinstance(blob, dict):
-        raise DataError("config root must be a mapping of sections")
-    known_top = set(_SECTIONS) | {"seed", "systems"}
-    unknown = sorted(str(key) for key in set(blob) - known_top)
-    if unknown:
-        raise DataError("config: unknown top-level key(s) %s"
-                        % ", ".join(unknown))
-    seed = _require_int("seed", blob.get("seed", 1234))
-
-    systems = blob.get("systems", list(SYSTEMS))
-    if not isinstance(systems, list) or not systems or \
-            any(s not in SYSTEMS for s in systems) or \
-            len(set(systems)) != len(systems):
-        raise DataError("config: systems must be a non-repeating subset of %s"
-                        % (list(SYSTEMS),))
-
-    synth = _merge_section("synth", blob.get("synth"), SYNTH_DEFAULTS)
-    aug = _merge_section("augment", blob.get("augment"), _AUGMENT_DEFAULTS)
-    mdl = _merge_section("model", blob.get("model"), _MODEL_DEFAULTS)
-    dec = _merge_section("decode", blob.get("decode"), _DECODE_DEFAULTS)
-    ev = _merge_section("evaluate", blob.get("evaluate"), _EVALUATE_DEFAULTS)
-    ana = _merge_section("analysis", blob.get("analysis"), _ANALYSIS_DEFAULTS)
-
-    test_law = synth["test_length_law"]
+    """The ExperimentConfig of a parsed config document. Each section is
+    built into the library objects that check its values, and the checks
+    that span sections follow; any ValueError becomes a DataError."""
     try:
-        synth_cfg = SynthConfig(
-            vocab_size=_require_int("synth.vocab_size", synth["vocab_size"]),
-            zipf_exponent=_require_number("synth.zipf_exponent",
-                                          synth["zipf_exponent"]),
-            length_law=_parse_law("synth.length_law", synth["length_law"]),
-            noise_prob=_require_number("synth.noise_prob", synth["noise_prob"]),
-            train_size=_require_int("synth.train_size", synth["train_size"]),
-            dev_size=_require_int("synth.dev_size", synth["dev_size"]),
-            test_size=_require_int("synth.test_size", synth["test_size"]),
-            seed=seed,
-            test_length_law=None if test_law is None
-            else _parse_law("synth.test_length_law", test_law),
-            terminal_token=synth["terminal_token"])
+        cfg = _checked(None, blob, _DEFAULTS)
+        seed, systems = cfg["seed"], cfg["systems"]
+        if not systems or any(s not in SYSTEMS for s in systems) or \
+                len(set(systems)) != len(systems):
+            raise ValueError("systems must be a non-repeating subset of %s"
+                             % (list(SYSTEMS),))
+
+        synth = cfg["synth"]
+        for key in ("length_law", "test_length_law"):
+            if synth[key] is not None:
+                synth[key] = parse_length_law(synth[key])
+        synth = SynthConfig(seed=seed, **synth)
+
+        aug = cfg["augment"]
+        msr = augment.MsrConfig(n_max=aug["n_max"],
+                                multiplier=aug["multiplier"])
+        sweep = tuple(replace(msr, n_max=n) for n in aug["n_sweep"])
+        # the largest n an msr corpus of the run is drawn with
+        msr_n = max([point.n_max for point in sweep]
+                    + ([msr.n_max] if "msr" in systems else []), default=1)
+        size = augment.resolve_output_size(synth.train_size, msr)
+        augment.check_msr_picks(size, msr_n)
+        if size < 1 and (sweep or set(systems) - {"baseline"}):
+            raise ValueError("multiplier %r gives no training pairs"
+                             % (msr.multiplier,))
+
+        train = cfg["model"]
+        train["lam"] = train.pop("lambda")
+        model_mod.check_params(**train)
+        # the largest target vocabulary synth can make: its words, the
+        # reserved ids and the terminal token
+        model_mod.check_order(synth.vocab_size + len(RESERVED)
+                              + (synth.terminal_token is not None),
+                              train["order"])
+
+        dec = cfg["decode"]
+        widths = dec["widths"]
+        if any(a >= b for a, b in zip(widths, widths[1:])):
+            raise ValueError("widths must be strictly ascending")
+        beams = tuple(search.BeamConfig(width=width,
+                                        max_len_a=dec["max_len_a"],
+                                        max_len_b=dec["max_len_b"])
+                      for width in widths)
+        if not dec["normalizations"]:
+            raise ValueError("normalizations must be a non-empty list")
+        norms = tuple(map(search.parse_normalization, dec["normalizations"]))
+        # no library call takes topk before the decode files are written
+        if dec["topk"] < 1:
+            raise ValueError("topk must be >= 1, got %d" % dec["topk"])
+
+        metric = cfg["evaluate"]["metric"]
+        metrics.check_metric(metric)
+
+        ana = cfg["analysis"]
+        pair = ana["category_pair"]
+        if len(pair) != 2 or any(w not in widths for w in pair) or \
+                pair[0] >= pair[1]:
+            raise ValueError("category_pair must name two decoded widths, "
+                             "small before large")
+        edges = analysis.check_bucket_edges(ana["bucket_edges"])
+        check_bucket_width(ana["histogram_bucket_width"])
     except ValueError as exc:
         raise DataError("config: %s" % exc) from None
-
-    widths = dec["widths"]
-    if not isinstance(widths, list) or not widths or \
-            any(isinstance(w, bool) or not isinstance(w, int) or w < 1
-                for w in widths):
-        raise DataError("config: decode.widths must be positive integers")
-    if any(a >= b for a, b in zip(widths, widths[1:])):
-        raise DataError("config: decode.widths must be strictly ascending")
-
-    norms = dec["normalizations"]
-    if not isinstance(norms, list) or not norms:
-        raise DataError("config: decode.normalizations must be a "
-                        "non-empty list")
-    parsed_norms = []
-    for text in norms:
-        if not isinstance(text, str):
-            raise DataError("config: bad normalization %r: not a string"
-                            % (text,))
-        try:
-            parsed_norms.append(search.parse_normalization(text))
-        except ValueError as exc:
-            raise DataError("config: bad normalization %r: %s"
-                            % (text, exc)) from None
-
-    metric = ev["metric"]
-    if metric not in ("bleu", "wer"):
-        raise DataError("config: evaluate.metric must be 'bleu' or 'wer', "
-                        "got %r" % (metric,))
-
-    pair = ana["category_pair"]
-    if not isinstance(pair, list) or len(pair) != 2 or \
-            any(w not in widths for w in pair) or pair[0] >= pair[1]:
-        raise DataError("config: analysis.category_pair must name two "
-                        "decoded widths, small before large")
-
-    edges = ana["bucket_edges"]
-    if not isinstance(edges, list) or not edges or \
-            any(isinstance(e, bool) or not isinstance(e, (int, float))
-                for e in edges) or \
-            edges[0] <= 0 or any(a >= b for a, b in zip(edges, edges[1:])):
-        raise DataError("config: analysis.bucket_edges must be ascending "
-                        "positive thresholds")
-
-    sweep = aug["n_sweep"]
-    if not isinstance(sweep, list) or \
-            any(isinstance(n, bool) or not isinstance(n, int) or n < 1
-                for n in sweep):
-        raise DataError("config: augment.n_sweep must be a list of "
-                        "positive integers")
-    n_max = _require_int("augment.n_max", aug["n_max"], minimum=1)
-    multiplier = _require_number("augment.multiplier", aug["multiplier"])
-    # the largest n an msr corpus of the run is drawn with
-    msr_n = max(sweep + ([n_max] if "msr" in systems else []), default=1)
-    try:
-        size = augment.resolve_output_size(synth_cfg.train_size,
-                                           augment.MsrConfig(
-                                               n_max=n_max,
-                                               multiplier=multiplier))
-        augment.check_msr_picks(size, msr_n)
-    except ValueError as exc:
-        raise DataError("config: augment: %s" % exc) from None
-    if size < 1 and (sweep or set(systems) - {"baseline"}):
-        raise DataError("config: augment.multiplier %r gives no training "
-                        "pairs" % (multiplier,))
-
-    order = _require_int("model.order", mdl["order"], minimum=1)
-    # the largest target vocabulary synth can make: its words, the reserved
-    # ids and the terminal token
-    largest = synth_cfg.vocab_size + len(RESERVED) + \
-        (synth_cfg.terminal_token is not None)
-    try:
-        model_mod.check_order(largest, order)
-    except ValueError as exc:
-        raise DataError("config: model.%s" % exc) from None
-
-    max_len_a = _require_number("decode.max_len_a", dec["max_len_a"])
-    max_len_b = _require_int("decode.max_len_b", dec["max_len_b"])
-    try:
-        search.BeamConfig(width=1, max_len_a=max_len_a, max_len_b=max_len_b)
-    except ValueError as exc:
-        raise DataError("config: decode: %s" % exc) from None
-
     return ExperimentConfig(
-        seed=seed,
-        systems=tuple(systems),
-        synth=synth_cfg,
-        n_max=n_max,
-        multiplier=multiplier,
-        n_sweep=tuple(sweep),
-        order=order,
-        add_k_lex=_require_number("model.add_k_lex", mdl["add_k_lex"]),
-        add_k_ngram=_require_number("model.add_k_ngram", mdl["add_k_ngram"]),
-        lam=_require_number("model.lambda", mdl["lambda"]),
-        min_count=_require_int("model.min_count", mdl["min_count"], minimum=1),
-        widths=tuple(widths),
-        normalizations=tuple(parsed_norms),
-        max_len_a=max_len_a,
-        max_len_b=max_len_b,
-        topk=_require_int("decode.topk", dec["topk"], minimum=1),
-        metric=metric,
-        category_pair=tuple(pair),
-        bucket_edges=tuple(edges),
-        histogram_bucket_width=_require_int(
-            "analysis.histogram_bucket_width",
-            ana["histogram_bucket_width"], minimum=1),
-    )
+        seed=seed, systems=tuple(systems), synth=synth, msr=msr,
+        n_sweep=sweep, train=train, beams=beams, normalizations=norms,
+        topk=dec["topk"], metric=metric, category_pair=tuple(pair),
+        bucket_edges=edges,
+        histogram_bucket_width=ana["histogram_bucket_width"])
 
 
 def _read_config_bytes(path):
@@ -297,12 +235,6 @@ _SWEEP_COLUMNS = ("n", "width", "score", "mean_hyp_len")
 _OUTPUT_DIRS = ("data", "models", "decodes", "reports")
 
 
-def _train_model(cfg, corpus):
-    return model_mod.train(corpus, order=cfg.order, add_k_lex=cfg.add_k_lex,
-                           add_k_ngram=cfg.add_k_ngram, lam=cfg.lam,
-                           min_count=cfg.min_count)
-
-
 def _augmented_corpora(cfg, base_train):
     """Training corpus per system. Augmentation seeds are fixed offsets from
     the global seed so stages stay independently reproducible."""
@@ -311,14 +243,10 @@ def _augmented_corpora(cfg, base_train):
         if system == "baseline":
             corpora[system] = base_train
         elif system == "msr":
-            corpora[system] = augment.msr(base_train, augment.MsrConfig(
-                n_max=cfg.n_max, multiplier=cfg.multiplier,
-                seed=cfg.seed + 1))
+            corpora[system] = augment.msr(base_train,
+                                          replace(cfg.msr, seed=cfg.seed + 1))
         else:
-            size = augment.resolve_output_size(
-                len(base_train),
-                augment.MsrConfig(n_max=cfg.n_max, multiplier=cfg.multiplier,
-                                  seed=cfg.seed + 2))
+            size = augment.resolve_output_size(len(base_train), cfg.msr)
             corpora[system] = augment.simple_resample(base_train, size,
                                                       seed=cfg.seed + 2)
     return corpora
@@ -328,11 +256,9 @@ def _decodes(cfg, model, sources, jobs):
     """(width, raw results) for each width, under no normalization; the
     widths share one scorer of the model."""
     scorer = search.DenseScorer(model)
-    for width in cfg.widths:
-        beam = search.BeamConfig(width=width, max_len_a=cfg.max_len_a,
-                                 max_len_b=cfg.max_len_b)
-        yield width, search.decode_corpus(model, sources, beam, jobs=jobs,
-                                          scorer=scorer)
+    for beam in cfg.beams:
+        yield beam.width, search.decode_corpus(model, sources, beam,
+                                               jobs=jobs, scorer=scorer)
 
 
 def _top1(results, vocab):
@@ -366,8 +292,8 @@ def _mean_length(hyps):
 
 def _cells(cfg):
     """The (system, width, norm) decode keys in report order."""
-    return [(system, width, norm) for system in cfg.systems
-            for norm in cfg.normalizations for width in cfg.widths]
+    return [(system, beam.width, norm) for system in cfg.systems
+            for norm in cfg.normalizations for beam in cfg.beams]
 
 
 def _cell_head(key):
@@ -398,14 +324,14 @@ def _bucket_rows(cfg, top1, refs, tables):
 
 def _sweep_rows(cfg, base_train, sources, refs, jobs):
     rows = []
-    for n in cfg.n_sweep:
+    for point in cfg.n_sweep:
         # the augmented corpus is dropped as soon as the model is trained
-        swept = _train_model(cfg, augment.msr(base_train, augment.MsrConfig(
-            n_max=n, multiplier=cfg.multiplier, seed=cfg.seed + 1)))
+        swept = model_mod.train(augment.msr(
+            base_train, replace(point, seed=cfg.seed + 1)), **cfg.train)
         for width, results in _decodes(cfg, swept, sources, jobs):
             hyps = _top1(results, swept.target_vocab)
             score = metrics.sentence_table(hyps, refs, cfg.metric).score()
-            rows.append({"n": n, "width": width, "score": score,
+            rows.append({"n": point.n_max, "width": width, "score": score,
                          "mean_hyp_len": _mean_length(hyps)})
         # free this point's model before the next point trains (it would
         # otherwise add to the peak RSS); its scorer went with the loop
@@ -518,7 +444,8 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         stage = "train"
         models = {}
         for system in cfg.systems:
-            models[system] = _train_model(cfg, train_corpora[system])
+            models[system] = model_mod.train(train_corpora[system],
+                                             **cfg.train)
             model_mod.save_model(models[system], listed(
                 "models", "models/%s.json" % system, system))
 
@@ -570,7 +497,8 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
             stage = "n-sweep"
             sweep = _sweep_rows(cfg, splits["train"], sources, refs, jobs)
             report("reports/n_sweep", _SWEEP_COLUMNS, sweep,
-                   metric=cfg.metric, multiplier=cfg.multiplier, rows=sweep)
+                   metric=cfg.metric, multiplier=cfg.msr.multiplier,
+                   rows=sweep)
     except BaseException as exc:
         failed_dir = os.path.join(out, "failed")
         os.makedirs(failed_dir, exist_ok=True)

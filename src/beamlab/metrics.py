@@ -25,6 +25,10 @@ SENTENCE_EPS = 0.01
 
 _BOOTSTRAP_CHUNK = 256
 
+# the most cells (resamples x sentences) of the bootstrap's index draw: 400 MB
+# of int64
+MAX_BOOTSTRAP_CELLS = 50_000_000
+
 
 @dataclass(frozen=True)
 class BleuBreakdown:
@@ -220,21 +224,25 @@ def _wer_row(hyp, ref):
     return (w.substitutions, w.insertions, w.deletions, w.ref_len)
 
 
+def check_metric(metric):
+    if metric not in ("bleu", "wer"):
+        raise ValueError("metric must be 'bleu' or 'wer', got %r" % (metric,))
+
+
 def sentence_table(hyps, refs, metric="bleu"):
     """The SentenceTable of aligned hypotheses and references. WER rows take
     one `wer` call per pair; a pair with an empty reference gets a zero row
     instead, which every WER score and every sentence score refuses."""
+    check_metric(metric)
     if len(hyps) != len(refs):
         raise DataError("hypothesis/reference count mismatch: %d vs %d"
                         % (len(hyps), len(refs)))
     if metric == "bleu":
         rows = [_bleu_stats(h, r) for h, r in zip(hyps, refs)]
         width = 2 * MAX_ORDER + 2
-    elif metric == "wer":
+    else:
         rows = [_wer_row(h, r) for h, r in zip(hyps, refs)]
         width = 4
-    else:
-        raise ValueError("metric must be 'bleu' or 'wer', got %r" % (metric,))
     return SentenceTable(metric, np.array(rows, dtype=np.int64).reshape(
         len(rows), width))
 
@@ -246,13 +254,16 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
     """Koehn-style paired bootstrap: resample sentence indices with
     replacement, score both systems on each resample with the corpus metric,
     and count wins. p = 1 - max(wins)/n_resamples. The index matrix is the
-    single RNG draw, rng.integers(0, n, size=(n_resamples, n)). Each
-    system's sentence table is built once; the resamples and the full-set
-    scores (score_a, score_b) are sums over its rows."""
-    if metric not in ("bleu", "wer"):
-        raise ValueError("metric must be 'bleu' or 'wer', got %r" % (metric,))
+    single RNG draw, rng.integers(0, n, size=(n_resamples, n)), of at most
+    MAX_BOOTSTRAP_CELLS values. Each system's sentence table is built once;
+    the resamples and the full-set scores (score_a, score_b) are sums over
+    its rows."""
     if n_resamples < 100:
         raise ValueError("n_resamples must be >= 100, got %d" % n_resamples)
+    if n_resamples * len(refs) > MAX_BOOTSTRAP_CELLS:
+        raise ValueError("%d resamples of %d sentences draw more than %d "
+                         "indices" % (n_resamples, len(refs),
+                                      MAX_BOOTSTRAP_CELLS))
     if len(hyps_a) != len(refs) or len(hyps_b) != len(refs):
         raise DataError("system/reference count mismatch: %d, %d vs %d refs"
                         % (len(hyps_a), len(hyps_b), len(refs)))

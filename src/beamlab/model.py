@@ -18,6 +18,7 @@ turns the counts into the probabilities above.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -42,8 +43,6 @@ class CountTable:
     sums them."""
 
     def __init__(self, add_k, values, counts, base):
-        if add_k <= 0:
-            raise ValueError("add_k must be positive")
         self.add_k = add_k
         keys, self.tokens = np.divmod(np.asarray(values, np.int64), base)
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -65,13 +64,27 @@ def check_order(vocab_size, order):
                          "context codes" % (order, vocab_size))
 
 
+def check_params(order, add_k_lex, add_k_ngram, lam, min_count=1):
+    """Raise ValueError unless the model parameters are in range: order an
+    integer >= 1, both add_k finite and positive, lambda in [0, 1] and
+    min_count >= 1."""
+    if type(order) is not int or order < 1:
+        raise ValueError("order must be an integer >= 1, got %r" % (order,))
+    for name, add_k in (("add_k_lex", add_k_lex),
+                        ("add_k_ngram", add_k_ngram)):
+        if not 0 < add_k < math.inf:
+            raise ValueError("%s must be finite and positive, got %r"
+                             % (name, add_k))
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must be in [0, 1], got %r" % (lam,))
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1, got %r" % (min_count,))
+
+
 class TransducerModel:
     def __init__(self, lam, order, ngram, lex, source_vocab, target_vocab,
                  support):
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError("lambda must be in [0, 1]")
-        if type(order) is not int or order < 1:
-            raise ValueError("order must be an integer >= 1")
+        check_params(order, lex.add_k, ngram.add_k, lam)
         check_order(len(target_vocab), order)
         if not (all(type(t) is int for t in support) and EOS_ID in support
                 and list(support) == sorted(set(support))
@@ -140,11 +153,11 @@ def train(corpus, order=3, add_k_lex=0.1, add_k_ngram=0.1, lam=0.6, min_count=1)
     if) some training target token actually mapped to UNK. The corpus ids
     of each side become vocabulary ids in one take; each block of at most
     _BLOCK_TOKENS target tokens is then counted by sorting and run length,
-    and merged into the tally."""
+    and merged into the tally. The parameters go through check_params
+    before anything is counted."""
     if not len(corpus):
         raise DataError("cannot train on an empty corpus")
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+    check_params(order, add_k_lex, add_k_ngram, lam, min_count)
     source_vocab = build_vocabulary(corpus, "source", min_count)
     target_vocab = build_vocabulary(corpus, "target", min_count)
     base = len(target_vocab)

@@ -40,14 +40,16 @@ def parse_normalization(text):
         return ("none",)
     kind, sep, raw = text.partition(":")
     if not sep or kind not in ("by_length", "gnmt"):
-        raise ValueError("unknown normalization %r" % (text,))
+        raise ValueError("bad normalization %r: not none, by_length:ALPHA "
+                         "or gnmt:ALPHA" % (text,))
     try:
         alpha = float(raw)
     except ValueError:
-        raise ValueError("bad alpha in normalization %r" % (text,)) from None
+        raise ValueError("bad normalization %r: alpha is not a number"
+                         % (text,)) from None
     if not math.isfinite(alpha) or alpha < 0:
-        raise ValueError("normalization alpha must be finite and >= 0, "
-                         "got %r" % (raw,))
+        raise ValueError("bad normalization %r: alpha must be finite and "
+                         ">= 0" % (text,))
     return (kind, alpha)
 
 

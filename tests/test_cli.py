@@ -13,7 +13,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
     import tomli as tomllib
 
 import beamlab
-from beamlab import cli
+from beamlab import cli, metrics
 from beamlab.corpus import load_corpus
 from beamlab.model import load_model
 from beamlab.search import parse_decode_tsv
@@ -557,6 +557,23 @@ def test_evaluate_bootstrap_wer_direction(capsys, tmp_path):
     assert blob["score_a"] < blob["score_b"]
 
 
+def test_evaluate_bootstrap_refuses_a_draw_above_the_cap(capsys, tmp_path,
+                                                       monkeypatch):
+    # six references: 166 resamples fill 996 cells of the draw, 167 ask
+    # for 1002
+    monkeypatch.setattr(metrics, "MAX_BOOTSTRAP_CELLS", 1000)
+    sents = [["a", "b", "c", "d"], ["e", "f", "g", "h"]] * 3
+    hyps = write_lines(tmp_path / "h.txt", sents)
+    refs = write_lines(tmp_path / "r.txt", sents)
+    args = ("evaluate", "bootstrap", hyps, hyps, refs, "--n-resamples")
+    code, _, err = run(capsys, *args, "167")
+    assert code == 1
+    assert "more than 1000" in err and "Traceback" not in err
+    code, stdout, _ = run(capsys, *args, "166")
+    assert code == 0
+    assert json.loads(stdout)["n_resamples"] == 166
+
+
 # ---------------------------------------------------------------------- analyze
 
 def test_analyze_categories_json(capsys, tmp_path):
@@ -927,7 +944,8 @@ def test_experiment_bad_config_value_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, "experiment", "--config", str(config),
                        "--out", str(out))
     assert code == 2
-    assert err.startswith("error: config: bad normalization 5")
+    assert err.startswith(
+        "error: config: decode.normalizations[0] must be a string, got 5")
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -936,6 +954,12 @@ def test_experiment_bad_config_value_is_data_error(capsys, tmp_path):
     ("  multiplier: 2\n", "  multiplier: .nan\n"),
     ("  order: 2\n", "  order: 40\n"),
     ("  train_size: 60\n", "  train_size: 5000000\n"),
+    # each of these passed config load and failed at a later stage
+    ("  order: 2\n", "  order: 2\n  lambda: 1.5\n"),
+    ("  order: 2\n", "  order: 2\n  add_k_lex: 0\n"),
+    ("  order: 2\n", "  order: 2\n  add_k_lex: .inf\n"),
+    ("  vocab_size: 8\n", "  vocab_size: 8\n  zipf_exponent: .nan\n"),
+    ("  bucket_edges: [4, 8]\n", "  bucket_edges: [4, .nan]\n"),
 ])
 def test_experiment_resource_knob_is_data_error_before_any_write(
         capsys, tmp_path, old, new):

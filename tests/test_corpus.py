@@ -296,7 +296,9 @@ def test_parse_length_law_forms():
 
 def test_parse_length_law_rejects_garbage():
     for bad in ["geometric(0)", "geometric(1.5)", "uniform(5,2)", "uniform(0,4)",
-                "normal(3)", "geometric", "negative_binomial(-1,0.5)"]:
+                "normal(3)", "geometric", "negative_binomial(-1,0.5)",
+                "negative_binomial(nan,0.5)", "negative_binomial(inf,0.5)",
+                "geometric(nan)"]:
         with pytest.raises(ValueError):
             C.parse_length_law(bad)
 
@@ -456,6 +458,13 @@ def test_synthetic_validates_config():
         C.generate_synthetic(small_cfg(noise_prob=1.5))
     with pytest.raises(ValueError):
         C.generate_synthetic(small_cfg(train_size=0))
+    # refused when the config is made: a NaN exponent would reach numpy's
+    # choice as NaN probabilities, and a negative seed its seed sequence
+    for zipf in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="zipf_exponent"):
+            small_cfg(zipf_exponent=zipf)
+    with pytest.raises(ValueError, match="seed"):
+        small_cfg(seed=-1)
 
 
 def test_synthetic_sizes_are_capped():

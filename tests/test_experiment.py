@@ -1,11 +1,17 @@
 import hashlib
 import json
+import math
 import os
+import tempfile
+from dataclasses import replace
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import beamlab.experiment as E
-from beamlab import metrics
+from beamlab import analysis, augment, metrics, model as model_mod
 from beamlab.errors import DataError
 
 TINY_YAML = """\
@@ -48,12 +54,13 @@ def test_minimal_config_fills_defaults(tmp_path):
     cfg = E.load_experiment_config(write_config(tmp_path, "seed: 5\n"))
     assert cfg.seed == 5
     assert cfg.systems == ("baseline", "msr", "resample")
-    assert cfg.order == 3
-    assert cfg.lam == 0.8
+    assert cfg.train["order"] == 3
+    assert cfg.train["lam"] == 0.8
     assert cfg.metric == "bleu"
-    assert cfg.widths[0] == 1
-    assert cfg.category_pair[0] in cfg.widths
-    assert cfg.category_pair[1] in cfg.widths
+    widths = [beam.width for beam in cfg.beams]
+    assert widths[0] == 1
+    assert cfg.category_pair[0] in widths
+    assert cfg.category_pair[1] in widths
     assert cfg.synth.seed == 5
 
 
@@ -140,7 +147,8 @@ def test_config_caps_admit_their_bounds(tmp_path):
         "synth:\n  train_size: 100000\naugment:\n  multiplier: 10\n"
         "model:\n  order: 11\ndecode:\n  max_len_a: 16\n"
         "  max_len_b: 1024\n")))
-    assert (cfg.order, cfg.max_len_a, cfg.max_len_b) == (11, 16.0, 1024)
+    assert (cfg.train["order"], cfg.beams[0].max_len_a,
+            cfg.beams[0].max_len_b) == (11, 16.0, 1024)
     # a baseline-only run draws no augmented corpus, so its multiplier may
     # round to zero pairs, and its n_max may be any size
     E.load_experiment_config(write_config(
@@ -154,10 +162,64 @@ def test_config_caps_admit_their_bounds(tmp_path):
         "augment:\n  multiplier: 1\n  n_max: 19\n")))
 
 
+# (section, key) of every config key, (None, key) at the top level
+CONFIG_KEYS = [(None, key) for key in ("seed", "systems")] + [
+    (section, key) for section in ("synth", "augment", "model", "decode",
+                                   "evaluate", "analysis")
+    for key in E._DEFAULTS[section]]
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([0, -1, 10 ** 12, 10 ** 400, -(10 ** 400), 1.0e300,
+                     math.nan, math.inf, -math.inf, True, False, None, "",
+                     "none", "uniform(2, 6)"]),
+    st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-2, 300), max_size=3),
+    st.lists(st.one_of(st.integers(-2, 300), st.floats(), st.booleans(),
+                       st.none(), st.text(max_size=2)), max_size=3))
+
+
+def _with_value(section, key, value):
+    """TINY_YAML with `key` of `section` (top level when None) set."""
+    blob = yaml.safe_load(TINY_YAML)
+    if section is None:
+        blob[key] = value
+    else:
+        blob.setdefault(section, {})[key] = value
+    return yaml.safe_dump(blob)
+
+
+@pytest.mark.parametrize("section, key", CONFIG_KEYS)
+@settings(max_examples=25, deadline=None)
+@given(value=ODD_VALUES)
+@example(value=1.5)
+@example(value=0)
+@example(value=math.inf)
+@example(value=math.nan)
+@example(value=[4, math.nan])
+def test_config_load_refuses_or_builds_objects_that_accept_it(section, key,
+                                                              value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_with_value(section, key, value))
+        try:
+            cfg = E.load_experiment_config(path)
+        except DataError:
+            return
+    # each check that the pipeline's stages run accepts what load built
+    model_mod.check_params(**cfg.train)
+    augment.MsrConfig(n_max=cfg.msr.n_max, multiplier=cfg.msr.multiplier)
+    for point in cfg.n_sweep:
+        replace(point)
+    for beam in cfg.beams:
+        replace(beam)
+    analysis.check_bucket_edges(cfg.bucket_edges)
+
+
 def test_config_accepts_lambda_key(tmp_path):
     cfg = E.load_experiment_config(write_config(
         tmp_path, "model:\n  lambda: 0.4\n"))
-    assert cfg.lam == 0.4
+    assert cfg.train["lam"] == 0.4
 
 
 # ------------------------------------------------------------------- pipeline

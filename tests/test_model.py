@@ -121,7 +121,7 @@ def test_train_unk_absent_from_support_when_never_seen():
                                 m.target_vocab.id("y")])
 
 
-def test_train_rejects_empty_corpus_and_bad_params():
+def test_train_rejects_empty_corpus_and_bad_params(tmp_path):
     corp = pair_corpus(("a", "x"))
     with pytest.raises(DataError):
         M.train(C.corpus_from_token_pairs([]))
@@ -134,6 +134,19 @@ def test_train_rejects_empty_corpus_and_bad_params():
         M.train(corp, add_k_lex=0.0)
     with pytest.raises(ValueError):
         M.train(corp, lam=1.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for key in ("add_k_lex", "add_k_ngram", "lam"):
+            with pytest.raises(ValueError, match="lambda" if key == "lam"
+                               else key):
+                M.train(corp, **{key: bad})
+    # a model file with a NaN add_k is malformed, not a model that decodes
+    # to nothing
+    path = tmp_path / "m.json"
+    M.save_model(M.train(corp), path)
+    path.write_text(path.read_text().replace('"add_k_ngram": 0.1',
+                                             '"add_k_ngram": NaN'))
+    with pytest.raises(ModelFormatError, match="add_k_ngram"):
+        M.load_model(path)
 
 
 @settings(max_examples=40, deadline=None)
