@@ -253,12 +253,12 @@ def _augmented_corpora(cfg, base_train):
 
 
 def _decodes(cfg, model, sources, jobs):
-    """(width, raw results) for each width, under no normalization; the
-    widths share one scorer of the model."""
+    """(beam config, results) for each width, ranked under the beam's
+    normalization (none); the widths share one scorer of the model."""
     scorer = search.DenseScorer(model)
     for beam in cfg.beams:
-        yield beam.width, search.decode_corpus(model, sources, beam,
-                                               jobs=jobs, scorer=scorer)
+        yield beam, search.decode_corpus(model, sources, beam, jobs=jobs,
+                                         scorer=scorer)
 
 
 def _top1(results, vocab):
@@ -272,12 +272,14 @@ def _decode_grid(cfg, models, sources, jobs, listed):
     top1 = {}
     for system in cfg.systems:
         vocab = models[system].target_vocab
-        for width, raw in _decodes(cfg, models[system], sources, jobs):
+        for beam, raw in _decodes(cfg, models[system], sources, jobs):
             for norm in cfg.normalizations:
-                ranked = [search.rerank(r, norm) for r in raw]
-                top1[(system, width, norm)] = _top1(ranked, vocab)
+                # the search already ranked by its own normalization
+                ranked = raw if norm == beam.normalization else [
+                    search.rerank(r, norm) for r in raw]
+                top1[(system, beam.width, norm)] = _top1(ranked, vocab)
                 rel = "decodes/%s_w%d_%s.tsv" % (
-                    system, width, search.normalization_slug(norm))
+                    system, beam.width, search.normalization_slug(norm))
                 write_text_atomic(listed("decodes", rel),
                                   search.format_decode_tsv(ranked, vocab,
                                                            topk=cfg.topk))
@@ -328,10 +330,11 @@ def _sweep_rows(cfg, base_train, sources, refs, jobs):
         # the augmented corpus is dropped as soon as the model is trained
         swept = model_mod.train(augment.msr(
             base_train, replace(point, seed=cfg.seed + 1)), **cfg.train)
-        for width, results in _decodes(cfg, swept, sources, jobs):
+        for beam, results in _decodes(cfg, swept, sources, jobs):
             hyps = _top1(results, swept.target_vocab)
             score = metrics.sentence_table(hyps, refs, cfg.metric).score()
-            rows.append({"n": point.n_max, "width": width, "score": score,
+            rows.append({"n": point.n_max, "width": beam.width,
+                         "score": score,
                          "mean_hyp_len": _mean_length(hyps)})
         # free this point's model before the next point trains (it would
         # otherwise add to the peak RSS); its scorer went with the loop

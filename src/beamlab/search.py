@@ -15,6 +15,10 @@ Semantics, fully pinned so beam and exact search agree bit-for-bit:
 With width >= saturating_width(|support|, cap) nothing is ever pruned and
 beam search degenerates to exhaustive enumeration, which is what exact_search
 does directly.
+
+decode_corpus searches the sentences of one call in lock step, a step of
+every unfinished sentence at a time; a sentence's result does not depend on
+the others in its batch.
 """
 
 import math
@@ -153,12 +157,6 @@ class _RowTable:
             slots = self.slot.take(idx)
         return self.rows.take(slots, axis=0)
 
-    def row(self, i):
-        """The row at position `i`, as a view."""
-        if self.slot[i] < 0:
-            self._build(np.array([i]))
-        return self.rows[self.slot[i]]
-
     def _build(self, idx):
         start = self.filled
         stop = start + len(idx)
@@ -214,9 +212,9 @@ class DenseScorer:
         self._codes = np.append(model.ngram.keys, self.modulus)
         self._ngram = _RowTable(model.ngram, self.support, 1.0 - model.lam)
         self._lex = _RowTable(model.lex, self.support, model.lam)
-        lex_rows = np.full(len(model.source_vocab), len(model.lex.keys))
-        lex_rows[model.lex.keys] = np.arange(len(model.lex.keys))
-        self._lex_rows = lex_rows.tolist()
+        # the lexical row of each source id
+        self._lex_index = np.full(len(model.source_vocab), len(model.lex.keys))
+        self._lex_index[model.lex.keys] = np.arange(len(model.lex.keys))
 
     def context_code(self, context):
         """The code of an (order-1)-tuple of target ids."""
@@ -230,13 +228,15 @@ class DenseScorer:
         int arrays)."""
         return (codes * self.base + tokens) % self.modulus
 
-    def mixed_log_rows(self, source_id, contexts):
-        """(len(contexts), size) array of log p(y | source_id, context), for
-        an int array of context codes."""
+    def mixed_log_rows(self, source_ids, contexts):
+        """(len(contexts), size) array of log p(y | source id, context), for
+        an int array of context codes and one source id per context (or one
+        for all of them)."""
         rows = self._codes.searchsorted(contexts)
         rows[self._codes.take(rows) != contexts] = len(self._codes) - 1
         mixed = self._ngram.take(rows)
-        mixed += self._lex.row(self._lex_rows[source_id])
+        mixed += self._lex.take(self._lex_index.take(
+            np.atleast_1d(source_ids)))
         return np.log(mixed, out=mixed)
 
 
@@ -246,83 +246,218 @@ def _source_ids(model, source_tokens):
     return [model.source_vocab.id(t) for t in source_tokens]
 
 
-def _rank_key(hyp):
-    return (-hyp.normalized_score, -hyp.logprob, len(hyp.tokens), list(hyp.tokens))
-
-
 def _ranked(pairs, norm):
-    """Hypotheses of (tokens, logprob) pairs, best first under `norm`."""
-    hyps = [Hypothesis(tokens=tokens, logprob=logprob,
-                       normalized_score=normalize_score(
-                           logprob, len(tokens) + 1, norm))
-            for tokens, logprob in pairs]
-    hyps.sort(key=_rank_key)
-    return hyps
+    """Hypotheses of (tokens, logprob) pairs, best first under `norm`: by
+    normalized score, then logprob, then shorter, then lexicographically
+    smaller tokens (tuples of ints compare as their lists do)."""
+    keyed = [(-score, -logprob, len(tokens), tokens, logprob, score)
+             for tokens, logprob in pairs
+             for score in (normalize_score(logprob, len(tokens) + 1, norm),)]
+    keyed.sort()
+    return [Hypothesis(tokens, logprob, score)
+            for _, _, _, tokens, logprob, score in keyed]
+
+
+# the live rows one lock-step batch holds at most, unless a single
+# sentence's beam is wider; it bounds the memory of one step's candidates
+ROW_BUDGET = 256
+
+
+def _select(cost, per, width, eos_pos):
+    """One beam step's selection over a (rows, size) cost array that holds
+    `per` consecutive rows of each sentence. In each sentence's stable
+    ranking of its candidates by (cost, flat index), the EOS candidates
+    among the first `width` are admitted and the first `width` non-EOS
+    candidates are kept. Returns both as flat indices (row * size + support
+    position) into `cost`, the kept ones ascending: the children of rows in
+    lexicographic order, over the sorted support, are in lexicographic order
+    by flat index.
+
+    Only a prefix of each ranking is sorted: the `width + per` best
+    candidates (found by np.partition), widened to every tie. It holds
+    every admission and every kept candidate, since at most one candidate
+    per row ends in EOS."""
+    n_rows, size = cost.shape
+    if width == 1:
+        # one row per sentence, and the head of its ranking is the row's
+        # argmin, ties going to the lowest index
+        best = cost.argmin(axis=1) + np.arange(0, n_rows * size, size)
+        eos = best % size == eos_pos
+        return best[eos], best[~eos]
+    span = per * size
+    k = width + per
+    if n_rows == per:
+        # one sentence: its ranking is the flat array's
+        flat = cost.ravel()
+        if k >= span:
+            ranked = flat.argsort(kind="stable")
+        else:
+            kth = np.partition(flat, k - 1)[k - 1]
+            ranked = (flat <= kth).nonzero()[0]
+            ranked = ranked[flat.take(ranked).argsort(kind="stable")]
+        is_eos = ranked % size == eos_pos
+        kept = ranked[~is_eos][:width]
+        kept.sort()
+        return ranked[:width][is_eos[:width]], kept
+    # several sentences: a block row of candidates per sentence
+    block = cost.reshape(-1, span)
+    k = min(k, span)
+    thr = np.partition(block, k - 1, axis=1)[:, k - 1]
+    flat = np.flatnonzero(block <= thr[:, None])
+    sent = flat // span
+    order = np.lexsort((cost.ravel().take(flat), sent))
+    sent = sent.take(order)
+    flat = flat.take(order)
+    # each candidate's rank, and its rank among the non-EOS candidates, in
+    # its sentence's ranking
+    head = sent.searchsorted(sent)
+    is_eos = flat % size == eos_pos
+    admit = is_eos & (np.arange(len(flat)) < head + width)
+    non_eos = ~is_eos
+    before = non_eos.cumsum() - non_eos
+    keep = non_eos & (before < before.take(head) + width)
+    kept = flat[keep]
+    kept.sort()
+    return flat[admit], kept
+
+
+def _tokens_of(levels, rows, parents, tokens):
+    """The token tuples of the rows in `rows`, a list of int arrays, one per
+    level in `levels` (ascending; a row of level L holds an L-token prefix).
+    They are read back along the back-pointers: `parents[L - 1]` and
+    `tokens[L - 1]` give each level-L row's row in level L - 1 and its last
+    token."""
+    ptr = np.concatenate(rows)
+    ends = np.cumsum([len(r) for r in rows])
+    out = np.empty((levels[-1], len(ptr)), dtype=np.int64)
+    # the entries at least L tokens long are those from first[L] on
+    first = np.append(0, ends).take(np.searchsorted(
+        levels, range(levels[-1] + 1))).tolist()
+    for level in range(levels[-1], 0, -1):
+        at = ptr[first[level]:]
+        tokens[level - 1].take(at, out=out[level - 1, first[level]:])
+        at[:] = parents[level - 1].take(at)
+    tuples = []
+    start = 0
+    for level, end in zip(levels, ends.tolist()):
+        tuples += map(tuple, out[:level, start:end].T.tolist())
+        start = end
+    return tuples
+
+
+def _search(scorer, batch, config):
+    """Beam search of every source-id list in `batch` in lock step: each
+    step scores the live rows of every unfinished sentence in one
+    mixed_log_rows call. One DecodeResult per sentence, in order."""
+    width = config.width
+    size = scorer.size
+    eos_pos = scorer.eos_pos
+    n_sent = len(batch)
+    caps = np.array([config.cap(len(ids)) for ids in batch])
+    next_cap = caps.min()
+    # the source id each sentence reads at step s, its min(s, |x|)-th, is
+    # in row min(s, longest) - 1 of this table, the sources padded with
+    # their last ids
+    lengths = np.array([len(ids) for ids in batch])
+    starts = np.cumsum(lengths) - lengths
+    flat_src = np.array([i for ids in batch for i in ids], dtype=np.int64)
+    src_at = flat_src.take(np.minimum(
+        np.arange(lengths.max())[:, None] + starts, starts + lengths - 1))
+    longest = len(src_at)
+    n_finished = [0] * n_sent
+    searching = np.ones(n_sent, dtype=bool)
+
+    # the live rows: sentence after sentence, each sentence's rows in
+    # lexicographic order of their prefixes. A row's cost is its negated
+    # logprob, so that ascending cost order is the ranking; negation is
+    # exact, so -(lp + x) == -lp - x bit for bit
+    seg = np.arange(n_sent)
+    per = 1
+    codes = np.full(n_sent, scorer.start_code)
+    cost = np.zeros(n_sent)
+    # the live rows of level L (L-token prefixes) as back-pointers: their
+    # row in level L - 1 and their last token
+    parents, tokens = [], []
+    # finished entries, a chunk per step: their sentences, the rows of
+    # their prefixes and the level of those rows, their logprobs
+    finished = []
+    step = 0
+    while len(seg):
+        step += 1
+        # the rows of one sentence share its source id
+        x = src_at[min(step, longest) - 1]
+        rows = scorer.mixed_log_rows(x if n_sent == 1 else x.take(seg),
+                                     codes)
+        index = None
+        if next_cap < step:
+            # the sentences past their length cap are force-finished with
+            # this step's EOS candidates
+            next_cap = caps.min(where=caps >= step, initial=caps.max() + 1)
+            capped = caps.take(seg) < step
+            at = capped.nonzero()[0]
+            if len(at):
+                finished.append((seg.take(at), at, step - 1,
+                                 -cost.take(at) + rows[at, eos_pos]))
+                index = (~capped).nonzero()[0]
+                seg = seg.take(index)
+                cost = cost.take(index)
+                codes = codes.take(index)
+                rows = rows.take(index, axis=0)
+                if not len(seg):
+                    break
+        np.subtract(cost[:, None], rows, out=rows)
+        admitted, kept = _select(rows, per, width, eos_pos)
+        flat = rows.ravel()
+        if len(admitted):
+            parent = admitted // size
+            done = seg.take(parent)
+            finished.append((done, parent if index is None
+                             else index.take(parent), step - 1,
+                             -flat.take(admitted)))
+            full = []
+            for s in done.tolist():
+                n_finished[s] += 1
+                if n_finished[s] == width:
+                    full.append(s)
+            if full:
+                # a sentence whose finished set is full stops here
+                searching[full] = False
+                kept = kept[searching.take(seg.take(kept // size))]
+        # every sentence keeps as many rows: its first `width` of the
+        # `per * (size - 1)` candidates that do not end in EOS
+        per = min(width, per * (size - 1))
+        parent, pos = np.divmod(kept, size)
+        tok = scorer.support.take(pos)
+        parents.append(parent if index is None else index.take(parent))
+        tokens.append(tok)
+        cost = flat.take(kept)
+        codes = scorer.roll(codes.take(parent), tok)
+        seg = seg.take(parent)
+
+    results = [[] for _ in range(n_sent)]
+    if finished:
+        who, prefixes, levels, lps = zip(*finished)
+        for s, toks, lp in zip(np.concatenate(who).tolist(),
+                               _tokens_of(levels, prefixes, parents, tokens),
+                               np.concatenate(lps).tolist()):
+            results[s].append((toks, lp))
+    return [DecodeResult(_ranked(pairs, config.normalization))
+            for pairs in results]
+
+
+def _decode(scorer, batch, config):
+    """_search over consecutive groups of `batch` whose live rows stay
+    within ROW_BUDGET."""
+    group = max(1, ROW_BUDGET // config.width)
+    return [result for i in range(0, len(batch), group)
+            for result in _search(scorer, batch[i:i + group], config)]
 
 
 def beam_search(model, source_tokens, config, scorer=None):
+    """Beam search of one source sentence: a batch of one."""
     if scorer is None:
         scorer = DenseScorer(model)
-    src_ids = _source_ids(model, source_tokens)
-    n_src = len(src_ids)
-    cap = config.cap(n_src)
-    width = config.width
-    score_rows = scorer.mixed_log_rows
-    roll = scorer.roll
-
-    # a flat candidate index is parent * size + support position
-    size = scorer.size
-    eos_pos = scorer.eos_pos
-
-    # the live hypotheses in lexicographic order, row for row: token
-    # prefixes (the first step - 1 columns), context codes and costs. A cost
-    # is a negated logprob, so that ascending cost order is the ranking;
-    # negation is exact, so -(lp + x) == -lp - x bit for bit
-    live = np.zeros((1, cap), dtype=np.int64)
-    codes = np.array([scorer.start_code])
-    live_cost = np.zeros(1)
-    # (tokens, logprob) of each finished hypothesis
-    finished = []
-    for step in range(1, cap + 1):
-        n_live = len(live_cost)
-        if len(finished) >= width or not n_live:
-            break
-        cost = score_rows(src_ids[min(step, n_src) - 1], codes)
-        np.subtract(live_cost[:, None], cost, out=cost)
-        cost = cost.ravel()
-        # a prefix of the stable ranking by cost (index order, which is
-        # lexicographic order, breaks ties) that holds every admission (top
-        # `width`) and every survivor (first `width` non-EOS), since at
-        # most n_live candidates end in EOS
-        k = width + n_live
-        n = cost.size
-        if k >= n:
-            ranked = cost.argsort(kind="stable")
-        else:
-            kth = np.partition(cost, k - 1)[k - 1]
-            ranked = (cost <= kth).nonzero()[0]
-            ranked = ranked[cost.take(ranked).argsort(kind="stable")]
-        is_eos = ranked % size == eos_pos
-        for idx in ranked[:width][is_eos[:width]].tolist():
-            finished.append((tuple(live[idx // size, :step - 1].tolist()),
-                             -float(cost[idx])))
-        # children of a lexicographically ordered live set over a sorted
-        # support are in lexicographic order by flat index
-        keep = ranked[~is_eos][:width]
-        keep.sort()
-        parent, pos = np.divmod(keep, size)
-        tokens = scorer.support.take(pos)
-        live = live.take(parent, axis=0)
-        live[:, step - 1] = tokens
-        codes = roll(codes.take(parent), tokens)
-        live_cost = cost.take(keep)
-
-    if len(finished) < width and len(live_cost):
-        # length cap reached: force-finish the survivors with their EOS step
-        x = src_ids[min(cap + 1, n_src) - 1]
-        final_lp = -live_cost + score_rows(x, codes)[:, eos_pos]
-        finished.extend(zip(map(tuple, live.tolist()), final_lp.tolist()))
-    return DecodeResult(_ranked(finished, config.normalization))
+    return _search(scorer, [_source_ids(model, source_tokens)], config)[0]
 
 
 def exact_search(model, source_tokens, max_len, scorer=None):
@@ -373,15 +508,13 @@ def rerank(result, normalization):
 _WORKER = {}
 
 
-def _init_worker(model, config, scorer):
-    _WORKER["model"] = model
+def _init_worker(config, scorer):
     _WORKER["config"] = config
     _WORKER["scorer"] = scorer
 
 
-def _decode_one(source):
-    return beam_search(_WORKER["model"], source, _WORKER["config"],
-                       _WORKER["scorer"])
+def _decode_chunk(batch):
+    return _decode(_WORKER["scorer"], batch, _WORKER["config"])
 
 
 def resolve_jobs(jobs):
@@ -397,20 +530,25 @@ def resolve_jobs(jobs):
 
 def decode_corpus(model, sources, config, jobs=1, scorer=None):
     """Decode every source sentence; results in input order regardless of
-    worker count. The worker count goes through resolve_jobs. A scorer of
-    the model may be passed in to share its tables across calls; fork
+    worker count. The worker count goes through resolve_jobs; each worker
+    task decodes one contiguous chunk of sentences in lock step. A scorer
+    of the model may be passed in to share its tables across calls; fork
     workers inherit it rather than building their own."""
-    sources = list(sources)
+    batch = [_source_ids(model, source) for source in sources]
     jobs = resolve_jobs(jobs)
     if scorer is None:
         scorer = DenseScorer(model)
-    if jobs == 1 or len(sources) < 2:
-        return [beam_search(model, src, config, scorer) for src in sources]
+    if jobs == 1 or len(batch) < 2:
+        return _decode(scorer, batch, config)
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(sources) // (jobs * 4))
+    chunk = max(1, len(batch) // (jobs * 4))
     with ctx.Pool(jobs, initializer=_init_worker,
-                  initargs=(model, config, scorer)) as pool:
-        return pool.map(_decode_one, sources, chunksize=chunk)
+                  initargs=(config, scorer)) as pool:
+        # one chunk per task, so the workers share the chunks evenly
+        parts = pool.map(_decode_chunk, [batch[i:i + chunk] for i in
+                                         range(0, len(batch), chunk)],
+                         chunksize=1)
+    return [result for part in parts for result in part]
 
 
 # ------------------------------------------------------------------- files

@@ -1,9 +1,12 @@
+import functools
 import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamlab import corpus as C
 from beamlab import model as M
@@ -285,25 +288,44 @@ def test_width_invariance_beyond_saturation():
 
 # ------------------------------------------------- selection against oracle
 
-def assert_matches_reference(m, source, config, scorer=None):
-    """beam_search agrees with the full-argsort reference search, fed rows
-    by the same scorer, on every finished hypothesis: tokens, logprob,
-    normalized score and order, bit for bit."""
-    scorer = scorer or S.DenseScorer(m)
-
+def reference_decode(m, source, config, scorer):
+    """The full-argsort reference search of one source, fed rows by
+    `scorer`: its (tokens, logprob, normalized score) triples, best first."""
     def rows_fn(x, contexts):
         codes = np.array([scorer.context_code(c) for c in contexts],
                          dtype=np.int64)
         return scorer.mixed_log_rows(x, codes)
 
     src_ids = [m.source_vocab.id(t) for t in source]
-    want = beam_search_reference(
+    return beam_search_reference(
         rows_fn, src_ids, m.support, C.EOS_ID, C.BOS_ID, m.order,
         config.width, config.cap(len(src_ids)),
         lambda lp, n: S.normalize_score(lp, n, config.normalization))
+
+
+def triples(result):
+    return [(h.tokens, h.logprob, h.normalized_score)
+            for h in result.hypotheses]
+
+
+def assert_matches_reference(m, source, config, scorer=None):
+    """beam_search agrees with the full-argsort reference search, fed rows
+    by the same scorer, on every finished hypothesis: tokens, logprob,
+    normalized score and order, bit for bit."""
+    scorer = scorer or S.DenseScorer(m)
     got = S.beam_search(m, source, config, scorer)
-    assert [(h.tokens, h.logprob, h.normalized_score)
-            for h in got.hypotheses] == want
+    assert triples(got) == reference_decode(m, source, config, scorer)
+    return got
+
+
+def assert_batch_matches_reference(m, sources, config, scorer=None):
+    """decode_corpus decodes `sources` in lock step; each sentence's result
+    equals the reference search of that sentence alone, bit for bit."""
+    scorer = scorer or S.DenseScorer(m)
+    got = S.decode_corpus(m, sources, config, scorer=scorer)
+    assert len(got) == len(sources)
+    for source, result in zip(sources, got):
+        assert triples(result) == reference_decode(m, source, config, scorer)
     return got
 
 
@@ -329,6 +351,12 @@ def test_selection_matches_reference_on_reference_like_model():
                 m, source, S.BeamConfig(width=width, normalization=norm),
                 scorer)
             assert result.hypotheses
+    # all 40 sentences as one batch, in test order: they run in lock step,
+    # leaving it at different steps
+    batch = [p.source for p in splits["test"]]
+    for width in (1, 4, 32, 200):
+        assert_batch_matches_reference(m, batch, S.BeamConfig(width=width),
+                                       scorer)
 
 
 def test_selection_matches_reference_when_whole_rows_tie():
@@ -353,6 +381,66 @@ def test_selection_matches_reference_when_whole_rows_tie():
                 assert_matches_reference(
                     m, source, S.BeamConfig(width=width, max_len_a=1.0,
                                             max_len_b=3))
+
+
+@functools.lru_cache(maxsize=None)
+def batch_models():
+    """Small models over the source words w0..w5: untrained ones, whose
+    rows all tie, and trained ones of each order."""
+    words = ["w%d" % i for i in range(12)]
+    rng = random.Random(19)
+    pairs = [([rng.choice(words[:6]) for _ in range(rng.randint(1, 4))],
+              [rng.choice(words[:k]) for _ in range(rng.randint(1, 5))])
+             for k in (2, 5, 12) for _ in range(12)]
+    corp = C.corpus_from_token_pairs(pairs)
+    models = []
+    for n_words in (1, 4, 11):
+        vocab = C.Vocabulary(words[:max(6, n_words)])
+        models.append(M.TransducerModel(
+            lam=0.5, order=2, ngram=M.CountTable(0.5, [], [], len(vocab)),
+            lex=M.CountTable(0.5, [], [], len(vocab)), source_vocab=vocab,
+            target_vocab=vocab,
+            support=[C.EOS_ID] + list(range(3, 3 + n_words))))
+    models += [M.train(corp, order=order, lam=lam, add_k_lex=0.2,
+                       add_k_ngram=0.3)
+               for order in (1, 2, 3) for lam in (0.0, 0.6, 1.0)]
+    return tuple(models)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batch_decode_matches_reference_sentence_by_sentence(data):
+    m = data.draw(st.sampled_from(batch_models()), label="model")
+    size = len(m.support)
+    width = data.draw(st.sampled_from(
+        sorted({1, 2, max(1, size - 1), size + 1, 40})), label="width")
+    words = st.sampled_from(["w%d" % i for i in range(6)] + ["unseen"])
+    sources = data.draw(st.lists(st.lists(words, min_size=1, max_size=12),
+                                 min_size=1, max_size=12), label="sources")
+    # caps from 1 (hit by nearly every sentence) to 2 * |x| + 10
+    max_len_a = data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="a")
+    max_len_b = data.draw(st.sampled_from([1, 3, 10]), label="b")
+    norm = data.draw(st.sampled_from(
+        [("none",), ("by_length", 1.0), ("gnmt", 0.6)]), label="norm")
+    assert_batch_matches_reference(
+        m, sources, S.BeamConfig(width=width, normalization=norm,
+                                 max_len_a=max_len_a, max_len_b=max_len_b))
+
+
+def test_batch_oracle_inputs_hit_the_cap_and_fill_the_finished_set():
+    # the property above runs both ways a search stops: at the length cap
+    # (force-finished entries are as long as the cap) and with a full
+    # finished set (no entry reaches the cap)
+    source = ["w1", "w2"]
+    for m in batch_models():
+        capped = S.BeamConfig(width=2, max_len_a=0.0, max_len_b=1)
+        assert any(len(h.tokens) == 1 for h in
+                   S.beam_search(m, source, capped).hypotheses)
+    m = batch_models()[-1]
+    free = S.BeamConfig(width=2, max_len_a=2.0, max_len_b=10)
+    hyps = S.beam_search(m, source, free).hypotheses
+    assert len(hyps) >= 2
+    assert all(len(h.tokens) < free.cap(len(source)) for h in hyps)
 
 
 # ------------------------------------------------------- context codes
@@ -510,12 +598,67 @@ def test_decode_corpus_parallel_matches_serial():
     splits = C.generate_synthetic(cfg)
     m = M.train(splits["train"], order=2)
     sources = [p.source for p in splits["test"]]
-    cfg_b = S.BeamConfig(width=4, normalization=("by_length", 1.0))
-    serial = S.decode_corpus(m, sources, cfg_b, jobs=1)
-    parallel = S.decode_corpus(m, sources, cfg_b, jobs=4)
-    key = lambda rs: [[(h.tokens, h.logprob, h.normalized_score)
-                       for h in r.hypotheses] for r in rs]
-    assert key(serial) == key(parallel)
+    for width in (1, 4, 200):
+        cfg_b = S.BeamConfig(width=width, normalization=("by_length", 1.0))
+        serial = S.decode_corpus(m, sources, cfg_b, jobs=1)
+        parallel = S.decode_corpus(m, sources, cfg_b, jobs=4)
+        assert [triples(r) for r in serial] == [triples(r) for r in parallel]
+
+
+def count_scoring(monkeypatch):
+    """Record the number of contexts of every mixed_log_rows call."""
+    calls = []
+    real = S.DenseScorer.mixed_log_rows
+
+    def counting(self, source_ids, contexts):
+        calls.append(len(contexts))
+        return real(self, source_ids, contexts)
+
+    monkeypatch.setattr(S.DenseScorer, "mixed_log_rows", counting)
+    return calls
+
+
+def test_width_one_batch_scores_once_per_lock_step(monkeypatch):
+    cfg = C.SynthConfig(vocab_size=10, zipf_exponent=1.2,
+                        length_law=C.parse_length_law("uniform(2, 6)"),
+                        noise_prob=0.1, train_size=200, dev_size=1,
+                        test_size=20, seed=8)
+    splits = C.generate_synthetic(cfg)
+    m = M.train(splits["train"], order=2)
+    sources = [p.source for p in splits["test"]]
+    beam = S.BeamConfig(width=1)
+    calls = count_scoring(monkeypatch)
+    alone, rows_alone = [], 0
+    for source in sources:
+        S.beam_search(m, source, beam)
+        alone.append(len(calls))
+        rows_alone += sum(calls)
+        del calls[:]
+    batch = S.decode_corpus(m, sources, beam)
+    # one call per lock step: at most the longest cap plus its EOS step,
+    # where one call per sentence step would take the sum
+    assert len(calls) <= max(beam.cap(len(s)) for s in sources) + 1
+    assert max(alone) <= len(calls) < sum(alone)
+    # the same rows are scored, only in fewer calls
+    assert sum(calls) == rows_alone
+    assert [triples(r) for r in batch] == [
+        triples(S.beam_search(m, s, beam)) for s in sources]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_empty_source_in_a_batch_is_refused_before_scoring(monkeypatch,
+                                                           jobs):
+    m = M.train(pair_corpus(("a b", "x y"), ("b", "y")), order=2)
+    calls = count_scoring(monkeypatch)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(S.multiprocessing, "get_context", no_pool)
+    for sources in ([[], ["a"]], [["a"], ["b"], []], [["a"], [], ["b"]]):
+        with pytest.raises(ValueError, match="source sentence is empty"):
+            S.decode_corpus(m, sources, S.BeamConfig(width=2), jobs=jobs)
+    assert calls == []
 
 
 def test_resolve_jobs_clamps_to_cpu_count(monkeypatch, capsys):
