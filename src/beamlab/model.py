@@ -19,12 +19,14 @@ turns the counts into the probabilities above.
 
 import json
 import math
+from itertools import chain, compress, islice, repeat
+from operator import is_
 
 import numpy as np
 
 from .corpus import EOS_ID, UNK_ID, Vocabulary, build_vocabulary
 from .errors import DataError, ModelFormatError
-from .fileio import write_json_atomic
+from .fileio import write_text_atomic
 
 FORMAT_NAME = "beamlab.model"
 FORMAT_VERSION = 1
@@ -66,10 +68,14 @@ def check_order(vocab_size, order):
 
 def check_params(order, add_k_lex, add_k_ngram, lam, min_count=1):
     """Raise ValueError unless the model parameters are in range: order an
-    integer >= 1, both add_k finite and positive, lambda in [0, 1] and
-    min_count >= 1."""
+    integer >= 1, both add_k and lambda numbers (a bool is none), both
+    add_k finite and positive, lambda in [0, 1] and min_count >= 1."""
     if type(order) is not int or order < 1:
         raise ValueError("order must be an integer >= 1, got %r" % (order,))
+    for name, value in (("add_k_lex", add_k_lex), ("add_k_ngram", add_k_ngram),
+                        ("lambda", lam)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError("%s must be a number, got %r" % (name, value))
     for name, add_k in (("add_k_lex", add_k_lex),
                         ("add_k_ngram", add_k_ngram)):
         if not 0 < add_k < math.inf:
@@ -188,62 +194,185 @@ def train(corpus, order=3, add_k_lex=0.1, add_k_ngram=0.1, lam=0.6, min_count=1)
 
 # ---------------------------------------------------------------- save/load
 
-def _table_blob(table, names):
-    tokens = [str(y) for y in table.tokens.tolist()]
-    counts = table.counts.tolist()
-    bounds = table.offsets.tolist()
-    return {name: dict(zip(tokens[a:b], counts[a:b]))
-            for name, a, b in zip(names, bounds, bounds[1:])}
+def _string_rank(bound):
+    """rank[i]: the place of str(i) among the texts of 0..bound-1 in string
+    order, which is json's sort_keys order ("10" before "9")."""
+    rank = np.empty(bound, np.int64)
+    rank[np.argsort(np.arange(bound).astype(str))] = np.arange(bound)
+    return rank
+
+
+def _texts(pattern, values):
+    """pattern % value for each value, as an object array."""
+    return np.array(list(map(pattern.__mod__, values)), object)
+
+
+def _table_json(table, key_ids, bound, base):
+    """A count object as canonical_json writes it one level deep, straight
+    from the arrays. Row i's key is the ids key_ids[i] (below `bound`)
+    joined by spaces. Rows and tokens come in sort_keys order: a key sorts
+    as the tuple of its ids' string ranks, since a space sorts before every
+    digit. The text is joined from pieces: a head per row, a text per token
+    id and a text per distinct count, with or without the comma."""
+    if not len(table.counts):
+        return "{}"
+    rows, length = key_ids.shape
+    row_code = np.zeros(rows, np.int64)
+    for column in _string_rank(bound).take(key_ids.T):
+        row_code = row_code * bound + column
+    row_order = np.argsort(row_code)
+    row_rank = np.empty(rows, np.int64)
+    row_rank[row_order] = np.arange(rows)
+    n = np.diff(table.offsets)
+    order = np.lexsort((_string_rank(base).take(table.tokens),
+                        np.repeat(row_rank, n)))
+    n = n.take(row_order)
+    ends = n.cumsum()
+    # row r: its head, a token and a count piece per entry, its closing brace
+    heads = 2 * (ends - n + np.arange(rows))
+    at = 2 * (np.arange(len(order)) + np.repeat(np.arange(rows), n)) + 1
+    pieces = np.empty(2 * (len(order) + rows), object)
+    pieces[heads] = _texts('  "%s": {\n' % " ".join(["%d"] * length),
+                           map(tuple, key_ids.take(row_order, 0).tolist()))
+    pieces[heads + 2 * n + 1] = "  },\n"
+    pieces[-1] = "  }\n"
+    pieces[at] = _texts('   "%d": ', range(base)).take(
+        table.tokens.take(order))
+    counts = table.counts.take(order)
+    distinct = np.sort(counts)
+    distinct = distinct[np.diff(distinct, prepend=0) > 0]
+    last = np.zeros(len(order), bool)
+    last[ends - 1] = True
+    pieces[at + 1] = np.append(_texts("%d,\n", distinct.tolist()),
+                               _texts("%d\n", distinct.tolist())).take(
+        distinct.searchsorted(counts) + len(distinct) * last)
+    return "{\n%s }" % "".join(pieces.tolist())
+
+
+def _json_list(values):
+    """A list as canonical_json writes it one level deep, through json's C
+    encoder: one item per line."""
+    if not values:
+        return "[]"
+    return "[\n  %s\n ]" % json.dumps(values, separators=(",\n  ", ": "))[1:-1]
 
 
 def save_model(model, path):
+    """Write the model as canonical_json would write its fields (sorted
+    keys, indent 1): the scalars and lists through json, the two count
+    objects from the count arrays."""
     base = len(model.target_vocab)
     digits = model.ngram.keys[:, None] // base ** np.arange(model.order - 2,
                                                             -1, -1) % base
-    blob = {
-        "format": FORMAT_NAME,
-        "format_version": FORMAT_VERSION,
-        "order": model.order,
-        "add_k_lex": model.lex.add_k,
-        "add_k_ngram": model.ngram.add_k,
-        "lambda": model.lam,
-        "source_vocab": model.source_vocab.content_tokens(),
-        "target_vocab": model.target_vocab.content_tokens(),
-        "support": model.support,
-        "lex_counts": _table_blob(model.lex,
-                                  map(str, model.lex.keys.tolist())),
-        "ngram_counts": _table_blob(model.ngram, [
-            " ".join(map(str, ctx)) for ctx in digits.tolist()]),
+    fields = {
+        "format": json.dumps(FORMAT_NAME),
+        "format_version": json.dumps(FORMAT_VERSION),
+        "order": json.dumps(model.order),
+        "add_k_lex": json.dumps(model.lex.add_k),
+        "add_k_ngram": json.dumps(model.ngram.add_k),
+        "lambda": json.dumps(model.lam),
+        "source_vocab": _json_list(model.source_vocab.content_tokens()),
+        "target_vocab": _json_list(model.target_vocab.content_tokens()),
+        "support": _json_list(model.support),
+        "lex_counts": _table_json(model.lex, model.lex.keys[:, None],
+                                  len(model.source_vocab), base),
+        "ngram_counts": _table_json(model.ngram, digits, base, base),
     }
-    write_json_atomic(path, blob)
+    write_text_atomic(path, "{\n%s\n}\n" % ",\n".join(
+        ' "%s": %s' % field for field in sorted(fields.items())))
 
 
-def _parse_table(add_k, blob, length, bound, base):
+def _id_lookup(bound):
+    """The id of each canonical decimal text of 0..bound-1."""
+    return dict(zip(map(str, range(bound)), range(bound)))
+
+
+def _ids(texts, lookup):
+    """The id of each text of the list `texts` in `lookup`, -1 for any
+    other text."""
+    return np.fromiter(map(lookup.get, texts, repeat(-1)), np.int64,
+                       len(texts))
+
+
+def _counted(counts):
+    """The list `counts` as int64, 0 for a count that is no int (a bool
+    neither), which the positivity check then refuses."""
+    if set(map(type, counts)) <= {int}:
+        return np.array(counts, np.int64)
+    is_int = np.fromiter(map(is_, map(type, counts), repeat(int)), bool,
+                         len(counts))
+    counted = np.zeros(len(counts), np.int64)
+    counted[is_int] = list(compress(counts, is_int))
+    return counted
+
+
+def _key_error(key, length, bound):
+    list(map(int, key.split()))  # int's own error for a part that is no int
+    return ValueError("count key %r is not %d ids in [0, %d)"
+                      % (key, length, bound))
+
+
+def _parse_table(add_k, blob, length, key_ids, token_ids):
     """The CountTable of a count object whose keys are `length` ids in
-    [0, bound) (coded in base `bound`) and whose rows map token ids to
-    positive integer counts."""
-    values, counts = [], []
-    for key, row in blob.items():
-        ids = [int(i) for i in key.split()]
-        if len(ids) != length or " ".join(map(str, ids)) != key \
-                or not all(0 <= i < bound for i in ids):
-            raise ValueError("count key %r is not %d ids in [0, %d)"
-                             % (key, length, bound))
-        code = 0
-        for i in ids:
-            code = code * bound + i
-        for y, count in row.items():
-            if y != str(int(y)) or not 0 <= int(y) < base:
-                raise ValueError("count row %r: %r is not a target id"
-                                 % (key, y))
-            if type(count) is not int or count < 1:
-                raise ValueError("count row %r: count %r is not a positive "
-                                 "integer" % (key, count))
-            values.append(code * base + int(y))
-            counts.append(count)
+    [0, len(key_ids)) (coded in that base) and whose rows map token ids
+    below len(token_ids) to positive integer counts; `key_ids` and
+    `token_ids` are _id_lookup tables. Keys, tokens and counts are checked
+    as whole lists; a fault raises the error of the first bad entry in file
+    order (a row's key before its entries)."""
+    if type(blob) is not dict:
+        raise ValueError("a count table is a %s, not an object"
+                         % type(blob).__name__)
+    keys, rows = list(blob), list(blob.values())
+    bound, base = len(key_ids), len(token_ids)
+    # a key of `length` ids has length - 1 spaces; "" has no ids
+    if length:
+        shaped = np.fromiter(map(str.count, keys, repeat(" ")), np.int64,
+                             len(keys)) == length - 1
+        ids = np.full((len(keys), length), -1, np.int64)
+        if shaped.any():
+            ids[shaped] = _ids(" ".join(compress(keys, shaped)).split(" "),
+                               key_ids).reshape(-1, length)
+    else:
+        shaped = np.fromiter(map(len, keys), np.int64, len(keys)) == 0
+        ids = np.zeros((len(keys), 0), np.int64)
+    bad_key = ~shaped | (ids < 0).any(axis=1)
+    is_row = np.fromiter(map(is_, map(type, rows), repeat(dict)), bool,
+                         len(rows))
+    # the rows from the first bad key or non-object row on are not read
+    stop = np.flatnonzero(bad_key | ~is_row)
+    stop = int(stop[0]) if len(stop) else len(keys)
+    rows = rows[:stop]
+    n = np.fromiter(map(len, rows), np.int64, stop)
+    tokens = _ids(list(chain.from_iterable(rows)), token_ids)
+    counted = _counted(list(chain.from_iterable(map(dict.values, rows))))
+    bad = np.flatnonzero((tokens < 0) | (counted < 1))
+    if len(bad):
+        i = int(bad[0])
+        key = keys[int(n.cumsum().searchsorted(i, "right"))]
+        y, count = next(islice(chain.from_iterable(map(dict.items, rows)),
+                               i, None))
+        if tokens[i] < 0:
+            int(y)  # int's own error for a token that is no int
+            raise ValueError("count row %r: %r is not a target id" % (key, y))
+        raise ValueError("count row %r: count %r is not a positive integer"
+                         % (key, count))
+    if stop < len(keys):
+        if bad_key[stop]:
+            raise _key_error(keys[stop], length, bound)
+        raise ValueError("count row %r is not an object" % (keys[stop],))
+    code = np.zeros(stop, np.int64)
+    for column in ids.T:
+        code = code * bound + column
+    values = np.repeat(code, n) * base + tokens
     order = np.argsort(values)
-    return CountTable(add_k, np.take(values, order), np.take(counts, order),
-                      base)
+    return CountTable(add_k, values.take(order), counted.take(order), base)
+
+
+def _vocabulary(blob, name):
+    if type(blob[name]) is not list:
+        raise ValueError("%s is a %s, not a list of tokens"
+                         % (name, type(blob[name]).__name__))
+    return Vocabulary(blob[name])
 
 
 def load_model(path):
@@ -261,15 +390,20 @@ def load_model(path):
             "unsupported model format version %r in %s (expected %d)"
             % (blob.get("format_version"), path, FORMAT_VERSION))
     try:
-        source_vocab = Vocabulary(blob["source_vocab"])
-        target_vocab = Vocabulary(blob["target_vocab"])
-        order, base = blob["order"], len(target_vocab)
+        source_vocab = _vocabulary(blob, "source_vocab")
+        target_vocab = _vocabulary(blob, "target_vocab")
+        order, lam = blob["order"], blob["lambda"]
+        add_k_lex, add_k_ngram = blob["add_k_lex"], blob["add_k_ngram"]
+        # the order fixes the count keys' length and code range
+        check_params(order, add_k_lex, add_k_ngram, lam)
+        check_order(len(target_vocab), order)
+        target_ids = _id_lookup(len(target_vocab))
         return TransducerModel(
-            blob["lambda"], order,
-            _parse_table(blob["add_k_ngram"], blob["ngram_counts"], order - 1,
-                         base, base),
-            _parse_table(blob["add_k_lex"], blob["lex_counts"], 1,
-                         len(source_vocab), base),
+            lam, order,
+            _parse_table(add_k_ngram, blob["ngram_counts"], order - 1,
+                         target_ids, target_ids),
+            _parse_table(add_k_lex, blob["lex_counts"], 1,
+                         _id_lookup(len(source_vocab)), target_ids),
             source_vocab, target_vocab, blob["support"])
     except (AttributeError, KeyError, OverflowError, TypeError,
             ValueError) as err:

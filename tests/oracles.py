@@ -6,6 +6,7 @@ evidence, not tautology. Nothing here imports from beamlab.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -176,6 +177,41 @@ def count_rows(table):
             for key, a, b in zip(table.keys.tolist(), bounds, bounds[1:])}
 
 
+def model_json_reference(model):
+    """A model file's text as the standard library's JSON encoder writes
+    the model's fields (sorted keys, indent 1), the count objects built as
+    dicts of {str(key): {str(token): count}}; an n-gram key is its
+    context's ids, oldest first, joined by spaces."""
+    base = len(model.target_vocab)
+
+    def table(rows, key_text):
+        return {key_text(key): {str(y): c for y, c in row.items()}
+                for key, row in rows.items()}
+
+    def context_text(code):
+        ids = []
+        for _ in range(model.order - 1):
+            code, digit = divmod(code, base)
+            ids.append(str(digit))
+        return " ".join(reversed(ids))
+
+    blob = {
+        "format": "beamlab.model",
+        "format_version": 1,
+        "order": model.order,
+        "add_k_lex": model.lex.add_k,
+        "add_k_ngram": model.ngram.add_k,
+        "lambda": model.lam,
+        "source_vocab": model.source_vocab.id_to_token[3:],
+        "target_vocab": model.target_vocab.id_to_token[3:],
+        "support": model.support,
+        "lex_counts": table(count_rows(model.lex), str),
+        "ngram_counts": table(count_rows(model.ngram), context_text),
+    }
+    return json.dumps(blob, sort_keys=True, separators=(",", ": "),
+                      indent=1) + "\n"
+
+
 def context_code(context, base):
     """The code of a context: its ids read as digits in `base`, oldest
     first."""
@@ -338,15 +374,22 @@ def vocabulary_reference(sentences, min_count=1):
                   key=lambda t: (-counts[t], t))
 
 
+def msr_picks_reference(seed, size, n_max, n_pairs):
+    """The pair picks of `size` msr examples, one rng call per draw: per
+    example a count n uniform on 1..n_max, then n pair indices uniform on
+    0..n_pairs - 1, as lists."""
+    rng = np.random.default_rng(seed)
+    return [[int(i) for i in rng.integers(0, n_pairs,
+                                          size=rng.integers(1, n_max + 1))]
+            for _ in range(size)]
+
+
 def msr_reference(pairs, n_max, size, seed):
     """Multi-sentence resampling of (source, target) token lists: per output
     example, a count n uniform on 1..n_max, then n uniform pair indices;
     returns (source, target, provenance) triples."""
-    rng = np.random.default_rng(seed)
     out = []
-    for _ in range(size):
-        n = int(rng.integers(1, n_max + 1))
-        picks = [int(i) for i in rng.integers(0, len(pairs), size=n)]
+    for picks in msr_picks_reference(seed, size, n_max, len(pairs)):
         src, tgt = [], []
         for i in picks:
             src.extend(pairs[i][0])

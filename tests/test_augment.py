@@ -1,6 +1,8 @@
 import math
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from beamlab import augment as A
 from beamlab import corpus as C
 from beamlab.errors import DataError
-from oracles import (expected_mean_length, load_provenance, msr_reference,
+from oracles import (expected_mean_length, load_provenance,
+                     msr_picks_reference, msr_reference,
                      simple_resample_reference)
 
 
@@ -163,6 +166,69 @@ def test_msr_matches_list_reference_at_edges():
     for n_max, size in ((1, 7), (3, 0), (4, 1)):
         out = A.msr(corp, A.MsrConfig(n_max=n_max, size=size, seed=3))
         assert triples(out) == msr_reference(pairs, n_max, size, 3)
+
+
+def assert_draws_match(seed, size, n_max, n_pairs):
+    rows, offsets = A._msr_draws(seed, size, n_max, n_pairs)
+    want = msr_picks_reference(seed, size, n_max, n_pairs)
+    assert offsets.tolist() == [0] + np.cumsum(
+        [len(picks) for picks in want], dtype=np.int64).tolist()
+    assert rows.tolist() == [i for picks in want for i in picks]
+
+
+# pick ranges of 3 * 2^30 + 1 and 2^31 + 1 reject about 25% and 50% of the
+# words; 2^32 - 1 is the largest range msr draws in; a block of one raw
+# output splits nearly every example across blocks
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=0, max_value=60),
+       st.sampled_from([1, 2, 3, 4, 9, 50]),
+       st.sampled_from([1, 2, 3, 10, 450, 3 * 2 ** 30 + 1, 2 ** 31 + 1,
+                        2 ** 32 - 1]),
+       st.sampled_from([1, 2, 3, 7, A._BLOCK_RAW]))
+def test_msr_draws_replay_the_per_call_loop(seed, size, n_max, n_pairs,
+                                            block):
+    with mock.patch.object(A, "_BLOCK_RAW", block):
+        assert_draws_match(seed, size, n_max, n_pairs)
+
+
+def test_msr_draws_at_edges():
+    # a range of one value takes no word: every example is one pick of 0
+    rows, offsets = A._msr_draws(5, 7, 1, 1)
+    assert rows.tolist() == [0] * 7 and offsets.tolist() == list(range(8))
+    for n_max, n_pairs in ((1, 1), (1, 9), (4, 1), (3, 2 ** 32 - 1)):
+        for size in (0, 1, 5):
+            assert_draws_match(11, size, n_max, n_pairs)
+    with pytest.raises(ValueError, match="2\\^32"):
+        A._msr_draws(0, 1, 2, 2 ** 32)
+
+
+# n_max 132,100 rejects a count word with probability 132,096 / 2^32; the
+# first word of seed 5459 is the first such word found by searching seeds
+REJECTED_COUNT = (5459, 132_100)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 5])
+@pytest.mark.parametrize("block", [1, A._BLOCK_RAW])
+def test_msr_draws_skip_a_rejected_count_word(n_pairs, block):
+    seed, n_max = REJECTED_COUNT
+    raw = np.random.default_rng(seed).bit_generator.random_raw(1)
+    word = int(raw[0]) & (2 ** 32 - 1)
+    assert word * n_max % 2 ** 32 < 2 ** 32 % n_max
+    with mock.patch.object(A, "_BLOCK_RAW", block):
+        assert_draws_match(seed, 3, n_max, n_pairs)
+
+
+def test_long_example_draws_past_a_buffer_of_rejected_count_words():
+    # a buffer whose every count word is rejected gives the example of the
+    # blocks drawn after it
+    seed, n_max = REJECTED_COUNT
+    rejected = A._block(np.random.default_rng(seed).bit_generator)[:1]
+    got = A._long_example(rejected, np.random.default_rng(7).bit_generator,
+                          n_max, 5)
+    bits = np.random.default_rng(7).bit_generator
+    want = A._long_example(A._block(bits), bits, n_max, 5)
+    assert [part.tolist() for part in got] == [part.tolist() for part in want]
 
 
 @settings(max_examples=40, deadline=None)

@@ -460,6 +460,10 @@ MALFORMED_MODELS = {
     "negative_context_id": _add_ngram_key(lambda base: "0 -1"),
     "source_key_outside_vocabulary": lambda blob: blob["lex_counts"].update(
         {str(3 + len(blob["source_vocab"])): {"1": 1}}),
+    "lambda_is_a_bool": lambda blob: blob.update({"lambda": True}),
+    "add_k_lex_is_a_bool": lambda blob: blob.update({"add_k_lex": True}),
+    "source_vocab_is_a_string": lambda blob: blob.update(
+        {"source_vocab": "".join(blob["source_vocab"])}),
 }
 
 

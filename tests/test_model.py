@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from unittest import mock
@@ -14,7 +15,7 @@ from beamlab import search as S
 from beamlab.errors import DataError, ModelFormatError
 
 from oracles import (context_code, count_reference, count_rows,
-                     transducer_logprob_reference)
+                     model_json_reference, transducer_logprob_reference)
 
 
 def pair_corpus(*pairs):
@@ -430,9 +431,151 @@ def test_load_rejects_missing_field(tmp_path):
     corp = pair_corpus(("a", "x"))
     path = tmp_path / "m.json"
     M.save_model(M.train(corp), path)
-    import json
     blob = json.loads(path.read_text())
     del blob["lambda"]
     path.write_text(json.dumps(blob))
     with pytest.raises(ModelFormatError):
+        M.load_model(path)
+
+
+# tokens that JSON escapes, and enough of them that ids reach 10 and more,
+# whose texts sort before "9"
+TOKENS = ["a", "b", "c", "d", "e", "f", "g", "h", "9", "10", "\u00e9",
+          "\u65e5\u672c", '"q"', "back\\slash", "\U0001f600"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(
+           st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6),
+           st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6)),
+           min_size=1, max_size=25),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=2),
+       st.sampled_from([0.1, 1, 0.25, 1e-7]),
+       st.sampled_from([0.0, 0.6, 1, 1 / 3]))
+def test_saved_model_round_trips_byte_for_byte(tmp_path_factory, pairs,
+                                               order, min_count, add_k, lam):
+    m = M.train(C.corpus_from_token_pairs(pairs), order=order,
+                min_count=min_count, add_k_lex=add_k, add_k_ngram=add_k / 2,
+                lam=lam)
+    path = tmp_path_factory.mktemp("round") / "m.json"
+    M.save_model(m, path)
+    data = path.read_text(encoding="utf-8")
+    assert data == model_json_reference(m)
+    back = M.load_model(path)
+    for name in ("lex", "ngram"):
+        table, loaded = getattr(m, name), getattr(back, name)
+        assert loaded.add_k == table.add_k
+        for field in ("keys", "tokens", "offsets", "counts", "totals"):
+            assert np.array_equal(getattr(loaded, field),
+                                  getattr(table, field))
+    assert (back.lam, back.order, back.support) == (m.lam, m.order, m.support)
+    assert back.source_vocab == m.source_vocab
+    assert back.target_vocab == m.target_vocab
+    M.save_model(back, path)
+    assert path.read_text(encoding="utf-8") == data
+
+
+def test_saved_untrained_model_writes_empty_count_objects(tmp_path):
+    vocab = C.Vocabulary(["p", "q", "r"])
+    m = M.TransducerModel(lam=0.5, order=2,
+                          ngram=M.CountTable(1.0, [], [], len(vocab)),
+                          lex=M.CountTable(1.0, [], [], len(vocab)),
+                          source_vocab=vocab, target_vocab=vocab,
+                          support=[C.EOS_ID, 3, 4, 5])
+    path = tmp_path / "m.json"
+    M.save_model(m, path)
+    assert path.read_text() == model_json_reference(m)
+    assert '"lex_counts": {}' in path.read_text()
+    assert M.load_model(path).lex.counts.tolist() == []
+
+
+def malformed_model(tmp_path, table, key, row):
+    """A saved order-3 model whose count object `table` gets the entries
+    `row` under `key` (a new row after the first one), and a zero count in
+    its last row, so that an entry of `row` is the first bad one in file
+    order."""
+    corp = pair_corpus(("a b c", "x y z"), ("b a", "y x"), ("c", "z z x"))
+    path = tmp_path / "m.json"
+    M.save_model(M.train(corp, order=3), path)
+    blob = json.loads(path.read_text())
+    if key in blob[table]:
+        blob[table][key].update(row)
+    else:
+        items = list(blob[table].items())
+        items.insert(1, (key, row))
+        blob[table] = dict(items)
+    blob[table][list(blob[table])[-1]]["1"] = 0
+    path.write_text(json.dumps(blob))
+    return path
+
+
+# (table, key, row, the error the parent commit raised for that entry);
+# the model has 3 source words (keys 0..5) and 3 target words (ids 0..5)
+BAD_ENTRIES = {
+    "key_leading_zero": ("lex_counts", "01", {"1": 1},
+                         "count key '01' is not 1 ids in [0, 6)"),
+    "key_negative": ("lex_counts", "-1", {"1": 1},
+                     "count key '-1' is not 1 ids in [0, 6)"),
+    "key_two_ids_in_lex": ("lex_counts", "4 4", {"1": 1},
+                           "count key '4 4' is not 1 ids in [0, 6)"),
+    "key_out_of_range": ("lex_counts", "6", {"1": 1},
+                         "count key '6' is not 1 ids in [0, 6)"),
+    "key_not_a_number": ("lex_counts", "x", {"1": 1},
+                         "invalid literal for int() with base 10: 'x'"),
+    "key_spaced": ("ngram_counts", "0  1", {"1": 1},
+                   "count key '0  1' is not 2 ids in [0, 6)"),
+    "key_one_id_in_ngram": ("ngram_counts", "0", {"1": 1},
+                            "count key '0' is not 2 ids in [0, 6)"),
+    "token_not_a_number": ("lex_counts", "4", {"1": 1, "x": 2},
+                           "invalid literal for int() with base 10: 'x'"),
+    "token_leading_zero": ("lex_counts", "4", {"01": 2},
+                           "count row '4': '01' is not a target id"),
+    "token_out_of_range": ("ngram_counts", "0 1", {"6": 2},
+                           "count row '0 1': '6' is not a target id"),
+    "count_zero": ("lex_counts", "4", {"1": 1, "4": 0},
+                   "count row '4': count 0 is not a positive integer"),
+    "count_negative": ("lex_counts", "4", {"4": -1},
+                       "count row '4': count -1 is not a positive integer"),
+    "count_float": ("lex_counts", "4", {"4": 1.5},
+                    "count row '4': count 1.5 is not a positive integer"),
+    "count_bool": ("lex_counts", "4", {"4": True},
+                   "count row '4': count True is not a positive integer"),
+    "count_string": ("ngram_counts", "0 1", {"4": "3"},
+                     "count row '0 1': count '3' is not a positive integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
+def test_load_names_the_first_bad_count_entry(tmp_path, case):
+    table, key, row, message = BAD_ENTRIES[case]
+    path = malformed_model(tmp_path, table, key, row)
+    with pytest.raises(ModelFormatError) as err:
+        M.load_model(path)
+    assert str(err.value) == "bad model file %s: %s" % (path, message)
+
+
+@pytest.mark.parametrize("table, last", [("lex_counts", "'5'"),
+                                         ("ngram_counts", "'5 4'")])
+def test_load_names_a_later_bad_entry_after_good_rows(tmp_path, table, last):
+    path = malformed_model(tmp_path, table, "4" if table == "lex_counts"
+                           else "0 4", {"1": 3})
+    with pytest.raises(ModelFormatError) as err:
+        M.load_model(path)
+    assert str(err.value).endswith(
+        "count row %s: count 0 is not a positive integer" % last)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda", True), ("add_k_lex", True), ("add_k_ngram", False),
+    ("source_vocab", "ab"), ("target_vocab", "xyz"),
+    ("source_vocab", {"a": 1})])
+def test_load_refuses_wrongly_typed_fields(tmp_path, field, value):
+    corp = pair_corpus(("a b", "x y"), ("b", "y"))
+    path = tmp_path / "m.json"
+    M.save_model(M.train(corp, order=2, add_k_lex=1.0, lam=1.0), path)
+    blob = json.loads(path.read_text())
+    blob[field] = value
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ModelFormatError, match=field):
         M.load_model(path)
