@@ -81,7 +81,7 @@ print("  reference:", " ".join(refs[idx]))
 by_length = parse_normalization("by_length:1")
 print("\nby_length:1 ranking of the same beams:")
 for width in (4, 200):
-    hyps = top1([rerank(r, by_length) for r in decoded[width]])
+    hyps = top1([rerank(r, by_length, topk=1) for r in decoded[width]])
     bleu = corpus_bleu(hyps, refs)
     print("  width %-3d  BLEU %6.2f   mean hyp length %5.2f"
           % (width, bleu.score, sum(map(len, hyps)) / len(hyps)))

@@ -31,7 +31,7 @@ from .metrics import corpus_bleu, paired_bootstrap, sentence_table
 from .model import load_model, save_model, train
 from .search import (BeamConfig, decode_corpus, format_decode_tsv,
                      normalization_slug, parse_decode_tsv,
-                     parse_normalization)
+                     parse_normalization, rerank)
 
 DEFAULT_SEED = 1234
 
@@ -146,16 +146,16 @@ def cmd_decode(args):
     if args.topk < 1:
         raise ValueError("--topk must be >= 1, got %d" % args.topk)
     norm = parse_normalization(args.norm)
-    config = BeamConfig(width=args.beam, normalization=norm,
-                        max_len_a=args.max_len_a, max_len_b=args.max_len_b)
+    config = BeamConfig(width=args.beam, max_len_a=args.max_len_a,
+                        max_len_b=args.max_len_b)
     model = load_model(args.model)
     sources = _read_sentences(args.source, allow_blank=False)
-    results = decode_corpus(model, sources, config, jobs=args.jobs)
+    results = [rerank(r, norm, args.topk) for r in
+               decode_corpus(model, sources, config, jobs=args.jobs)]
     name = args.name or "decode_w%d_%s.tsv" % (args.beam,
                                                 normalization_slug(norm))
     path = os.path.join(_out_dir(args), name)
-    write_text_atomic(path, format_decode_tsv(results, model.target_vocab,
-                                              topk=args.topk))
+    write_text_atomic(path, format_decode_tsv(results, model.target_vocab))
     print(path)
     return 0
 

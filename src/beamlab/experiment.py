@@ -175,7 +175,11 @@ def _config_from_blob(blob):
         if not dec["normalizations"]:
             raise ValueError("normalizations must be a non-empty list")
         norms = tuple(map(search.parse_normalization, dec["normalizations"]))
-        # no library call takes topk before the decode files are written
+        # a repeat would write its decode files and report rows twice
+        if len(set(map(search.format_normalization, norms))) < len(norms):
+            raise ValueError("normalizations must not repeat, got %s"
+                             % dec["normalizations"])
+        # rerank refuses it too, but only once the first search has run
         if dec["topk"] < 1:
             raise ValueError("topk must be >= 1, got %d" % dec["topk"])
 
@@ -253,8 +257,8 @@ def _augmented_corpora(cfg, base_train):
 
 
 def _decodes(cfg, model, sources, jobs):
-    """(beam config, results) for each width, ranked under the beam's
-    normalization (none); the widths share one scorer of the model."""
+    """(beam config, results) for each width, each finished set best first
+    by raw logprob; the widths share one scorer of the model."""
     scorer = search.DenseScorer(model)
     for beam in cfg.beams:
         yield beam, search.decode_corpus(model, sources, beam, jobs=jobs,
@@ -266,23 +270,20 @@ def _top1(results, vocab):
 
 
 def _decode_grid(cfg, models, sources, jobs, listed):
-    """Decode once per (system, width) and rerank per normalization; each
-    decode file is written as soon as it is ranked, through `listed`, and
-    only the top-1 token lists are kept."""
+    """Decode once per (system, width) and rank its top `topk` per
+    normalization; each decode file is written as soon as it is ranked,
+    through `listed`, and only the top-1 token lists are kept."""
     top1 = {}
     for system in cfg.systems:
         vocab = models[system].target_vocab
         for beam, raw in _decodes(cfg, models[system], sources, jobs):
             for norm in cfg.normalizations:
-                # the search already ranked by its own normalization
-                ranked = raw if norm == beam.normalization else [
-                    search.rerank(r, norm) for r in raw]
+                ranked = [search.rerank(r, norm, cfg.topk) for r in raw]
                 top1[(system, beam.width, norm)] = _top1(ranked, vocab)
                 rel = "decodes/%s_w%d_%s.tsv" % (
                     system, beam.width, search.normalization_slug(norm))
                 write_text_atomic(listed("decodes", rel),
-                                  search.format_decode_tsv(ranked, vocab,
-                                                           topk=cfg.topk))
+                                  search.format_decode_tsv(ranked, vocab))
             # else they would live on while the next width decodes
             del raw, ranked
     return top1

@@ -9,8 +9,9 @@ Semantics, fully pinned so beam and exact search agree bit-for-bit:
 - the loop stops once the finished set holds `width` hypotheses or after
   cap = ceil(max_len_a * |source|) + max_len_b steps, at which point the
   survivors are force-finished by appending their EOS step;
-- survivor selection always uses raw logprob; the configured normalization
-  only ranks the finished set.
+- survivor selection always uses raw logprob, and each result holds its
+  finished set best first by raw logprob; `rerank` ranks it under a
+  normalization, after the search.
 
 With width >= saturating_width(|support|, cap) nothing is ever pruned and
 beam search degenerates to exhaustive enumeration, which is what exact_search
@@ -21,21 +22,24 @@ every unfinished sentence at a time; a sentence's result does not depend on
 the others in its batch.
 """
 
+import heapq
 import math
 import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID
 
-NORMALIZATIONS = ("none", "by_length", "gnmt")
-
 # the largest length-cap coefficients a search accepts
 MAX_LEN_A = 16.0
 MAX_LEN_B = 1024
+# the largest normalization alpha: length ** alpha stays a finite float at
+# every length below 10**30 (an alpha of 400 overflows it at length 20)
+MAX_ALPHA = 10.0
 
 
 def parse_normalization(text):
@@ -51,9 +55,9 @@ def parse_normalization(text):
     except ValueError:
         raise ValueError("bad normalization %r: alpha is not a number"
                          % (text,)) from None
-    if not math.isfinite(alpha) or alpha < 0:
-        raise ValueError("bad normalization %r: alpha must be finite and "
-                         ">= 0" % (text,))
+    if not 0 <= alpha <= MAX_ALPHA:
+        raise ValueError("bad normalization %r: alpha must be finite and in "
+                         "[0, %g]" % (text, MAX_ALPHA))
     return (kind, alpha)
 
 
@@ -79,8 +83,7 @@ def normalize_score(logprob, length, norm):
     raise ValueError("unknown normalization %r" % (norm,))
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     tokens: tuple
     logprob: float
     normalized_score: float
@@ -89,7 +92,6 @@ class Hypothesis:
 @dataclass
 class BeamConfig:
     width: int
-    normalization: tuple = ("none",)
     max_len_a: float = 2.0
     max_len_b: int = 10
 
@@ -104,8 +106,6 @@ class BeamConfig:
                                 self.max_len_b))
         if self.max_len_a == 0 and self.max_len_b < 1:
             raise ValueError("length cap would be 0 for every input")
-        if self.normalization[0] not in NORMALIZATIONS:
-            raise ValueError("unknown normalization %r" % (self.normalization,))
 
     def cap(self, source_len):
         return math.ceil(self.max_len_a * source_len) + self.max_len_b
@@ -113,7 +113,7 @@ class BeamConfig:
 
 @dataclass
 class DecodeResult:
-    """The finished hypotheses of one search, best first."""
+    """Finished hypotheses, best first (a search's whole set by logprob)."""
     hypotheses: list
 
 
@@ -244,18 +244,6 @@ def _source_ids(model, source_tokens):
     if not source_tokens:
         raise ValueError("source sentence is empty")
     return [model.source_vocab.id(t) for t in source_tokens]
-
-
-def _ranked(pairs, norm):
-    """Hypotheses of (tokens, logprob) pairs, best first under `norm`: by
-    normalized score, then logprob, then shorter, then lexicographically
-    smaller tokens (tuples of ints compare as their lists do)."""
-    keyed = [(-score, -logprob, len(tokens), tokens, logprob, score)
-             for tokens, logprob in pairs
-             for score in (normalize_score(logprob, len(tokens) + 1, norm),)]
-    keyed.sort()
-    return [Hypothesis(tokens, logprob, score)
-            for _, _, _, tokens, logprob, score in keyed]
 
 
 # the live rows one lock-step batch holds at most, unless a single
@@ -440,9 +428,8 @@ def _search(scorer, batch, config):
         for s, toks, lp in zip(np.concatenate(who).tolist(),
                                _tokens_of(levels, prefixes, parents, tokens),
                                np.concatenate(lps).tolist()):
-            results[s].append((toks, lp))
-    return [DecodeResult(_ranked(pairs, config.normalization))
-            for pairs in results]
+            results[s].append(Hypothesis(toks, lp, lp))
+    return [rerank(DecodeResult(hyps), ("none",)) for hyps in results]
 
 
 def _decode(scorer, batch, config):
@@ -496,11 +483,20 @@ def exact_search(model, source_tokens, max_len, scorer=None):
     return best
 
 
-def rerank(result, normalization):
-    """Re-rank a DecodeResult's finished set under another normalization.
-    Search order is unaffected by normalization, so this equals re-decoding."""
-    return DecodeResult(_ranked(((h.tokens, h.logprob)
-                                 for h in result.hypotheses), normalization))
+def rerank(result, normalization, topk=None):
+    """The first `topk` hypotheses of a DecodeResult (all when topk is None),
+    best first under `normalization`: by normalized score, then logprob,
+    then shorter, then lexicographically smaller tokens. Only the entries
+    returned are built. Search order does not depend on the normalization,
+    so this equals re-decoding."""
+    if topk is not None and topk < 1:
+        raise ValueError("topk must be >= 1, got %d" % topk)
+    keys = [(-normalize_score(h.logprob, len(h.tokens) + 1, normalization),
+             -h.logprob, len(h.tokens), h.tokens) for h in result.hypotheses]
+    # nsmallest(k, keys) equals sorted(keys)[:k], and negation is exact
+    best = sorted(keys) if topk is None else heapq.nsmallest(topk, keys)
+    return DecodeResult([Hypothesis(tokens, -neg_lp, -neg_score)
+                         for neg_score, neg_lp, _, tokens in best])
 
 
 # ------------------------------------------------------------ corpus decode
@@ -553,12 +549,13 @@ def decode_corpus(model, sources, config, jobs=1, scorer=None):
 
 # ------------------------------------------------------------------- files
 
-def format_decode_tsv(results, vocab, topk=1):
-    """One line per (input, rank<=topk): rank, normalized_score, logprob,
-    token text; floats as repr so parsing recovers them exactly."""
+def format_decode_tsv(results, vocab):
+    """One line per (input, hypothesis of its result): rank,
+    normalized_score, logprob, token text; floats as repr so parsing
+    recovers them exactly."""
     lines = []
     for result in results:
-        for rank, hyp in enumerate(result.hypotheses[:topk], start=1):
+        for rank, hyp in enumerate(result.hypotheses, start=1):
             text = " ".join(vocab.decode(list(hyp.tokens)))
             lines.append("%d\t%r\t%r\t%s"
                          % (rank, hyp.normalized_score, hyp.logprob, text))

@@ -167,6 +167,17 @@ def beam_search_reference(rows_fn, source_ids, support, eos_id, bos_id,
     return finished
 
 
+def rank_reference(pairs, normalize):
+    """(tokens, logprob, normalized score) triples of (tokens, logprob)
+    pairs, best first: one full sort by normalized score, then logprob, then
+    shorter, then lexicographically smaller tokens. normalize(logprob,
+    length) is the ranking score; length counts the EOS step."""
+    triples = [(tokens, logprob, normalize(logprob, len(tokens) + 1))
+               for tokens, logprob in pairs]
+    return sorted(triples, key=lambda h: (-h[2], -h[1], len(h[0]),
+                                          list(h[0])))
+
+
 def count_rows(table):
     """{key: {token: count}} of a CSR count table, read from its arrays:
     row i holds keys[i]'s tokens and counts between offsets[i] and

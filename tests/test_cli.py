@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -16,7 +20,7 @@ import beamlab
 from beamlab import cli, metrics
 from beamlab.corpus import load_corpus
 from beamlab.model import load_model
-from beamlab.search import parse_decode_tsv
+from beamlab.search import parse_decode_tsv, parse_normalization
 from oracles import load_provenance
 
 
@@ -409,6 +413,46 @@ def test_decode_rejects_topk_below_one(capsys, tmp_path, topk):
     assert code == 1
     assert "--topk" in err
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.fixture(scope="module")
+def toy_decode_inputs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("norm")
+    src, tgt = toy_corpus_files(tmp_path, reps=1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", src, tgt, "--out", str(tmp_path)]) == 0
+    return str(tmp_path / "model.json"), src, str(tmp_path / "dec")
+
+
+ALPHA_TEXT = st.one_of(
+    st.floats(0, 1e308).map(repr), st.integers(0, 500).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e309", "-0", "1e-400", ""]),
+    st.text(max_size=6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["by_length", "gnmt"]),
+              ALPHA_TEXT),
+    st.sampled_from(["none", "None", ":", "gnmt", "by_length:1:2"]),
+    st.text(max_size=12)))
+def test_decode_norm_text_exits_0_or_1(toy_decode_inputs, text):
+    # any alpha from 0 to 1e308, non-finite ones and junk: a usage error
+    # or a decode file, never a traceback
+    model, src, out = toy_decode_inputs
+    try:
+        parse_normalization(text)
+        want = 0
+    except ValueError:
+        want = 1
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["decode", model, src, "--beam", "2",
+                         "--norm=" + text, "--out", out])
+    assert code == want
+    if code:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_decode_rejects_blank_source_line(capsys, tmp_path):
@@ -964,6 +1008,9 @@ def test_experiment_bad_config_value_is_data_error(capsys, tmp_path):
     ("  order: 2\n", "  order: 2\n  add_k_lex: .inf\n"),
     ("  vocab_size: 8\n", "  vocab_size: 8\n  zipf_exponent: .nan\n"),
     ("  bucket_edges: [4, 8]\n", "  bucket_edges: [4, .nan]\n"),
+    ('["none"]', '["by_length:400"]'),
+    ('["none"]', '["gnmt:1e300"]'),
+    ('["none"]', '["none", "by_length:1", "by_length:1.0"]'),
 ])
 def test_experiment_resource_knob_is_data_error_before_any_write(
         capsys, tmp_path, old, new):

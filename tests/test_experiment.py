@@ -136,6 +136,11 @@ def test_bad_config_values_are_data_errors(tmp_path, text):
     ('synth:\n  test_length_law: "geometric(0.000001)"\n', "tokens"),
     ("augment:\n  n_max: 100000000000\n", "pair picks"),
     ("augment:\n  n_sweep: [2, 100000000000]\n", "pair picks"),
+    ('decode:\n  normalizations: ["by_length:400"]\n', "finite and in"),
+    ('decode:\n  normalizations: ["gnmt:1e300"]\n', "finite and in"),
+    # both would write decodes/*_by_length_1.tsv and its report rows
+    ('decode:\n  normalizations: ["none", "by_length:1", "by_length:1.0"]\n',
+     "must not repeat"),
 ])
 def test_resource_knobs_are_refused_at_config_load(tmp_path, text, message):
     with pytest.raises(DataError, match=message):

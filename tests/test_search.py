@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamlab import corpus as C
@@ -14,7 +14,8 @@ from beamlab import search as S
 
 from oracles import (beam_search_reference, context_code, dictionary_map,
                      enumerate_best_sequence, gnmt_penalty_reference,
-                     transducer_logprob_reference, transducer_prob_reference)
+                     rank_reference, transducer_logprob_reference,
+                     transducer_prob_reference)
 
 
 def pair_corpus(*pairs):
@@ -75,6 +76,59 @@ def test_parse_normalization():
     for bad in ["length", "by_length", "by_length:-1", "gnmt:x", ""]:
         with pytest.raises(ValueError):
             S.parse_normalization(bad)
+
+
+def test_normalization_alpha_is_capped():
+    # at the cap, the score stays finite at a length of 10**29
+    for kind in ("by_length", "gnmt"):
+        norm = S.parse_normalization("%s:%g" % (kind, S.MAX_ALPHA))
+        assert math.isfinite(S.normalize_score(-1.0, 10 ** 29, norm))
+        for bad in ("400", "1e300", "10.000001", "inf", "nan"):
+            with pytest.raises(ValueError, match="finite and in"):
+                S.parse_normalization("%s:%s" % (kind, bad))
+
+
+# --------------------------------------------------------------- ranking
+
+NORMS = [("none",), ("by_length", 0.0), ("by_length", 0.5),
+         ("by_length", 1.0), ("by_length", 2.0), ("gnmt", 0.0),
+         ("gnmt", 0.6), ("gnmt", 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.lists(st.integers(3, 5), max_size=4).map(tuple),
+              # few values, so entries tie in logprob, and by_length:1
+              # makes score ties across lengths (-2 / 2 == -4 / 4); only
+              # a positive logprob, which no search makes, ties a shorter
+              # entry's score with a longer one of higher logprob
+              st.sampled_from([0.0, -0.0, -1.0, -2.0, -3.0, -4.0, -6.0,
+                               -1e-300, 1.0, 2.0])),
+    max_size=24, unique_by=lambda entry: entry[0]),
+    st.sampled_from(NORMS))
+# a score tie that logprob breaks against length, a logprob tie that length
+# breaks against the tokens, and one that the tokens break
+@example([((), 1.0), ((3,), 2.0)], ("by_length", 1.0))
+@example([((3, 3), -1.0), ((4,), -1.0)], ("none",))
+@example([((4,), -1.0), ((3,), -1.0)], ("gnmt", 0.6))
+def test_rerank_top_k_equals_full_sort_prefix(entries, norm):
+    # a finished set holds each token sequence once; the scores it carries
+    # are not read
+    result = S.DecodeResult([S.Hypothesis(tokens, lp, math.nan)
+                             for tokens, lp in entries])
+    want = rank_reference(entries,
+                          lambda lp, n: S.normalize_score(lp, n, norm))
+    # repr tells -0.0 from 0.0
+    assert repr(triples(S.rerank(result, norm))) == repr(want)
+    for k in range(1, len(entries) + 2):
+        assert repr(triples(S.rerank(result, norm, k))) == repr(want[:k])
+
+
+def test_rerank_refuses_topk_below_one():
+    result = S.DecodeResult([S.Hypothesis((3,), -1.0, -1.0)])
+    for topk in (0, -1):
+        with pytest.raises(ValueError, match="topk"):
+            S.rerank(result, ("none",), topk)
 
 
 def test_beam_config_validation():
@@ -259,10 +313,8 @@ def test_result_sorted_by_normalized_score():
         for _ in range(10):
             m = random_tiny_model(rng)
             src = random_source(rng)
-            result = S.beam_search(m, src, S.BeamConfig(width=6,
-                                                        normalization=norm,
-                                                        max_len_a=1.0,
-                                                        max_len_b=3))
+            result = S.rerank(S.beam_search(m, src, S.BeamConfig(
+                width=6, max_len_a=1.0, max_len_b=3)), norm)
             hyps = result.hypotheses
             resorted = sorted(hyps, key=lambda h: (-h.normalized_score,
                                                    -h.logprob,
@@ -288,9 +340,10 @@ def test_width_invariance_beyond_saturation():
 
 # ------------------------------------------------- selection against oracle
 
-def reference_decode(m, source, config, scorer):
+def reference_decode(m, source, config, scorer, norm=("none",)):
     """The full-argsort reference search of one source, fed rows by
-    `scorer`: its (tokens, logprob, normalized score) triples, best first."""
+    `scorer`: its (tokens, logprob, normalized score) triples, best first
+    under `norm`."""
     def rows_fn(x, contexts):
         codes = np.array([scorer.context_code(c) for c in contexts],
                          dtype=np.int64)
@@ -300,7 +353,7 @@ def reference_decode(m, source, config, scorer):
     return beam_search_reference(
         rows_fn, src_ids, m.support, C.EOS_ID, C.BOS_ID, m.order,
         config.width, config.cap(len(src_ids)),
-        lambda lp, n: S.normalize_score(lp, n, config.normalization))
+        lambda lp, n: S.normalize_score(lp, n, norm))
 
 
 def triples(result):
@@ -308,24 +361,28 @@ def triples(result):
             for h in result.hypotheses]
 
 
-def assert_matches_reference(m, source, config, scorer=None):
-    """beam_search agrees with the full-argsort reference search, fed rows
-    by the same scorer, on every finished hypothesis: tokens, logprob,
-    normalized score and order, bit for bit."""
+def assert_matches_reference(m, source, config, scorer=None,
+                             norm=("none",)):
+    """beam_search, reranked under `norm`, agrees with the full-argsort
+    reference search, fed rows by the same scorer, on every finished
+    hypothesis: tokens, logprob, normalized score and order, bit for bit."""
     scorer = scorer or S.DenseScorer(m)
-    got = S.beam_search(m, source, config, scorer)
-    assert triples(got) == reference_decode(m, source, config, scorer)
+    got = S.rerank(S.beam_search(m, source, config, scorer), norm)
+    assert triples(got) == reference_decode(m, source, config, scorer, norm)
     return got
 
 
-def assert_batch_matches_reference(m, sources, config, scorer=None):
-    """decode_corpus decodes `sources` in lock step; each sentence's result
-    equals the reference search of that sentence alone, bit for bit."""
+def assert_batch_matches_reference(m, sources, config, scorer=None,
+                                   norm=("none",)):
+    """decode_corpus decodes `sources` in lock step; each sentence's result,
+    reranked under `norm`, equals the reference search of that sentence
+    alone, bit for bit."""
     scorer = scorer or S.DenseScorer(m)
     got = S.decode_corpus(m, sources, config, scorer=scorer)
     assert len(got) == len(sources)
     for source, result in zip(sources, got):
-        assert triples(result) == reference_decode(m, source, config, scorer)
+        assert triples(S.rerank(result, norm)) == reference_decode(
+            m, source, config, scorer, norm)
     return got
 
 
@@ -348,8 +405,7 @@ def test_selection_matches_reference_on_reference_like_model():
         for width in (1, 4, 32, 200):
             norm = ("none",) if i % 2 else ("by_length", 1.0)
             result = assert_matches_reference(
-                m, source, S.BeamConfig(width=width, normalization=norm),
-                scorer)
+                m, source, S.BeamConfig(width=width), scorer, norm)
             assert result.hypotheses
     # all 40 sentences as one batch, in test order: they run in lock step,
     # leaving it at different steps
@@ -423,8 +479,8 @@ def test_batch_decode_matches_reference_sentence_by_sentence(data):
     norm = data.draw(st.sampled_from(
         [("none",), ("by_length", 1.0), ("gnmt", 0.6)]), label="norm")
     assert_batch_matches_reference(
-        m, sources, S.BeamConfig(width=width, normalization=norm,
-                                 max_len_a=max_len_a, max_len_b=max_len_b))
+        m, sources, S.BeamConfig(width=width, max_len_a=max_len_a,
+                                 max_len_b=max_len_b), norm=norm)
 
 
 def test_batch_oracle_inputs_hit_the_cap_and_fill_the_finished_set():
@@ -578,8 +634,8 @@ def test_dictionary_task_decodes_to_dictionary_image():
     rng = random.Random(0)
     tgt_words = sorted(set(mapping.values()))
     for pair in splits["test"]:
-        result = S.beam_search(m, pair.source,
-                               S.BeamConfig(width=8, normalization=norm))
+        result = S.rerank(S.beam_search(m, pair.source,
+                                        S.BeamConfig(width=8)), norm)
         got = m.target_vocab.decode(list(result.hypotheses[0].tokens))
         want = [mapping[s] for s in pair.source]
         assert got == want
@@ -599,10 +655,13 @@ def test_decode_corpus_parallel_matches_serial():
     m = M.train(splits["train"], order=2)
     sources = [p.source for p in splits["test"]]
     for width in (1, 4, 200):
-        cfg_b = S.BeamConfig(width=width, normalization=("by_length", 1.0))
+        cfg_b = S.BeamConfig(width=width)
         serial = S.decode_corpus(m, sources, cfg_b, jobs=1)
         parallel = S.decode_corpus(m, sources, cfg_b, jobs=4)
         assert [triples(r) for r in serial] == [triples(r) for r in parallel]
+        norm = ("by_length", 1.0)
+        assert [triples(S.rerank(r, norm)) for r in serial] == \
+            [triples(S.rerank(r, norm)) for r in parallel]
 
 
 def count_scoring(monkeypatch):
@@ -682,15 +741,16 @@ def test_resolve_jobs_clamps_to_cpu_count(monkeypatch, capsys):
 def test_decode_tsv_round_trip(tmp_path):
     corp = pair_corpus(("a b", "x y"), ("b", "y"))
     m = M.train(corp, order=2)
-    results = S.decode_corpus(m, [p.source for p in corp],
-                              S.BeamConfig(width=3), jobs=1)
-    text = S.format_decode_tsv(results, m.target_vocab, topk=2)
+    results = [S.rerank(r, ("none",), topk=2) for r in S.decode_corpus(
+        m, [p.source for p in corp], S.BeamConfig(width=3), jobs=1)]
+    text = S.format_decode_tsv(results, m.target_vocab)
     lines = text.splitlines()
     assert all(len(line.split("\t")) == 4 for line in lines)
     parsed = S.parse_decode_tsv(text)
     assert len(parsed) == 2
     for result, entries in zip(results, parsed):
-        for hyp, entry in zip(result.hypotheses[:2], entries):
+        assert len(entries) == len(result.hypotheses) <= 2
+        for hyp, entry in zip(result.hypotheses, entries):
             rank, norm, lp, tokens = entry
             assert lp == hyp.logprob
             assert norm == hyp.normalized_score
@@ -708,6 +768,6 @@ def test_empty_hypothesis_survives_tsv_round_trip():
                           source_vocab=vocab, target_vocab=vocab,
                           support=[C.EOS_ID, 3])
     results = S.decode_corpus(m, [["x"]], S.BeamConfig(width=1), jobs=1)
-    text = S.format_decode_tsv(results, m.target_vocab, topk=1)
+    text = S.format_decode_tsv(results, m.target_vocab)
     parsed = S.parse_decode_tsv(text)
     assert parsed[0][0][3] == []
