@@ -13,7 +13,7 @@ Runs in a few seconds on one core.
 
 from beamlab.analysis import category_report, classify
 from beamlab.corpus import SynthConfig, generate_synthetic
-from beamlab.metrics import corpus_bleu
+from beamlab.metrics import corpus_bleu, sentence_table
 from beamlab.model import train
 from beamlab.search import (BeamConfig, decode_corpus, parse_normalization,
                             rerank)
@@ -55,16 +55,18 @@ for width in (1, 4, 32, 200):
 # keeps the exit alive long enough to win.
 small = top1(decoded[4])
 large = top1(decoded[200])
-cats = classify(small, large, refs)
-report = category_report(cats, small, large, refs)
+tables = (sentence_table(small, refs), sentence_table(large, refs))
+cats = classify(small, large, *tables)
+report = category_report(cats, small, large, *tables)
 print("\nwidth 4 -> width 200, sentence by sentence:")
-for row in report.rows:
-    if row.count == 0:
+for row in report["categories"]:
+    if row["count"] == 0:
         continue
     print("  %-9s %3d sentences (%.0f%%)  contribution %+.2f BLEU  "
           "mean length %5.1f -> %4.1f"
-          % (row.category, row.count, 100 * row.fraction, row.contribution,
-             row.mean_len_small, row.mean_len_large))
+          % (row["category"], row["count"], 100 * row["fraction"],
+             row["contribution"], row["mean_len_small"],
+             row["mean_len_large"]))
 
 # One of the casualties, verbatim. The wide beam's output is a strict
 # prefix of the narrow beam's output plus the terminal period.

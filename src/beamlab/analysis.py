@@ -11,25 +11,17 @@ sentence lands in exactly one category:
 Per-category corpus metrics weighted by category fractions give the
 contribution-to-degradation and contribution-to-shortening accounting, and
 bucket_quality slices corpus quality by reference length. Every score here is
-read from a metrics.SentenceTable per decode; a caller that already holds the
-tables passes them in, so each pair is scored once.
+read from the metrics.SentenceTable of a decode, which the caller builds once
+and passes in, and every report is returned as the rows that are written.
 """
 
 import math
-from dataclasses import asdict, dataclass, fields
 
 from .errors import DataError
-from .metrics import sentence_table
 
 CATEGORIES = ("Improved", "Prefix", "OtherDrop")
 
 DEFAULT_BUCKET_EDGES = (10, 20, 30, 40, 50, 60)
-
-
-def _require_same_length(**named):
-    lengths = {name: len(v) for name, v in named.items()}
-    if len(set(lengths.values())) > 1:
-        raise DataError("misaligned inputs: %s" % (lengths,))
 
 
 # ------------------------------------------------------------ prefix relation
@@ -46,21 +38,27 @@ def is_prefix_modulo_eos(short, long):
 
 # -------------------------------------------------------------- classification
 
-def classify(hyps_small, hyps_large, refs, metric="bleu", tables=None):
+def _check_pair(small, large, **named):
+    """The two sentence tables must score one metric, and align with each
+    other and with the `named` per-sentence inputs."""
+    if small.metric != large.metric:
+        raise ValueError("sentence tables score %r and %r"
+                         % (small.metric, large.metric))
+    lengths = {name: len(v) for name, v in
+               dict(named, small=small.rows, large=large.rows).items()}
+    if len(set(lengths.values())) > 1:
+        raise DataError("misaligned inputs: %s" % (lengths,))
+
+
+def classify(hyps_small, hyps_large, small, large):
     """Assign each sentence to Improved, Prefix, or OtherDrop, in that
-    precedence order. Improved means the large-beam hypothesis scores at
-    least as well per sentence (BLEU: >=, WER: <=). `tables` may give the
-    (small, large) sentence tables of the two decodes; the metric is then
-    theirs."""
-    _require_same_length(hyps_small=hyps_small, hyps_large=hyps_large,
-                         refs=refs)
-    small, large = tables or (sentence_table(hyps_small, refs, metric),
-                              sentence_table(hyps_large, refs, metric))
-    small_scores = small.sentence_scores()
-    large_scores = large.sentence_scores()
+    precedence order. `small` and `large` are the two decodes' sentence
+    tables against the same references. Improved means the large-beam
+    hypothesis scores at least as well per sentence (BLEU: >=, WER: <=)."""
+    _check_pair(small, large, hyps_small=hyps_small, hyps_large=hyps_large)
     categories = []
-    for hs, hl, s, l in zip(hyps_small, hyps_large, small_scores,
-                            large_scores):
+    for hs, hl, s, l in zip(hyps_small, hyps_large, small.sentence_scores(),
+                            large.sentence_scores()):
         improved = l >= s if small.metric == "bleu" else l <= s
         if improved:
             categories.append("Improved")
@@ -73,28 +71,10 @@ def classify(hyps_small, hyps_large, refs, metric="bleu", tables=None):
 
 # ------------------------------------------------------------- category report
 
-@dataclass(frozen=True)
-class CategoryRow:
-    category: str
-    count: int
-    fraction: float
-    metric_small: float
-    metric_large: float
-    mean_len_small: float
-    mean_len_large: float
-    contribution: float
-    length_contribution: float
-
-
 # the category report's CSV columns (and JSON row keys)
-CATEGORY_COLUMNS = tuple(f.name for f in fields(CategoryRow))
-
-
-@dataclass(frozen=True)
-class CategoryReport:
-    metric: str
-    n_sentences: int
-    rows: tuple
+CATEGORY_COLUMNS = ("category", "count", "fraction", "metric_small",
+                    "metric_large", "mean_len_small", "mean_len_large",
+                    "contribution", "length_contribution")
 
 
 def contribution(metric_small, metric_large, fraction):
@@ -102,46 +82,43 @@ def contribution(metric_small, metric_large, fraction):
     return (metric_large - metric_small) * fraction
 
 
-def category_report(categories, hyps_small, hyps_large, refs, metric="bleu",
-                    tables=None):
+def category_report(categories, hyps_small, hyps_large, small, large):
     """Per-category corpus metrics, mean hypothesis lengths, and weighted
-    contributions. Empty categories report null metrics and contribution 0.
-    `tables` is as in classify."""
-    _require_same_length(categories=categories, hyps_small=hyps_small,
-                         hyps_large=hyps_large, refs=refs)
+    contributions, as {"metric", "n_sentences", "categories"} with one row
+    per category under CATEGORY_COLUMNS. Empty categories report null
+    metrics and contribution 0. The tables are as in classify."""
+    _check_pair(small, large, categories=categories, hyps_small=hyps_small,
+                hyps_large=hyps_large)
     bad = set(categories) - set(CATEGORIES)
     if bad:
         raise DataError("unknown categories: %s" % sorted(bad))
-    n = len(refs)
+    n = len(categories)
     if n == 0:
         raise DataError("need at least one classified sentence")
-    small, large = tables or (sentence_table(hyps_small, refs, metric),
-                              sentence_table(hyps_large, refs, metric))
     rows = []
     for cat in CATEGORIES:
         members = [i for i, c in enumerate(categories) if c == cat]
         count = len(members)
         fraction = count / n
         if count == 0:
-            rows.append(CategoryRow(cat, 0, 0.0, None, None, None, None,
-                                    0.0, 0.0))
-            continue
-        metric_small = small.score(members)
-        metric_large = large.score(members)
-        mean_small = sum(len(hyps_small[i]) for i in members) / count
-        mean_large = sum(len(hyps_large[i]) for i in members) / count
-        rows.append(CategoryRow(
-            cat, count, fraction, metric_small, metric_large,
-            mean_small, mean_large,
-            contribution(metric_small, metric_large, fraction),
-            contribution(mean_small, mean_large, fraction)))
-    return CategoryReport(small.metric, n, tuple(rows))
+            values = (cat, 0, 0.0, None, None, None, None, 0.0, 0.0)
+        else:
+            metric_small = small.score(members)
+            metric_large = large.score(members)
+            mean_small = sum(len(hyps_small[i]) for i in members) / count
+            mean_large = sum(len(hyps_large[i]) for i in members) / count
+            values = (cat, count, fraction, metric_small, metric_large,
+                      mean_small, mean_large,
+                      contribution(metric_small, metric_large, fraction),
+                      contribution(mean_small, mean_large, fraction))
+        rows.append(dict(zip(CATEGORY_COLUMNS, values)))
+    return {"metric": small.metric, "n_sentences": n, "categories": rows}
 
 
 # --------------------------------------------------------------- length report
 
-def length_report(hyps_by_beam, categories=None):
-    """Mean hypothesis token length per beam, optionally split by category."""
+def length_report(hyps_by_beam):
+    """Mean hypothesis token length per beam."""
     if not hyps_by_beam:
         raise DataError("no decoded beams given")
     sizes = {len(hyps) for hyps in hyps_by_beam.values()}
@@ -149,38 +126,14 @@ def length_report(hyps_by_beam, categories=None):
         raise DataError("beams decode different test sets: sizes %s"
                         % sorted(sizes))
     n = sizes.pop()
-    report = {"means": {beam: sum(len(h) for h in hyps) / n
-                        for beam, hyps in hyps_by_beam.items()}}
-    if categories is not None:
-        if len(categories) != n:
-            raise DataError("classification covers %d sentences, beams have %d"
-                            % (len(categories), n))
-        by_category = {}
-        for beam, hyps in hyps_by_beam.items():
-            per = {}
-            for cat in CATEGORIES:
-                lens = [len(h) for h, c in zip(hyps, categories) if c == cat]
-                per[cat] = sum(lens) / len(lens) if lens else None
-            by_category[beam] = per
-        report["by_category"] = by_category
-    return report
+    return {"means": {beam: sum(len(h) for h in hyps) / n
+                      for beam, hyps in hyps_by_beam.items()}}
 
 
 # -------------------------------------------------------------------- buckets
 
-@dataclass(frozen=True)
-class Bucket:
-    low: float
-    high: float
-    count: int
-    metric: float
-
-
-@dataclass(frozen=True)
-class BucketReport:
-    metric: str
-    edges: tuple
-    buckets: tuple
+# the columns of a bucket row
+BUCKET_COLUMNS = ("bucket_low", "bucket_high", "count", "metric")
 
 
 def check_bucket_edges(edges):
@@ -198,64 +151,23 @@ def check_bucket_edges(edges):
     return edges
 
 
-def bucket_quality(hyps, refs, edges=DEFAULT_BUCKET_EDGES, metric="bleu",
-                   table=None):
-    """Corpus metric per reference-length bucket. Buckets are (prev, edge]
-    starting from 0, plus an open final bucket past the last finite edge.
-    `table` may give the decode's sentence table."""
-    _require_same_length(hyps=hyps, refs=refs)
-    if not refs:
+def bucket_quality(table, edges=DEFAULT_BUCKET_EDGES):
+    """Corpus metric of a decode's sentence table per reference-length
+    bucket, one row per bucket under BUCKET_COLUMNS. Buckets are (prev, edge]
+    starting from 0, plus an open final bucket, whose high edge is inf, past
+    the last finite edge. The reference lengths are the table's last
+    column."""
+    if not len(table.rows):
         raise DataError("need at least one sentence pair")
     edges = check_bucket_edges(edges)
     bounds = list(zip((0,) + edges, edges))
     if not math.isinf(edges[-1]):
         bounds.append((edges[-1], math.inf))
-    if table is None:
-        table = sentence_table(hyps, refs, metric)
-    buckets = []
+    ref_lens = table.rows[:, -1].tolist()
+    rows = []
     for low, high in bounds:
-        members = [i for i, r in enumerate(refs) if low < len(r) <= high]
+        members = [i for i, m in enumerate(ref_lens) if low < m <= high]
         value = table.score(members) if members else None
-        buckets.append(Bucket(low, high, len(members), value))
-    return BucketReport(table.metric, edges, tuple(buckets))
-
-
-# -------------------------------------------------------------- serialization
-
-# the columns of a bucket CSV row
-BUCKET_COLUMNS = ("bucket_low", "bucket_high", "count", "metric")
-
-
-def bucket_rows(report, open_high=math.inf):
-    """One row per bucket under BUCKET_COLUMNS. The high edge of the open
-    final bucket is written as `open_high`: inf in CSV, so that every cell
-    stays numeric, and None in JSON."""
-    return [{"bucket_low": b.low,
-             "bucket_high": open_high if math.isinf(b.high) else b.high,
-             "count": b.count,
-             "metric": b.metric} for b in report.buckets]
-
-
-def _finite_or_none(value):
-    return None if value is not None and math.isinf(value) else value
-
-
-def category_report_blob(report):
-    return {
-        "metric": report.metric,
-        "n_sentences": report.n_sentences,
-        "categories": [asdict(r) for r in report.rows],
-    }
-
-
-def bucket_report_blob(report):
-    return {
-        "metric": report.metric,
-        "edges": [_finite_or_none(e) for e in report.edges],
-        "buckets": [{
-            "low": b.low,
-            "high": _finite_or_none(b.high),
-            "count": b.count,
-            "metric": b.metric,
-        } for b in report.buckets],
-    }
+        rows.append({"bucket_low": low, "bucket_high": high,
+                     "count": len(members), "metric": value})
+    return rows

@@ -12,13 +12,13 @@ Exit codes: 0 success, 1 usage error (bad flags or parameter values),
 """
 
 import argparse
+import math
 import os
 import sys
 
 from .analysis import (BUCKET_COLUMNS, CATEGORY_COLUMNS,
-                       DEFAULT_BUCKET_EDGES, bucket_quality,
-                       bucket_report_blob, bucket_rows, category_report,
-                       category_report_blob, classify, length_report)
+                       DEFAULT_BUCKET_EDGES, bucket_quality, category_report,
+                       classify, length_report)
 from .augment import (MsrConfig, msr, resolve_output_size, save_provenance,
                       simple_resample)
 from .corpus import (SynthConfig, generate_synthetic, length_histogram,
@@ -205,13 +205,10 @@ def cmd_analyze_categories(args):
     hyps_small = _read_hyps(args.small)
     hyps_large = _read_hyps(args.large)
     refs = _read_sentences(args.refs)
-    tables = (sentence_table(hyps_small, refs, args.metric),
-              sentence_table(hyps_large, refs, args.metric))
-    categories = classify(hyps_small, hyps_large, refs, metric=args.metric,
-                          tables=tables)
-    report = category_report(categories, hyps_small, hyps_large, refs,
-                             metric=args.metric, tables=tables)
-    blob = category_report_blob(report)
+    small = sentence_table(hyps_small, refs, args.metric)
+    large = sentence_table(hyps_large, refs, args.metric)
+    categories = classify(hyps_small, hyps_large, small, large)
+    blob = category_report(categories, hyps_small, hyps_large, small, large)
     if args.format == "csv":
         _emit(format_csv(CATEGORY_COLUMNS, blob["categories"]))
     else:
@@ -230,12 +227,17 @@ def _parse_edges(text):
 def cmd_analyze_buckets(args):
     hyps = _read_hyps(args.hyps)
     refs = _read_sentences(args.refs)
-    report = bucket_quality(hyps, refs, edges=_parse_edges(args.edges),
-                            metric=args.metric)
+    edges = _parse_edges(args.edges)
+    rows = bucket_quality(sentence_table(hyps, refs, args.metric), edges)
     if args.format == "csv":
-        _emit(format_csv(BUCKET_COLUMNS, bucket_rows(report)))
-    else:
-        _emit(canonical_json(bucket_report_blob(report)))
+        _emit(format_csv(BUCKET_COLUMNS, rows))
+        return 0
+    # JSON has no inf: the open high edge is written as null
+    buckets = [{"low": r["bucket_low"], "count": r["count"],
+                "high": None if math.isinf(r["bucket_high"])
+                else r["bucket_high"], "metric": r["metric"]} for r in rows]
+    _emit(canonical_json({"metric": args.metric, "edges": list(edges),
+                          "buckets": buckets}))
     return 0
 
 
@@ -245,6 +247,8 @@ def cmd_analyze_lengths(args):
         label, sep, path = item.partition("=")
         if not sep or not label or not path:
             raise ValueError("--hyps takes LABEL=PATH, got %r" % (item,))
+        if label in hyps_by_beam:
+            raise ValueError("--hyps repeats the label %r" % (label,))
         hyps_by_beam[label] = _read_hyps(path)
     _emit(canonical_json(length_report(hyps_by_beam)))
     return 0

@@ -10,6 +10,7 @@ A manifest records the config snapshot, its hash, and every artifact path.
 
 import hashlib
 import json
+import math
 import os
 import posixpath
 import shutil
@@ -176,7 +177,7 @@ def _config_from_blob(blob):
             raise ValueError("normalizations must be a non-empty list")
         norms = tuple(map(search.parse_normalization, dec["normalizations"]))
         # a repeat would write its decode files and report rows twice
-        if len(set(map(search.format_normalization, norms))) < len(norms):
+        if len(set(norms)) < len(norms):
             raise ValueError("normalizations must not repeat, got %s"
                              % dec["normalizations"])
         # rerank refuses it too, but only once the first search has run
@@ -312,16 +313,14 @@ def _quality_rows(cfg, top1, tables):
             for key in _cells(cfg)]
 
 
-def _bucket_rows(cfg, top1, refs, tables):
-    """The bucket rows of every decode, for the CSV and for the JSON."""
-    csv_rows, json_rows = [], []
-    for key in _cells(cfg):
-        report = analysis.bucket_quality(top1[key], refs,
-                                         edges=cfg.bucket_edges,
-                                         metric=cfg.metric, table=tables[key])
-        for rows, open_high in ((csv_rows, float("inf")), (json_rows, None)):
-            rows.extend(dict(_cell_head(key), **row)
-                        for row in analysis.bucket_rows(report, open_high))
+def _bucket_rows(cfg, tables):
+    """The bucket rows of every decode, for the CSV and for the JSON, which
+    writes the open high edge (inf in the CSV) as null."""
+    csv_rows = [dict(_cell_head(key), **row) for key in _cells(cfg)
+                for row in analysis.bucket_quality(tables[key],
+                                                   cfg.bucket_edges)]
+    json_rows = [dict(row, bucket_high=None) if math.isinf(row["bucket_high"])
+                 else row for row in csv_rows]
     return csv_rows, json_rows
 
 
@@ -472,12 +471,10 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
             for norm in cfg.normalizations:
                 small = (system, small_w, norm)
                 large = (system, large_w, norm)
-                pair = (tables[small], tables[large])
-                cats = analysis.classify(top1[small], top1[large], refs,
-                                         metric=cfg.metric, tables=pair)
-                blob = analysis.category_report_blob(analysis.category_report(
-                    cats, top1[small], top1[large], refs, metric=cfg.metric,
-                    tables=pair))
+                decodes = (top1[small], top1[large], tables[small],
+                           tables[large])
+                blob = analysis.category_report(analysis.classify(*decodes),
+                                                *decodes)
                 report("reports/categories_%s_%s"
                        % (system, search.normalization_slug(norm)),
                        analysis.CATEGORY_COLUMNS, blob["categories"],
@@ -485,7 +482,7 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
                        normalization=search.format_normalization(norm),
                        width_small=small_w, width_large=large_w, report=blob)
 
-        bucket_csv, bucket_json = _bucket_rows(cfg, top1, refs, tables)
+        bucket_csv, bucket_json = _bucket_rows(cfg, tables)
         report("reports/buckets", _BUCKET_COLUMNS, bucket_csv,
                metric=cfg.metric, edges=list(cfg.bucket_edges),
                rows=bucket_json)

@@ -43,7 +43,9 @@ MAX_ALPHA = 10.0
 
 
 def parse_normalization(text):
-    """Parse 'none', 'by_length:ALPHA' or 'gnmt:ALPHA'."""
+    """Parse 'none', 'by_length:ALPHA' or 'gnmt:ALPHA'. format_normalization
+    writes ALPHA back in six significant digits, so a longer ALPHA is
+    refused: two alphas must never share a name. -0 is read as 0."""
     if text == "none":
         return ("none",)
     kind, sep, raw = text.partition(":")
@@ -51,13 +53,17 @@ def parse_normalization(text):
         raise ValueError("bad normalization %r: not none, by_length:ALPHA "
                          "or gnmt:ALPHA" % (text,))
     try:
-        alpha = float(raw)
+        alpha = float(raw) + 0.0
     except ValueError:
         raise ValueError("bad normalization %r: alpha is not a number"
                          % (text,)) from None
     if not 0 <= alpha <= MAX_ALPHA:
         raise ValueError("bad normalization %r: alpha must be finite and in "
                          "[0, %g]" % (text, MAX_ALPHA))
+    # a subnormal alpha has too few bits to keep the six digits %g writes
+    if float("%g" % alpha) != alpha or 0 < alpha < sys.float_info.min:
+        raise ValueError("bad normalization %r: alpha must be 0 or a normal "
+                         "float of at most six significant digits" % (text,))
     return (kind, alpha)
 
 

@@ -404,6 +404,26 @@ def test_decode_rejects_non_finite_alpha(capsys, tmp_path, norm):
     assert not out.exists() or not os.listdir(out)
 
 
+@pytest.mark.parametrize("norm", ["by_length:1.0000001", "by_length:1e-320"])
+def test_decode_refuses_an_alpha_its_file_name_would_change(capsys, tmp_path,
+                                                            norm):
+    model, src = train_toy_model(capsys, tmp_path)
+    out = tmp_path / "dec"
+    code, _, err = run(capsys, "decode", model, src, "--norm", norm,
+                       "--out", str(out))
+    assert code == 1
+    assert "six significant digits" in err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_decode_writes_negative_zero_alpha_as_zero(capsys, tmp_path):
+    model, src = train_toy_model(capsys, tmp_path)
+    code, stdout, _ = run(capsys, "decode", model, src, "--norm",
+                          "by_length:-0", "--out", str(tmp_path / "dec"))
+    assert code == 0
+    assert stdout.strip().endswith("decode_w4_by_length_0.tsv")
+
+
 @pytest.mark.parametrize("topk", ["0", "-1"])
 def test_decode_rejects_topk_below_one(capsys, tmp_path, topk):
     model, src = train_toy_model(capsys, tmp_path)
@@ -685,6 +705,17 @@ def test_analyze_lengths_needs_label(capsys, tmp_path):
     assert code == 1
 
 
+def test_analyze_lengths_refuses_a_repeated_label(capsys, tmp_path):
+    # the second file would replace the first under the same key
+    a = write_lines(tmp_path / "a.txt", [["x"] * 4])
+    b = write_lines(tmp_path / "b.txt", [["x"] * 2])
+    code, stdout, err = run(capsys, "analyze", "lengths",
+                            "--hyps", "w4=%s" % a, "--hyps", "w4=%s" % b)
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: --hyps repeats the label 'w4'\n"
+
+
 def test_analyze_histogram_stdout(capsys, tmp_path):
     src, tgt = toy_corpus_files(tmp_path, reps=1)
     code, stdout, _ = run(capsys, "analyze", "histogram", src, tgt,
@@ -696,6 +727,71 @@ def test_analyze_histogram_stdout(capsys, tmp_path):
     # target lengths 4, 3, 5, 2 -> buckets [2,4):2 [4,6):2
     assert lines[2] == "2,4,2"
     assert lines[3] == "4,6,2"
+
+
+# damaged copies of a decode file and its references: the analysis and
+# evaluate commands end with exit 0, 1 or 2, never with an exception
+
+@pytest.fixture(scope="module")
+def analysis_inputs(tmp_path_factory):
+    """A working directory, and the bytes of a top-2 decode file of the toy
+    corpus and of its references."""
+    tmp_path = tmp_path_factory.mktemp("damaged")
+    src, tgt = toy_corpus_files(tmp_path, reps=2)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", src, tgt, "--out", str(tmp_path)]) == 0
+        assert cli.main(["decode", str(tmp_path / "model.json"), src,
+                         "--topk", "2", "--name", "good.tsv",
+                         "--out", str(tmp_path)]) == 0
+    return (tmp_path, (tmp_path / "good.tsv").read_bytes(),
+            Path(tgt).read_bytes())
+
+
+def _damaged(draw, data):
+    """A truncated, byte-flipped or line-shuffled copy of `data`."""
+    how = draw(st.sampled_from(["truncate", "flip", "shuffle"]))
+    if how == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if how == "flip":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) \
+            + data[i + 1:]
+    return b"".join(draw(st.permutations(data.splitlines(keepends=True))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_damaged_analysis_inputs_never_raise(analysis_inputs, data):
+    tmp_path, tsv, refs = analysis_inputs
+    which = data.draw(st.sampled_from(["hyps", "refs", "both"]))
+    if which != "refs":
+        tsv = _damaged(data.draw, tsv)
+    if which != "hyps":
+        refs = _damaged(data.draw, refs)
+    (tmp_path / "hyps.tsv").write_bytes(tsv)
+    (tmp_path / "refs.txt").write_bytes(refs)
+    hyps, good, refs = (str(tmp_path / name)
+                        for name in ("hyps.tsv", "good.tsv", "refs.txt"))
+    for argv in (["evaluate", "bleu", hyps, refs],
+                 ["evaluate", "wer", hyps, refs],
+                 ["evaluate", "bootstrap", hyps, good, refs,
+                  "--n-resamples", "100"],
+                 ["analyze", "categories", "--small", good, "--large", hyps,
+                  "--refs", refs],
+                 ["analyze", "categories", "--small", hyps, "--large", good,
+                  "--refs", refs, "--metric", "wer", "--format", "csv"],
+                 ["analyze", "buckets", "--hyps", hyps, "--refs", refs,
+                  "--edges", "2,4"],
+                 ["analyze", "buckets", "--hyps", hyps, "--refs", refs,
+                  "--metric", "wer", "--format", "csv"],
+                 ["analyze", "lengths", "--hyps", "a=" + hyps,
+                  "--hyps", "b=" + good]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), argv
+        assert code == 0 or err.getvalue().startswith("error: "), argv
 
 
 # the exact CSV bytes of the analyze subcommands, pinned cell by cell
@@ -917,6 +1013,173 @@ PINNED_OUTPUTS = {
         '4,8,3,0.2777777777777778\n'
         '8,12,0,\n'
         '12,inf,2,0.5185185185185185\n'),
+    "categories_bleu_json": (
+        'analyze categories --small small.txt --large large.txt --refs '
+        'refs.txt',
+        '{\n'
+        ' "categories": [\n'
+        '  {\n'
+        '   "category": "Improved",\n'
+        '   "contribution": 28.759295469634715,\n'
+        '   "count": 2,\n'
+        '   "fraction": 0.3333333333333333,\n'
+        '   "length_contribution": 0.3333333333333333,\n'
+        '   "mean_len_large": 5.5,\n'
+        '   "mean_len_small": 4.5,\n'
+        '   "metric_large": 86.27788640890415,\n'
+        '   "metric_small": 0.0\n'
+        '  },\n'
+        '  {\n'
+        '   "category": "Prefix",\n'
+        '   "contribution": -30.40927047768775,\n'
+        '   "count": 3,\n'
+        '   "fraction": 0.5,\n'
+        '   "length_contribution": -2.333333333333334,\n'
+        '   "mean_len_large": 3.6666666666666665,\n'
+        '   "mean_len_small": 8.333333333333334,\n'
+        '   "metric_large": 27.08716677818548,\n'
+        '   "metric_small": 87.90570773356097\n'
+        '  },\n'
+        '  {\n'
+        '   "category": "OtherDrop",\n'
+        '   "contribution": -10.958306107107834,\n'
+        '   "count": 1,\n'
+        '   "fraction": 0.16666666666666666,\n'
+        '   "length_contribution": -0.8333333333333333,\n'
+        '   "mean_len_large": 9.0,\n'
+        '   "mean_len_small": 14.0,\n'
+        '   "metric_large": 34.25016335735299,\n'
+        '   "metric_small": 100.0\n'
+        '  }\n'
+        ' ],\n'
+        ' "metric": "bleu",\n'
+        ' "n_sentences": 6\n'
+        '}\n'),
+    "categories_bleu_csv": (
+        'analyze categories --small small.txt --large large.txt --refs '
+        'refs.txt --format csv',
+        'category,count,fraction,metric_small,metric_large,'
+        'mean_len_small,mean_len_large,contribution,length_contribution\n'
+        'Improved,2,0.3333333333333333,0.0,86.27788640890415,4.5,5.5,'
+        '28.759295469634715,0.3333333333333333\n'
+        'Prefix,3,0.5,87.90570773356097,27.08716677818548,'
+        '8.333333333333334,3.6666666666666665,-30.40927047768775,'
+        '-2.333333333333334\n'
+        'OtherDrop,1,0.16666666666666666,100.0,34.25016335735299,'
+        '14.0,9.0,-10.958306107107834,-0.8333333333333333\n'),
+    "buckets_bleu_json": (
+        'analyze buckets --hyps large.txt --refs refs.txt',
+        '{\n'
+        ' "buckets": [\n'
+        '  {\n'
+        '   "count": 4,\n'
+        '   "high": 10,\n'
+        '   "low": 0,\n'
+        '   "metric": 65.30748889720752\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 2,\n'
+        '   "high": 20,\n'
+        '   "low": 10,\n'
+        '   "metric": 28.50375531563209\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 0,\n'
+        '   "high": 30,\n'
+        '   "low": 20,\n'
+        '   "metric": null\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 0,\n'
+        '   "high": 40,\n'
+        '   "low": 30,\n'
+        '   "metric": null\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 0,\n'
+        '   "high": 50,\n'
+        '   "low": 40,\n'
+        '   "metric": null\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 0,\n'
+        '   "high": 60,\n'
+        '   "low": 50,\n'
+        '   "metric": null\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 0,\n'
+        '   "high": null,\n'
+        '   "low": 60,\n'
+        '   "metric": null\n'
+        '  }\n'
+        ' ],\n'
+        ' "edges": [\n'
+        '  10,\n'
+        '  20,\n'
+        '  30,\n'
+        '  40,\n'
+        '  50,\n'
+        '  60\n'
+        ' ],\n'
+        ' "metric": "bleu"\n'
+        '}\n'),
+    "buckets_bleu_csv": (
+        'analyze buckets --hyps large.txt --refs refs.txt --format csv',
+        'bucket_low,bucket_high,count,metric\n'
+        '0,10,4,65.30748889720752\n'
+        '10,20,2,28.50375531563209\n'
+        '20,30,0,\n'
+        '30,40,0,\n'
+        '40,50,0,\n'
+        '50,60,0,\n'
+        '60,inf,0,\n'),
+    "buckets_bleu_edges_json": (
+        'analyze buckets --hyps small.txt --refs refs.txt --edges 3,6',
+        '{\n'
+        ' "buckets": [\n'
+        '  {\n'
+        '   "count": 0,\n'
+        '   "high": 3,\n'
+        '   "low": 0,\n'
+        '   "metric": null\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 3,\n'
+        '   "high": 6,\n'
+        '   "low": 3,\n'
+        '   "metric": 0.0\n'
+        '  },\n'
+        '  {\n'
+        '   "count": 3,\n'
+        '   "high": null,\n'
+        '   "low": 6,\n'
+        '   "metric": 94.46822701526305\n'
+        '  }\n'
+        ' ],\n'
+        ' "edges": [\n'
+        '  3,\n'
+        '  6\n'
+        ' ],\n'
+        ' "metric": "bleu"\n'
+        '}\n'),
+    "buckets_bleu_edges_csv": (
+        'analyze buckets --hyps small.txt --refs refs.txt --edges 3,6 '
+        '--format csv',
+        'bucket_low,bucket_high,count,metric\n'
+        '0,3,0,\n'
+        '3,6,3,0.0\n'
+        '6,inf,3,94.46822701526305\n'),
+    "lengths": (
+        'analyze lengths --hyps w4=small.txt --hyps w200=large.txt '
+        '--hyps refs=refs.txt',
+        '{\n'
+        ' "means": {\n'
+        '  "refs": 8.166666666666666,\n'
+        '  "w200": 5.166666666666667,\n'
+        '  "w4": 8.0\n'
+        ' }\n'
+        '}\n'),
 }
 
 
@@ -1011,6 +1274,7 @@ def test_experiment_bad_config_value_is_data_error(capsys, tmp_path):
     ('["none"]', '["by_length:400"]'),
     ('["none"]', '["gnmt:1e300"]'),
     ('["none"]', '["none", "by_length:1", "by_length:1.0"]'),
+    ('["none"]', '["by_length:1.0000001"]'),
 ])
 def test_experiment_resource_knob_is_data_error_before_any_write(
         capsys, tmp_path, old, new):

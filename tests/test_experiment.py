@@ -141,6 +141,14 @@ def test_bad_config_values_are_data_errors(tmp_path, text):
     # both would write decodes/*_by_length_1.tsv and its report rows
     ('decode:\n  normalizations: ["none", "by_length:1", "by_length:1.0"]\n',
      "must not repeat"),
+    # named by_length:1 and by_length:9.99989e-321, which are not them
+    ('decode:\n  normalizations: ["by_length:1.0000001"]\n',
+     "six significant digits"),
+    ('decode:\n  normalizations: ["by_length:1e-320"]\n',
+     "six significant digits"),
+    # -0 is 0
+    ('decode:\n  normalizations: ["by_length:0", "by_length:-0"]\n',
+     "must not repeat"),
 ])
 def test_resource_knobs_are_refused_at_config_load(tmp_path, text, message):
     with pytest.raises(DataError, match=message):

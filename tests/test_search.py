@@ -88,6 +88,42 @@ def test_normalization_alpha_is_capped():
                 S.parse_normalization("%s:%s" % (kind, bad))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.builds("{}:{}".format, st.sampled_from(["by_length", "gnmt"]),
+                 st.one_of(st.floats(0, 10).map("%g".__mod__),
+                           st.floats().map(repr),
+                           st.decimals(0, 10, places=8).map(str),
+                           st.sampled_from(["-0", "-0.0", "0", "1e-320",
+                                            "5e-324", "1.0000001",
+                                            "2.2250738585072014e-308"]))))
+@example("by_length:1.0000001")
+@example("by_length:1e-320")
+@example("by_length:-0")
+def test_normalization_names_round_trip(text):
+    # an accepted alpha is what its name spells, so two alphas never share
+    # a decode file name, and -0 is never written
+    try:
+        norm = S.parse_normalization(text)
+    except ValueError as exc:
+        assert str(exc).startswith("bad normalization")
+        return
+    assert repr(S.parse_normalization(S.format_normalization(norm))) == \
+        repr(norm)
+    assert math.copysign(1.0, norm[1]) == 1.0
+
+
+def test_lossy_normalization_names_are_refused():
+    for text in ("by_length:1.0000001", "by_length:1e-320", "gnmt:0.1234567",
+                 "gnmt:5e-324"):
+        with pytest.raises(ValueError, match="six significant digits"):
+            S.parse_normalization(text)
+    for text in ("by_length:-0", "gnmt:-0.0"):
+        norm = S.parse_normalization(text)
+        assert repr(norm[1]) == "0.0"
+        assert S.normalization_slug(norm) == text.split(":")[0] + "_0"
+    assert S.parse_normalization("gnmt:0.123456") == ("gnmt", 0.123456)
+
+
 # --------------------------------------------------------------- ranking
 
 NORMS = [("none",), ("by_length", 0.0), ("by_length", 0.5),
