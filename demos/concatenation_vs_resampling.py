@@ -67,7 +67,7 @@ for name, corpus in corpora.items():
         results = decode_corpus(model, sources, BeamConfig(width=width))
         hyps = [model.target_vocab.decode(r.hypotheses[0].tokens)
                 for r in results]
-        scores[width] = corpus_bleu(hyps, refs).score
+        scores[width] = corpus_bleu(hyps, refs)
     print("  %-9s w4 %6.2f   w200 %6.2f   gap %6.2f"
           % (name, scores[4], scores[200], scores[4] - scores[200]))
 

@@ -40,7 +40,7 @@ for width in (1, 2, 4):
     lens = [len(h) for h in hyps]
     bleu = corpus_bleu(hyps, refs)
     print("  width %d  BLEU %6.2f   mean hyp length %5.1f   max %3d"
-          % (width, bleu.score, sum(lens) / len(lens), max(lens)))
+          % (width, bleu, sum(lens) / len(lens), max(lens)))
     if width == 1:
         worst = max(range(len(hyps)), key=lambda i: lens[i] - len(refs[i]))
         overrun = hyps[worst]

@@ -47,7 +47,7 @@ for width in (1, 4, 32, 200):
     hyps = top1(decoded[width])
     bleu = corpus_bleu(hyps, refs)
     print("  width %-3d  BLEU %6.2f   mean hyp length %5.2f"
-          % (width, bleu.score, sum(map(len, hyps)) / len(hyps)))
+          % (width, bleu, sum(map(len, hyps)) / len(hyps)))
 
 # Why: a short hypothesis ending in ". EOS" costs a handful of nats
 # total, while every extra content token costs a little. Past some
@@ -86,4 +86,4 @@ for width in (4, 200):
     hyps = top1([rerank(r, by_length, topk=1) for r in decoded[width]])
     bleu = corpus_bleu(hyps, refs)
     print("  width %-3d  BLEU %6.2f   mean hyp length %5.2f"
-          % (width, bleu.score, sum(map(len, hyps)) / len(hyps)))
+          % (width, bleu, sum(map(len, hyps)) / len(hyps)))

@@ -212,8 +212,7 @@ def msr(corpus, config):
     size = resolve_output_size(len(corpus), config)
     check_msr_picks(size, config.n_max)
     rows, offsets = _msr_draws(config.seed, size, config.n_max, len(corpus))
-    return concatenated(corpus, rows, offsets,
-                        "%s+msr%d" % (corpus.name, config.n_max))
+    return concatenated(corpus, rows, offsets)
 
 
 def simple_resample(corpus, size, seed):
@@ -224,8 +223,7 @@ def simple_resample(corpus, size, seed):
     lengths = corpus.lengths("target").astype(float)
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(corpus), size=size, p=lengths / lengths.sum())
-    return concatenated(corpus, picks, np.arange(size + 1),
-                        corpus.name + "+resample")
+    return concatenated(corpus, picks, np.arange(size + 1))
 
 
 def save_provenance(corpus, path):

@@ -27,7 +27,7 @@ from .corpus import (SynthConfig, generate_synthetic, length_histogram,
 from .errors import DataError
 from .experiment import SYNTH_DEFAULTS, run_experiment
 from .fileio import canonical_json, format_csv, write_text_atomic
-from .metrics import corpus_bleu, paired_bootstrap, sentence_table
+from .metrics import paired_bootstrap, sentence_table
 from .model import load_model, save_model, train
 from .search import (BeamConfig, decode_corpus, format_decode_tsv,
                      normalization_slug, parse_decode_tsv,
@@ -69,7 +69,7 @@ def _read_hyps(path):
     try:
         text = "".join(line + "\n" for line in read_lines(path))
         return [group[0][3] for group in parse_decode_tsv(text)]
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError("%s is not a decode file: %s" % (path, exc)) from None
 
 
@@ -163,40 +163,12 @@ def cmd_decode(args):
 def cmd_evaluate(args):
     refs = _read_sentences(args.refs)
     if args.mode == "bootstrap":
-        hyps_a = _read_hyps(args.hyps_a)
-        hyps_b = _read_hyps(args.hyps_b)
-        result = paired_bootstrap(hyps_a, hyps_b, refs, metric=args.metric,
-                                  n_resamples=args.n_resamples,
-                                  seed=args.seed)
-        _emit(canonical_json({
-            "metric": args.metric,
-            "score_a": result.score_a,
-            "score_b": result.score_b,
-            "n_sentences": len(refs),
-            "p_value": result.p_value,
-            "wins_a": result.wins_a,
-            "wins_b": result.wins_b,
-            "ties": result.ties,
-            "n_resamples": result.n_resamples,
-            "seed": result.seed,
-        }))
-        return 0
-    hyps = _read_hyps(args.hyps)
-    if args.mode == "bleu":
-        breakdown = corpus_bleu(hyps, refs)
-        blob = {"metric": "bleu", "score": breakdown.score,
-                "n_sentences": len(refs),
-                "breakdown": {"precisions": list(breakdown.precisions),
-                              "brevity_penalty": breakdown.brevity_penalty,
-                              "hyp_len": breakdown.hyp_len,
-                              "ref_len": breakdown.ref_len}}
+        blob = paired_bootstrap(_read_hyps(args.hyps_a),
+                                _read_hyps(args.hyps_b), refs,
+                                metric=args.metric,
+                                n_resamples=args.n_resamples, seed=args.seed)
     else:
-        table = sentence_table(hyps, refs, "wer")
-        subs, ins, dels, ref_len = table.sums()
-        blob = {"metric": "wer", "score": table.score(),
-                "n_sentences": len(refs),
-                "breakdown": {"substitutions": subs, "insertions": ins,
-                              "deletions": dels, "ref_len": ref_len}}
+        blob = sentence_table(_read_hyps(args.hyps), refs, args.mode).report()
     _emit(canonical_json(blob))
     return 0
 

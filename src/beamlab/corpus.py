@@ -131,7 +131,7 @@ class ParallelCorpus:
     that built each pair; a plain corpus has None. Indexing and iteration
     give SentencePair (AugmentedPair) views."""
 
-    def __init__(self, source, target, name="corpus", provenance=None):
+    def __init__(self, source, target, provenance=None):
         if len(source) != len(target):
             raise ValueError("the sides hold %d and %d sentences"
                              % (len(source), len(target)))
@@ -141,7 +141,6 @@ class ParallelCorpus:
                 raise ValueError("pair %d has an empty side" % empty[0])
         self.source = source
         self.target = target
-        self.name = name
         self.provenance = provenance
 
     def __len__(self):
@@ -184,7 +183,7 @@ class ParallelCorpus:
         return self.arrays(which).lengths()
 
 
-def concatenated(corpus, rows, offsets, name):
+def concatenated(corpus, rows, offsets):
     """The corpus whose pair j joins pairs rows[offsets[j]:offsets[j + 1]]
     of `corpus` end to end, with those rows as its provenance."""
     rows = np.asarray(rows, np.int64)
@@ -193,14 +192,13 @@ def concatenated(corpus, rows, offsets, name):
     for side in (corpus.source, corpus.target):
         ids, token_offsets = _gather_rows(side.ids, side.offsets, rows)
         sides.append(Side(side.table, ids, token_offsets.take(offsets)))
-    return ParallelCorpus(*sides, name=name, provenance=(rows, offsets))
+    return ParallelCorpus(*sides, provenance=(rows, offsets))
 
 
-def corpus_from_token_pairs(pairs, name="corpus"):
+def corpus_from_token_pairs(pairs):
     pairs = list(pairs)
     return ParallelCorpus(_side_from_sentences([src for src, _ in pairs]),
-                          _side_from_sentences([tgt for _, tgt in pairs]),
-                          name=name)
+                          _side_from_sentences([tgt for _, tgt in pairs]))
 
 
 def tokenize(line):
@@ -234,7 +232,7 @@ def _parse_side(path, lines):
     return side
 
 
-def load_corpus(source_path, target_path, name=None):
+def load_corpus(source_path, target_path):
     src_lines = read_lines(source_path)
     tgt_lines = read_lines(target_path)
     if len(src_lines) != len(tgt_lines):
@@ -244,9 +242,7 @@ def load_corpus(source_path, target_path, name=None):
     source = _parse_side(source_path, src_lines)
     del src_lines
     target = _parse_side(target_path, tgt_lines)
-    if name is None:
-        name = str(source_path)
-    return ParallelCorpus(source, target, name=name)
+    return ParallelCorpus(source, target)
 
 
 def save_corpus(corpus, source_path, target_path):
@@ -485,6 +481,6 @@ def generate_synthetic(config):
             tgt_ranks = np.insert(tgt_ranks, ends, tgt_term)
         offsets = _offsets(lengths)
         splits[split_name] = ParallelCorpus(
-            Side(src_table, ranks, offsets), Side(tgt_table, tgt_ranks, offsets),
-            name=split_name)
+            Side(src_table, ranks, offsets),
+            Side(tgt_table, tgt_ranks, offsets))
     return splits

@@ -14,7 +14,6 @@ SentenceTable and every score is a sum over its rows.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,36 +27,6 @@ _BOOTSTRAP_CHUNK = 256
 # the most cells (resamples x sentences) of the bootstrap's index draw: 400 MB
 # of int64
 MAX_BOOTSTRAP_CELLS = 50_000_000
-
-
-@dataclass(frozen=True)
-class BleuBreakdown:
-    precisions: tuple
-    brevity_penalty: float
-    hyp_len: int
-    ref_len: int
-    score: float
-
-
-@dataclass(frozen=True)
-class WerBreakdown:
-    substitutions: int
-    insertions: int
-    deletions: int
-    ref_len: int
-    wer: float
-
-
-@dataclass(frozen=True)
-class BootstrapResult:
-    n_resamples: int
-    wins_a: int
-    wins_b: int
-    ties: int
-    p_value: float
-    seed: int
-    score_a: float
-    score_b: float
 
 
 # ----------------------------------------------------------------------- BLEU
@@ -82,31 +51,41 @@ def _bleu_stats(hyp, ref):
 
 
 def _bleu_from_sums(sums):
-    precisions = tuple(
-        sums[2 * n] / sums[2 * n + 1] if sums[2 * n + 1] else 0.0
-        for n in range(MAX_ORDER))
+    """Corpus BLEU of summed table rows, and its breakdown."""
+    precisions = [sums[2 * n] / sums[2 * n + 1] if sums[2 * n + 1] else 0.0
+                  for n in range(MAX_ORDER)]
     hyp_len, ref_len = sums[8], sums[9]
-    if hyp_len == 0:
-        return BleuBreakdown(precisions, 0.0, hyp_len, ref_len, 0.0)
-    bp = min(1.0, math.exp(1.0 - ref_len / hyp_len))
-    if any(p == 0.0 for p in precisions):
+    bp = min(1.0, math.exp(1.0 - ref_len / hyp_len)) if hyp_len else 0.0
+    if not hyp_len or any(p == 0.0 for p in precisions):
         score = 0.0
     else:
         score = 100.0 * bp * math.exp(
             sum(math.log(p) for p in precisions) / MAX_ORDER)
-    return BleuBreakdown(precisions, bp, hyp_len, ref_len, score)
+    return score, {"precisions": precisions, "brevity_penalty": bp,
+                   "hyp_len": hyp_len, "ref_len": ref_len}
 
 
-def _sentence_bleu(stats, eps):
+def _wer_from_sums(sums):
+    """Micro-averaged WER of summed table rows, and its breakdown."""
+    subs, ins, dels, ref_len = sums
+    return (subs + ins + dels) / ref_len, {
+        "substitutions": subs, "insertions": ins, "deletions": dels,
+        "ref_len": ref_len}
+
+
+_FROM_SUMS = {"bleu": _bleu_from_sums, "wer": _wer_from_sums}
+
+
+def _sentence_bleu(stats):
     if not stats[8]:
         return 0.0
     logs = 0.0
     for n in range(MAX_ORDER):
         clipped, total = stats[2 * n], stats[2 * n + 1]
         if total == 0:
-            p = eps
+            p = SENTENCE_EPS
         elif clipped == 0:
-            p = eps / total
+            p = SENTENCE_EPS / total
         else:
             p = clipped / total
         logs += math.log(p)
@@ -115,26 +94,27 @@ def _sentence_bleu(stats, eps):
 
 
 def corpus_bleu(hyps, refs):
-    """Corpus-level BLEU with the full breakdown. Any n-gram order with no
-    corpus-wide match zeroes the score (no smoothing at corpus level)."""
-    return _bleu_from_sums(sentence_table(hyps, refs, "bleu").sums())
+    """Corpus-level BLEU. Any n-gram order with no corpus-wide match zeroes
+    the score (no smoothing at corpus level)."""
+    return sentence_table(hyps, refs, "bleu").score()
 
 
-def sentence_bleu(hyp, ref, eps=SENTENCE_EPS):
+def sentence_bleu(hyp, ref):
     """BLEU on a single pair with epsilon-floor smoothing: a zero-numerator
-    precision becomes eps/denominator, an empty denominator becomes eps.
-    Empty hypotheses score 0."""
+    precision becomes SENTENCE_EPS/denominator, an empty denominator becomes
+    SENTENCE_EPS. Empty hypotheses score 0."""
     if not ref:
         raise DataError("reference sentence is empty")
-    return _sentence_bleu(_bleu_stats(hyp, ref), eps)
+    return _sentence_bleu(_bleu_stats(hyp, ref))
 
 
 # ------------------------------------------------------------------------ WER
 
 def wer(hyp, ref):
-    """Token-level word error rate against a single reference. The backtrace
-    resolves cost ties as substitution, then deletion, then insertion, so the
-    S/I/D split is deterministic."""
+    """Token-level edit counts against a single reference: the sentence
+    table row (substitutions, insertions, deletions, len(ref)). The
+    backtrace resolves cost ties as substitution, then deletion, then
+    insertion, so the S/I/D split is deterministic."""
     if not ref:
         raise DataError("reference sentence is empty")
     n, m = len(hyp), len(ref)
@@ -169,7 +149,7 @@ def wer(hyp, ref):
         else:
             ins += 1
             i -= 1
-    return WerBreakdown(subs, ins, dels, m, (subs + ins + dels) / m)
+    return subs, ins, dels, m
 
 
 def corpus_wer(hyps, refs):
@@ -203,25 +183,22 @@ class SentenceTable:
 
     def score(self, index=None):
         """Corpus BLEU or micro-averaged WER of the rows in `index`."""
-        sums = self.sums(index)
-        if self.metric == "bleu":
-            return _bleu_from_sums(sums).score
-        return (sums[0] + sums[1] + sums[2]) / sums[3]
+        return _FROM_SUMS[self.metric](self.sums(index))[0]
 
-    def sentence_scores(self, eps=SENTENCE_EPS):
+    def report(self):
+        """The blob `evaluate` writes: the corpus score of every row, the
+        number of rows and the breakdown of the score."""
+        score, breakdown = _FROM_SUMS[self.metric](self.sums())
+        return {"metric": self.metric, "score": score,
+                "n_sentences": len(self.rows), "breakdown": breakdown}
+
+    def sentence_scores(self):
         """Per-pair smoothed BLEU (as sentence_bleu) or WER, in row order."""
         if not self.rows[:, -1].all():
             raise DataError("reference sentence is empty")
         if self.metric == "bleu":
-            return [_sentence_bleu(row, eps) for row in self.rows.tolist()]
+            return [_sentence_bleu(row) for row in self.rows.tolist()]
         return [(s + i + d) / m for s, i, d, m in self.rows.tolist()]
-
-
-def _wer_row(hyp, ref):
-    if not ref:
-        return (0, 0, 0, 0)
-    w = wer(hyp, ref)
-    return (w.substitutions, w.insertions, w.deletions, w.ref_len)
 
 
 def check_metric(metric):
@@ -241,7 +218,8 @@ def sentence_table(hyps, refs, metric="bleu"):
         rows = [_bleu_stats(h, r) for h, r in zip(hyps, refs)]
         width = 2 * MAX_ORDER + 2
     else:
-        rows = [_wer_row(h, r) for h, r in zip(hyps, refs)]
+        rows = [wer(h, r) if r else (0, 0, 0, 0)
+                for h, r in zip(hyps, refs)]
         width = 4
     return SentenceTable(metric, np.array(rows, dtype=np.int64).reshape(
         len(rows), width))
@@ -257,7 +235,7 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
     single RNG draw, rng.integers(0, n, size=(n_resamples, n)), of at most
     MAX_BOOTSTRAP_CELLS values. Each system's sentence table is built once;
     the resamples and the full-set scores (score_a, score_b) are sums over
-    its rows."""
+    its rows. Returns the blob `evaluate bootstrap` writes."""
     if n_resamples < 100:
         raise ValueError("n_resamples must be >= 100, got %d" % n_resamples)
     if n_resamples * len(refs) > MAX_BOOTSTRAP_CELLS:
@@ -275,7 +253,7 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
     score_a, score_b = table_a.score(), table_b.score()
     if metric == "bleu":
         def score(sums):
-            return np.array([_bleu_from_sums(row).score
+            return np.array([_bleu_from_sums(row)[0]
                              for row in sums.tolist()])
         better = np.greater
     else:
@@ -295,5 +273,7 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
         wins_b += int(better(resampled_b, resampled_a).sum())
     ties = n_resamples - wins_a - wins_b
     p_value = 1.0 - max(wins_a, wins_b) / n_resamples
-    return BootstrapResult(n_resamples, wins_a, wins_b, ties, p_value, seed,
-                           score_a, score_b)
+    return {"metric": metric, "score_a": score_a, "score_b": score_b,
+            "n_sentences": n, "p_value": p_value, "wins_a": wins_a,
+            "wins_b": wins_b, "ties": ties, "n_resamples": n_resamples,
+            "seed": seed}

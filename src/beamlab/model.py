@@ -381,7 +381,7 @@ def load_model(path):
             blob = json.load(handle)
     except OSError as err:
         raise ModelFormatError("cannot read %s: %s" % (path, err.strerror)) from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ModelFormatError("corrupt model file %s: %s" % (path, err)) from err
     if not isinstance(blob, dict) or blob.get("format") != FORMAT_NAME:
         raise ModelFormatError("%s is not a model file" % (path,))

@@ -570,17 +570,25 @@ def format_decode_tsv(results, vocab):
 
 def parse_decode_tsv(text):
     """Inverse of format_decode_tsv: a list (per input) of
-    (rank, normalized_score, logprob, tokens) entries."""
+    (rank, normalized_score, logprob, tokens) entries. Rank 1 opens an
+    input and its ranks run 1, 2, 3, ... in order; ValueError names the
+    first line that breaks this."""
     inputs = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError("decode line needs 4 tab-separated fields: %r" % line)
-        rank = int(fields[0])
-        entry = (rank, float(fields[1]), float(fields[2]), fields[3].split())
+        try:
+            if len(fields) != 4:
+                raise ValueError("needs 4 tab-separated fields")
+            rank = int(fields[0])
+            if rank not in (1, len(inputs[-1]) + 1 if inputs else 1):
+                raise ValueError("rank %d; an input's ranks run 1, 2, 3, ..."
+                                 % rank)
+            entry = (rank, float(fields[1]), float(fields[2]),
+                     fields[3].split())
+        except ValueError as exc:
+            raise ValueError("line %d: %s: %r" % (lineno, exc, line)) from None
         if rank == 1:
             inputs.append([entry])
         else:
             inputs[-1].append(entry)
     return inputs
-

@@ -16,7 +16,7 @@ from beamlab.augment import MsrConfig, msr
 from beamlab.corpus import (SynthConfig, corpus_from_token_pairs,
                             generate_synthetic)
 from beamlab.experiment import run_experiment
-from beamlab.metrics import corpus_bleu, wer
+from beamlab.metrics import corpus_bleu, corpus_wer, sentence_table, wer
 from beamlab.model import train
 from beamlab.search import (BeamConfig, DenseScorer, beam_search,
                             exact_search, saturating_width)
@@ -155,30 +155,31 @@ def test_ac4_metric_oracle_equivalence():
                                vocab[int(rng.integers(0, len(vocab)))])
             hyps.append(hyp)
 
-        got = corpus_bleu(hyps, refs)
+        got = sentence_table(hyps, refs, "bleu").report()
         want_score, want_prec, want_bp, want_hyp, want_ref = \
             bleu_corpus_reference(hyps, refs)
-        assert got.score == pytest.approx(want_score, abs=1e-9)
-        assert got.brevity_penalty == pytest.approx(want_bp, abs=1e-9)
-        for g, w in zip(got.precisions, want_prec):
+        assert got["score"] == corpus_bleu(hyps, refs)
+        assert got["score"] == pytest.approx(want_score, abs=1e-9)
+        breakdown = got["breakdown"]
+        assert breakdown["brevity_penalty"] == pytest.approx(want_bp,
+                                                             abs=1e-9)
+        for g, w in zip(breakdown["precisions"], want_prec):
             assert g == pytest.approx(w, abs=1e-9)
-        assert (got.hyp_len, got.ref_len) == (want_hyp, want_ref)
+        assert (breakdown["hyp_len"], breakdown["ref_len"]) == \
+            (want_hyp, want_ref)
 
         for hyp, ref in zip(hyps, refs):
             if not ref:
                 continue
-            breakdown = wer(hyp, ref)
-            dist = levenshtein_reference(hyp, ref)
-            assert breakdown.substitutions + breakdown.insertions + \
-                breakdown.deletions == dist
+            subs, ins, dels, _ = wer(hyp, ref)
+            assert subs + ins + dels == levenshtein_reference(hyp, ref)
 
     ident = [["a", "b", "c", "d", "e"], ["f", "g"]]
-    assert corpus_bleu(ident, ident).score == 100.0
-    assert corpus_bleu([[], []], ident).score == 0.0
-    assert wer(["a", "b"], ["a", "b"]).wer == 0.0
-    assert wer([], ["a", "b"]).wer == 1.0
-    swap = wer(["a", "b"], ["b", "a"])
-    assert (swap.substitutions, swap.insertions, swap.deletions) == (2, 0, 0)
+    assert corpus_bleu(ident, ident) == 100.0
+    assert corpus_bleu([[], []], ident) == 0.0
+    assert corpus_wer([["a", "b"]], [["a", "b"]]) == 0.0
+    assert corpus_wer([[]], [["a", "b"]]) == 1.0
+    assert wer(["a", "b"], ["b", "a"])[:3] == (2, 0, 0)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 10

@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
     import tomli as tomllib
 
 import beamlab
-from beamlab import cli, metrics
+from beamlab import cli, experiment, metrics
 from beamlab.corpus import load_corpus
 from beamlab.model import load_model
 from beamlab.search import parse_decode_tsv, parse_normalization
@@ -546,6 +548,18 @@ def test_decode_refuses_malformed_model(capsys, tmp_path, case):
     assert not out.exists() or not os.listdir(out)
 
 
+def test_decode_refuses_a_model_file_that_is_not_utf8(capsys, tmp_path):
+    model, src = train_toy_model(capsys, tmp_path)
+    data = bytearray(Path(model).read_bytes())
+    data[100] = 0xc9
+    Path(model).write_bytes(bytes(data))
+    out = tmp_path / "dec"
+    code, _, err = run(capsys, "decode", model, src, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: corrupt model file %s: " % model)
+    assert not out.exists() or not os.listdir(out)
+
+
 # --------------------------------------------------------------------- evaluate
 
 def test_evaluate_bleu_identity(capsys, tmp_path):
@@ -571,6 +585,32 @@ def test_evaluate_reads_rank1_from_decode_tsv(capsys, tmp_path):
     code, stdout, _ = run(capsys, "evaluate", "bleu", str(tsv), refs)
     assert code == 0
     assert json.loads(stdout)["score"] == pytest.approx(100.0)
+
+
+# decode files whose ranks do not run 1, 2, 3, ... within each input, with
+# the line that breaks the order
+BAD_RANKS = {
+    "lines_reversed": (["2\t-0.9\t-0.9\twrong", "1\t-0.5\t-0.5\ta b",
+                        "2\t-0.8\t-0.8\tc", "1\t-0.1\t-0.1\te f"], 1),
+    "rank_skipped": (["1\t-0.5\t-0.5\ta b", "5\t-0.8\t-0.8\tc",
+                      "3\t-0.9\t-0.9\td"], 2),
+    "rank_zero": (["1\t-0.5\t-0.5\ta b", "0\t-0.8\t-0.8\tc"], 2),
+    "rank_negative": (["1\t-0.5\t-0.5\ta b", "-3\t-0.8\t-0.8\tc"], 2),
+    "rank_repeated": (["1\t-0.5\t-0.5\ta b", "2\t-0.8\t-0.8\tc",
+                       "2\t-0.9\t-0.9\td"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RANKS))
+def test_evaluate_refuses_decode_ranks_out_of_order(capsys, tmp_path, case):
+    lines, bad = BAD_RANKS[case]
+    tsv = tmp_path / "hyps.tsv"
+    tsv.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    refs = write_lines(tmp_path / "refs.txt", [["a", "b"], ["e", "f"]])
+    code, _, err = run(capsys, "evaluate", "bleu", str(tsv), refs)
+    assert code == 2
+    assert err.startswith("error: %s is not a decode file: line %d: rank "
+                          % (tsv, bad))
 
 
 def test_evaluate_wer_counts(capsys, tmp_path):
@@ -747,15 +787,20 @@ def analysis_inputs(tmp_path_factory):
             Path(tgt).read_bytes())
 
 
-def _damaged(draw, data):
-    """A truncated, byte-flipped or line-shuffled copy of `data`."""
+def _damaged(draw, data, numbers_grow=True):
+    """A truncated, byte-flipped or line-shuffled copy of `data`. Unless
+    `numbers_grow`, the flipped byte is no digit and becomes none, so that no
+    number of the copy is larger than in `data`."""
     how = draw(st.sampled_from(["truncate", "flip", "shuffle"]))
     if how == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
     if how == "flip":
-        i = draw(st.integers(0, len(data) - 1))
-        return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) \
-            + data[i + 1:]
+        digits = b"" if numbers_grow else b"0123456789"
+        i = draw(st.sampled_from([i for i, b in enumerate(data)
+                                  if b not in digits]))
+        flip = draw(st.integers(1, 255).filter(
+            lambda x: data[i] ^ x not in digits))
+        return data[:i] + bytes([data[i] ^ flip]) + data[i + 1:]
     return b"".join(draw(st.permutations(data.splitlines(keepends=True))))
 
 
@@ -792,6 +837,78 @@ def test_damaged_analysis_inputs_never_raise(analysis_inputs, data):
             code = cli.main(argv)
         assert code in (0, 1, 2), argv
         assert code == 0 or err.getvalue().startswith("error: "), argv
+
+
+# damaged copies of the inputs of train, augment, decode and experiment:
+# the flags are valid, so each command ends with exit 0 or 2, never with an
+# exception
+
+TINY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "tiny.yaml"
+
+
+def _tiny_defaults():
+    """experiment._DEFAULTS with the tiny config's values, so that a damaged
+    config that loses a key falls back to its tiny value."""
+    def merged(default, value):
+        if isinstance(default, dict):
+            return {key: merged(sub, value[key]) if key in value else sub
+                    for key, sub in default.items()}
+        return float(value) if isinstance(default, float) else value
+    return merged(experiment._DEFAULTS,
+                  yaml.safe_load(TINY_CONFIG.read_text()))
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs(tmp_path_factory):
+    """A working directory, and the bytes of the toy corpus sides, of a
+    model trained on them and of the tiny config."""
+    tmp_path = tmp_path_factory.mktemp("pipeline")
+    src, tgt = toy_corpus_files(tmp_path, reps=1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", src, tgt, "--order", "2",
+                         "--out", str(tmp_path)]) == 0
+    return tmp_path, {"src": Path(src).read_bytes(),
+                      "tgt": Path(tgt).read_bytes(),
+                      "model": (tmp_path / "model.json").read_bytes(),
+                      "config": TINY_CONFIG.read_bytes()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_damaged_pipeline_inputs_never_raise(pipeline_inputs, data):
+    tmp_path, inputs = pipeline_inputs
+    which = data.draw(st.sampled_from(sorted(inputs)))
+    files = dict(inputs)
+    # no config grows past the tiny sizes
+    files[which] = _damaged(data.draw, files[which],
+                            numbers_grow=which != "config")
+    paths = {}
+    for name, blob in files.items():
+        paths[name] = str(tmp_path / ("damaged." + name))
+        Path(paths[name]).write_bytes(blob)
+    out = str(tmp_path / "out")
+    commands = {
+        "src": [["train", paths["src"], paths["tgt"], "--out", out],
+                ["augment", "msr", paths["src"], paths["tgt"], "--n", "2",
+                 "--size", "12", "--out", out],
+                ["augment", "resample", paths["src"], paths["tgt"],
+                 "--size", "12", "--out", out],
+                ["decode", paths["model"], paths["src"], "--beam", "2",
+                 "--topk", "2", "--out", out]],
+        "model": [["decode", paths["model"], paths["src"], "--beam", "2",
+                   "--out", out]],
+        "config": [["experiment", "--config", paths["config"],
+                    "--out", str(tmp_path / "exp")]],
+    }
+    commands["tgt"] = commands["src"][:3]
+    with mock.patch.object(experiment, "_DEFAULTS", _tiny_defaults()):
+        for argv in commands[which]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2), argv
+            assert code == 0 or err.getvalue().startswith("error: "), argv
 
 
 # the exact CSV bytes of the analyze subcommands, pinned cell by cell

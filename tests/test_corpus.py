@@ -97,7 +97,7 @@ def test_missing_file_is_data_error(tmp_path):
 
 def test_save_then_load_round_trip(tmp_path):
     pairs = [(["a", "b"], ["x"]), (["c"], ["y", "z", "y"])]
-    corp = C.corpus_from_token_pairs(pairs, name="demo")
+    corp = C.corpus_from_token_pairs(pairs)
     C.save_corpus(corp, tmp_path / "o.src", tmp_path / "o.tgt")
     back = C.load_corpus(tmp_path / "o.src", tmp_path / "o.tgt")
     assert [(p.source, p.target) for p in back] == pairs
@@ -214,7 +214,7 @@ def test_vocabulary_and_encoding_match_list_reference(pairs, min_count,
     # pairs it did not pick are in the table with count 0
     picks = [i % len(pairs) for i in picks]
     corp = C.concatenated(C.corpus_from_token_pairs(pairs), picks,
-                          np.arange(len(picks) + 1), "resample")
+                          np.arange(len(picks) + 1))
     pairs = [pairs[i] for i in picks]
     for which, index in (("source", 0), ("target", 1)):
         sentences = [pair[index] for pair in pairs]

@@ -35,41 +35,47 @@ def random_pair(rng, vocab):
 
 def test_corpus_bleu_identity():
     hyps = [["a", "b", "c", "d", "e"], ["d", "e"]]
-    b = X.corpus_bleu(hyps, [list(s) for s in hyps])
-    assert b.score == 100.0
-    assert b.brevity_penalty == 1.0
-    assert b.precisions == (1.0, 1.0, 1.0, 1.0)
-    assert (b.hyp_len, b.ref_len) == (7, 7)
+    assert X.corpus_bleu(hyps, [list(s) for s in hyps]) == 100.0
+    b = X.sentence_table(hyps, [list(s) for s in hyps], "bleu").report()
+    assert b["score"] == 100.0
+    assert b["breakdown"]["brevity_penalty"] == 1.0
+    assert b["breakdown"]["precisions"] == [1.0, 1.0, 1.0, 1.0]
+    assert (b["breakdown"]["hyp_len"], b["breakdown"]["ref_len"]) == (7, 7)
 
 
 def test_corpus_bleu_all_empty_hypotheses():
-    b = X.corpus_bleu([[], []], [["a"], ["b", "c"]])
-    assert b.score == 0.0
-    assert b.hyp_len == 0
+    assert X.corpus_bleu([[], []], [["a"], ["b", "c"]]) == 0.0
+    b = X.sentence_table([[], []], [["a"], ["b", "c"]], "bleu").report()
+    assert b["score"] == 0.0
+    assert b["breakdown"]["hyp_len"] == 0
 
 
 def test_corpus_bleu_clipping():
     # "the" occurs once in the reference, so four hypothesis copies clip to
     # a single credited match; no bigram matches, hence score 0
-    b = X.corpus_bleu([["the", "the", "the", "the"]], [["the", "cat"]])
-    assert b.precisions[0] == pytest.approx(1 / 4)
-    assert b.precisions[1] == 0.0
-    assert b.score == 0.0
+    b = X.sentence_table([["the", "the", "the", "the"]], [["the", "cat"]],
+                         "bleu").report()
+    assert b["breakdown"]["precisions"][0] == pytest.approx(1 / 4)
+    assert b["breakdown"]["precisions"][1] == 0.0
+    assert b["score"] == 0.0
 
 
 def test_corpus_bleu_positive_hand_value():
-    b = X.corpus_bleu([["a", "b", "c", "d", "e"]], [["a", "b", "c", "d", "f"]])
-    assert b.precisions == pytest.approx((4 / 5, 3 / 4, 2 / 3, 1 / 2))
-    assert b.brevity_penalty == 1.0
-    assert b.score == pytest.approx(66.8740304976422, rel=1e-12)
+    b = X.sentence_table([["a", "b", "c", "d", "e"]],
+                         [["a", "b", "c", "d", "f"]], "bleu").report()
+    assert b["breakdown"]["precisions"] == pytest.approx(
+        [4 / 5, 3 / 4, 2 / 3, 1 / 2])
+    assert b["breakdown"]["brevity_penalty"] == 1.0
+    assert b["score"] == pytest.approx(66.8740304976422, rel=1e-12)
 
 
 def test_corpus_bleu_brevity_penalty():
-    b = X.corpus_bleu([["a", "b"]], [["a", "b", "c"]])
-    assert b.brevity_penalty == pytest.approx(math.exp(1 - 3 / 2), rel=1e-12)
+    b = X.sentence_table([["a", "b"]], [["a", "b", "c"]], "bleu").report()
+    assert b["breakdown"]["brevity_penalty"] == pytest.approx(
+        math.exp(1 - 3 / 2), rel=1e-12)
     # the hypothesis has no trigrams at all, which zeroes the corpus score
-    assert b.precisions[2] == 0.0
-    assert b.score == 0.0
+    assert b["breakdown"]["precisions"][2] == 0.0
+    assert b["score"] == 0.0
 
 
 def test_corpus_bleu_matches_reference_oracle():
@@ -81,12 +87,16 @@ def test_corpus_bleu_matches_reference_oracle():
         refs = [r for _, r in pairs]
         want_score, want_ps, want_bp, want_hl, want_rl = \
             bleu_corpus_reference(hyps, refs)
-        got = X.corpus_bleu(hyps, refs)
-        assert got.score == pytest.approx(want_score, abs=1e-9)
-        assert got.brevity_penalty == pytest.approx(want_bp, abs=1e-9)
-        for g, w in zip(got.precisions, want_ps):
+        got = X.sentence_table(hyps, refs, "bleu").report()
+        assert got["score"] == X.corpus_bleu(hyps, refs)
+        assert got["score"] == pytest.approx(want_score, abs=1e-9)
+        breakdown = got["breakdown"]
+        assert breakdown["brevity_penalty"] == pytest.approx(want_bp,
+                                                             abs=1e-9)
+        for g, w in zip(breakdown["precisions"], want_ps):
             assert g == pytest.approx(float(w), abs=1e-9)
-        assert (got.hyp_len, got.ref_len) == (want_hl, want_rl)
+        assert (breakdown["hyp_len"], breakdown["ref_len"]) == \
+            (want_hl, want_rl)
 
 
 def test_corpus_bleu_permutation_invariant():
@@ -95,10 +105,11 @@ def test_corpus_bleu_permutation_invariant():
     pairs = [random_pair(rng, vocab) for _ in range(8)]
     hyps = [h for h, _ in pairs]
     refs = [r for _, r in pairs]
-    base = X.corpus_bleu(hyps, refs)
+    base = X.sentence_table(hyps, refs, "bleu").report()
     order = list(range(8))
     rng.shuffle(order)
-    shuffled = X.corpus_bleu([hyps[i] for i in order], [refs[i] for i in order])
+    shuffled = X.sentence_table([hyps[i] for i in order],
+                                [refs[i] for i in order], "bleu").report()
     assert shuffled == base
 
 
@@ -125,11 +136,6 @@ def test_sentence_bleu_floor_hand_values():
     assert X.sentence_bleu(["a", "b"], ["a", "b"]) == pytest.approx(10.0, rel=1e-12)
 
 
-def test_sentence_bleu_eps_is_configurable():
-    got = X.sentence_bleu(["a", "b"], ["a", "b"], eps=0.1)
-    assert got == pytest.approx(31.6227766016838, rel=1e-9)
-
-
 def test_sentence_bleu_matches_oracle_on_random_pairs():
     rng = random.Random(13)
     vocab = ["a", "b", "c", "d", "e"]
@@ -149,9 +155,9 @@ def test_sentence_bleu_equals_corpus_bleu_when_unsmoothed():
         if rng.random() < 0.5:
             hyp[rng.randrange(1, len(hyp) - 1)] = rng.choice(vocab)
         corpus = X.corpus_bleu([hyp], [ref])
-        if corpus.score == 0.0:
+        if corpus == 0.0:
             continue
-        assert X.sentence_bleu(hyp, ref) == pytest.approx(corpus.score, abs=1e-9)
+        assert X.sentence_bleu(hyp, ref) == pytest.approx(corpus, abs=1e-9)
         checked += 1
 
 
@@ -163,36 +169,33 @@ def test_sentence_bleu_rejects_empty_reference():
 # ------------------------------------------------------------------------ WER
 
 def test_wer_identity():
-    w = X.wer(["a", "b"], ["a", "b"])
-    assert (w.substitutions, w.insertions, w.deletions) == (0, 0, 0)
-    assert w.wer == 0.0
+    assert X.wer(["a", "b"], ["a", "b"]) == (0, 0, 0, 2)
+    assert X.corpus_wer([["a", "b"]], [["a", "b"]]) == 0.0
 
 
 def test_wer_empty_hypothesis_is_all_deletions():
-    w = X.wer([], ["a", "b", "c", "d"])
-    assert (w.substitutions, w.insertions, w.deletions) == (0, 0, 4)
-    assert w.wer == 1.0
+    assert X.wer([], ["a", "b", "c", "d"]) == (0, 0, 4, 4)
+    assert X.corpus_wer([[]], [["a", "b", "c", "d"]]) == 1.0
 
 
 def test_wer_substitution_hand_case():
-    w = X.wer(["a", "b", "c"], ["a", "x", "c"])
-    assert (w.substitutions, w.insertions, w.deletions) == (1, 0, 0)
-    assert w.wer == pytest.approx(1 / 3)
+    assert X.wer(["a", "b", "c"], ["a", "x", "c"]) == (1, 0, 0, 3)
+    assert X.corpus_wer([["a", "b", "c"]], [["a", "x", "c"]]) == \
+        pytest.approx(1 / 3)
 
 
 def test_wer_backtrace_prefers_substitutions():
     # swapping two tokens can be read as two substitutions or as one
     # deletion plus one insertion; the documented tie order picks the former
-    w = X.wer(["a", "b"], ["b", "a"])
-    assert (w.substitutions, w.insertions, w.deletions) == (2, 0, 0)
+    assert X.wer(["a", "b"], ["b", "a"])[:3] == (2, 0, 0)
 
 
 def test_wer_pure_insertion_and_deletion():
-    w = X.wer(["a"], ["a", "a"])
-    assert (w.substitutions, w.insertions, w.deletions) == (0, 0, 1)
-    long = X.wer(["a", "b", "c", "d", "e", "f"], ["a"])
-    assert (long.substitutions, long.insertions, long.deletions) == (0, 5, 0)
-    assert long.wer == 5.0  # insertion-heavy hypotheses push WER past 1
+    assert X.wer(["a"], ["a", "a"])[:3] == (0, 0, 1)
+    long = (["a", "b", "c", "d", "e", "f"], ["a"])
+    assert X.wer(*long)[:3] == (0, 5, 0)
+    # insertion-heavy hypotheses push WER past 1
+    assert X.corpus_wer([long[0]], [long[1]]) == 5.0
 
 
 def test_wer_components_sum_to_distance_and_distance_is_symmetric():
@@ -202,12 +205,13 @@ def test_wer_components_sum_to_distance_and_distance_is_symmetric():
         hyp, ref = random_pair(rng, vocab)
         if not ref:
             continue
-        w = X.wer(hyp, ref)
+        subs, ins, dels, ref_len = X.wer(hyp, ref)
         dist = levenshtein_reference(hyp, ref)
-        assert w.substitutions + w.insertions + w.deletions == dist
+        assert subs + ins + dels == dist
         assert dist == levenshtein_reference(ref, hyp)
-        assert w.ref_len == len(ref)
-        assert w.wer == pytest.approx(dist / len(ref), abs=1e-12)
+        assert ref_len == len(ref)
+        assert X.corpus_wer([hyp], [ref]) == pytest.approx(dist / len(ref),
+                                                          abs=1e-12)
 
 
 def test_wer_rejects_empty_reference():
@@ -232,9 +236,9 @@ def wer_pair(draw):
 @example((["w0", "w1"] * 30, ["w1", "w0"] * 30))
 def test_wer_matches_textbook_oracle_field_for_field(pair):
     hyp, ref = pair
-    w = X.wer(hyp, ref)
-    assert (w.substitutions, w.insertions, w.deletions, w.ref_len,
-            w.wer) == wer_reference(hyp, ref)
+    subs, ins, dels, ref_len = X.wer(hyp, ref)
+    assert (subs, ins, dels, ref_len, (subs + ins + dels) / ref_len) == \
+        wer_reference(hyp, ref)
 
 
 def test_corpus_wer_micro_average():
@@ -272,12 +276,15 @@ def test_sentence_table_subsets_equal_corpus_scores():
     for subset in (list(range(40)), [3], [0, 5, 7, 39], list(range(1, 40, 3))):
         sub_h = [hyps[i] for i in subset]
         sub_r = [refs[i] for i in subset]
-        assert bleu.score(subset) == X.corpus_bleu(sub_h, sub_r).score
+        assert bleu.score(subset) == X.corpus_bleu(sub_h, sub_r)
         assert wer.score(subset) == X.corpus_wer(sub_h, sub_r)
-    assert bleu.score() == X.corpus_bleu(hyps, refs).score
-    assert bleu.sentence_scores(eps=0.1) == [
-        X.sentence_bleu(h, r, eps=0.1) for h, r in pairs]
-    assert wer.sentence_scores() == [X.wer(h, r).wer for h, r in pairs]
+    assert bleu.score() == X.corpus_bleu(hyps, refs)
+    assert bleu.sentence_scores() == [X.sentence_bleu(h, r) for h, r in pairs]
+    assert wer.sentence_scores() == [X.corpus_wer([h], [r]) for h, r in pairs]
+    assert wer.report() == {
+        "metric": "wer", "score": wer.score(), "n_sentences": 40,
+        "breakdown": dict(zip(("substitutions", "insertions", "deletions",
+                               "ref_len"), wer.rows.sum(axis=0).tolist()))}
 
 
 def test_sentence_table_empty_reference_and_validation():
@@ -286,9 +293,10 @@ def test_sentence_table_empty_reference_and_validation():
     bleu = X.sentence_table(hyps, refs, "bleu")
     wer = X.sentence_table(hyps, refs, "wer")
     # corpus BLEU allows an empty reference; WER and sentence scores do not
-    assert bleu.score() == X.corpus_bleu(hyps, refs).score
+    assert bleu.score() == X.corpus_bleu(hyps, refs)
     assert wer.score([0]) == 0.0
-    for fail in (wer.score, bleu.sentence_scores, wer.sentence_scores):
+    for fail in (wer.score, wer.report, bleu.sentence_scores,
+                 wer.sentence_scores):
         with pytest.raises(DataError, match="empty"):
             fail()
     with pytest.raises(DataError, match="at least one"):
@@ -306,9 +314,10 @@ def test_paired_bootstrap_identical_systems_tie_everywhere():
     hyps = [["a", "b"], ["c", "x"], ["e"]]
     r = X.paired_bootstrap(hyps, hyps, refs, metric="bleu",
                            n_resamples=200, seed=9)
-    assert (r.wins_a, r.wins_b, r.ties) == (0, 0, 200)
-    assert r.p_value == 1.0
-    assert r.n_resamples == 200 and r.seed == 9
+    assert (r["wins_a"], r["wins_b"], r["ties"]) == (0, 0, 200)
+    assert r["p_value"] == 1.0
+    assert r["n_resamples"] == 200 and r["seed"] == 9
+    assert r["metric"] == "bleu" and r["n_sentences"] == 3
 
 
 def test_paired_bootstrap_detects_clear_separation():
@@ -324,11 +333,11 @@ def test_paired_bootstrap_detects_clear_separation():
         hyps_a.append(h)
     res = X.paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
                              n_resamples=500, seed=3)
-    assert res.wins_a + res.wins_b + res.ties == 500
+    assert res["wins_a"] + res["wins_b"] + res["ties"] == 500
     # B is the reference itself: it scores 100 on every resample, and A
     # loses whenever at least one corrupted sentence is drawn
-    assert res.wins_a == 0
-    assert res.p_value < 0.05
+    assert res["wins_a"] == 0
+    assert res["p_value"] < 0.05
 
 
 def test_paired_bootstrap_wer_direction():
@@ -338,8 +347,8 @@ def test_paired_bootstrap_wer_direction():
     res = X.paired_bootstrap(hyps_a, hyps_b, refs, metric="wer",
                              n_resamples=300, seed=5)
     # lower WER must count as the win for B on every resample
-    assert (res.wins_a, res.wins_b, res.ties) == (0, 300, 0)
-    assert res.p_value == 0.0
+    assert (res["wins_a"], res["wins_b"], res["ties"]) == (0, 300, 0)
+    assert res["p_value"] == 0.0
 
 
 def test_paired_bootstrap_single_error_hit_rate():
@@ -353,10 +362,10 @@ def test_paired_bootstrap_single_error_hit_rate():
     hyps_b = [list(r) for r in refs]
     res = X.paired_bootstrap(hyps_a, hyps_b, refs, metric="wer",
                              n_resamples=2000, seed=7)
-    assert res.wins_a == 0
+    assert res["wins_a"] == 0
     want = 1 - (1 - 1 / m) ** m  # 0.6415...
     sigma = math.sqrt(want * (1 - want) / 2000)
-    assert abs(res.wins_b / 2000 - want) < 5 * sigma
+    assert abs(res["wins_b"] / 2000 - want) < 5 * sigma
 
 
 def test_paired_bootstrap_deterministic_and_validated():
@@ -368,12 +377,12 @@ def test_paired_bootstrap_deterministic_and_validated():
     again = X.paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
                                n_resamples=150, seed=21)
     assert first == again
-    assert first.score_a == X.corpus_bleu(hyps_a, refs).score
-    assert first.score_b == X.corpus_bleu(hyps_b, refs).score
+    assert first["score_a"] == X.corpus_bleu(hyps_a, refs)
+    assert first["score_b"] == X.corpus_bleu(hyps_b, refs)
     wer = X.paired_bootstrap(hyps_a, hyps_b, refs, metric="wer",
                              n_resamples=100, seed=0)
-    assert (wer.score_a, wer.score_b) == (X.corpus_wer(hyps_a, refs),
-                                          X.corpus_wer(hyps_b, refs))
+    assert (wer["score_a"], wer["score_b"]) == (X.corpus_wer(hyps_a, refs),
+                                                X.corpus_wer(hyps_b, refs))
     with pytest.raises(DataError, match="empty"):
         X.paired_bootstrap(hyps_a, hyps_b, refs[:2] + [[]], metric="wer",
                            n_resamples=100, seed=0)
