@@ -17,7 +17,7 @@ from beamlab.augment import (MsrConfig, msr, resolve_output_size,
 from beamlab.corpus import SynthConfig, generate_synthetic, length_histogram
 from beamlab.metrics import corpus_bleu
 from beamlab.model import train
-from beamlab.search import BeamConfig, decode_corpus
+from beamlab.search import BeamConfig, decode_corpus, rerank
 
 splits = generate_synthetic(SynthConfig(
     vocab_size=32, zipf_exponent=1.3,
@@ -65,7 +65,7 @@ for name, corpus in corpora.items():
     scores = {}
     for width in (4, 200):
         results = decode_corpus(model, sources, BeamConfig(width=width))
-        hyps = [model.target_vocab.decode(r.hypotheses[0].tokens)
+        hyps = [model.target_vocab.decode(rerank(r, ("none",), 1)[0].tokens)
                 for r in results]
         scores[width] = corpus_bleu(hyps, refs)
     print("  %-9s w4 %6.2f   w200 %6.2f   gap %6.2f"

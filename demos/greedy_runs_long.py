@@ -17,7 +17,7 @@ from beamlab.augment import MsrConfig, msr
 from beamlab.corpus import SynthConfig, generate_synthetic
 from beamlab.metrics import corpus_bleu
 from beamlab.model import train
-from beamlab.search import BeamConfig, decode_corpus
+from beamlab.search import BeamConfig, decode_corpus, rerank
 
 splits = generate_synthetic(SynthConfig(
     vocab_size=32, zipf_exponent=1.3,
@@ -35,7 +35,7 @@ print("concat-trained model, raw ranking:")
 worst = None
 for width in (1, 2, 4):
     results = decode_corpus(model, sources, BeamConfig(width=width))
-    hyps = [model.target_vocab.decode(r.hypotheses[0].tokens)
+    hyps = [model.target_vocab.decode(rerank(r, ("none",), 1)[0].tokens)
             for r in results]
     lens = [len(h) for h in hyps]
     bleu = corpus_bleu(hyps, refs)

@@ -33,8 +33,9 @@ sources = [pair.source for pair in splits["test"]]
 refs = [pair.target for pair in splits["test"]]
 
 
-def top1(results):
-    return [model.target_vocab.decode(r.hypotheses[0].tokens)
+def top1(results, norm=("none",)):
+    """The best hypothesis of each finished set under `norm`."""
+    return [model.target_vocab.decode(rerank(r, norm, topk=1)[0].tokens)
             for r in results]
 
 
@@ -83,7 +84,7 @@ print("  reference:", " ".join(refs[idx]))
 by_length = parse_normalization("by_length:1")
 print("\nby_length:1 ranking of the same beams:")
 for width in (4, 200):
-    hyps = top1([rerank(r, by_length, topk=1) for r in decoded[width]])
+    hyps = top1(decoded[width], by_length)
     bleu = corpus_bleu(hyps, refs)
     print("  width %-3d  BLEU %6.2f   mean hyp length %5.2f"
           % (width, bleu, sum(map(len, hyps)) / len(hyps)))

@@ -161,9 +161,9 @@ def _config_from_blob(blob):
         model_mod.check_params(**train)
         # the largest target vocabulary synth can make: its words, the
         # reserved ids and the terminal token
-        model_mod.check_order(synth.vocab_size + len(RESERVED)
-                              + (synth.terminal_token is not None),
-                              train["order"])
+        largest_vocab = (synth.vocab_size + len(RESERVED)
+                         + (synth.terminal_token is not None))
+        model_mod.check_order(largest_vocab, train["order"])
 
         dec = cfg["decode"]
         widths = dec["widths"]
@@ -173,6 +173,9 @@ def _config_from_blob(blob):
                                         max_len_a=dec["max_len_a"],
                                         max_len_b=dec["max_len_b"])
                       for width in widths)
+        # a model's support is at most its target vocabulary
+        for width in widths:
+            search.check_step_candidates(width, largest_vocab)
         if not dec["normalizations"]:
             raise ValueError("normalizations must be a non-empty list")
         norms = tuple(map(search.parse_normalization, dec["normalizations"]))
@@ -258,16 +261,16 @@ def _augmented_corpora(cfg, base_train):
 
 
 def _decodes(cfg, model, sources, jobs):
-    """(beam config, results) for each width, each finished set best first
-    by raw logprob; the widths share one scorer of the model."""
+    """(beam config, finished sets) for each width; the widths share one
+    scorer of the model."""
     scorer = search.DenseScorer(model)
     for beam in cfg.beams:
         yield beam, search.decode_corpus(model, sources, beam, jobs=jobs,
                                          scorer=scorer)
 
 
-def _top1(results, vocab):
-    return [vocab.decode(list(r.hypotheses[0].tokens)) for r in results]
+def _top1(ranked, vocab):
+    return [vocab.decode(list(hyps[0].tokens)) for hyps in ranked]
 
 
 def _decode_grid(cfg, models, sources, jobs, listed):
@@ -331,7 +334,8 @@ def _sweep_rows(cfg, base_train, sources, refs, jobs):
         swept = model_mod.train(augment.msr(
             base_train, replace(point, seed=cfg.seed + 1)), **cfg.train)
         for beam, results in _decodes(cfg, swept, sources, jobs):
-            hyps = _top1(results, swept.target_vocab)
+            hyps = _top1([search.rerank(r, ("none",), 1) for r in results],
+                         swept.target_vocab)
             score = metrics.sentence_table(hyps, refs, cfg.metric).score()
             rows.append({"n": point.n_max, "width": beam.width,
                          "score": score,

@@ -10,7 +10,7 @@ Semantics, fully pinned so beam and exact search agree bit-for-bit:
   cap = ceil(max_len_a * |source|) + max_len_b steps, at which point the
   survivors are force-finished by appending their EOS step;
 - survivor selection always uses raw logprob, and each result holds its
-  finished set best first by raw logprob; `rerank` ranks it under a
+  finished set as arrays, in admission order; `rerank` ranks it under a
   normalization, after the search.
 
 With width >= saturating_width(|support|, cap) nothing is ever pruned and
@@ -22,7 +22,6 @@ every unfinished sentence at a time; a sentence's result does not depend on
 the others in its batch.
 """
 
-import heapq
 import math
 import multiprocessing
 import os
@@ -37,6 +36,10 @@ from .corpus import BOS_ID, EOS_ID
 # the largest length-cap coefficients a search accepts
 MAX_LEN_A = 16.0
 MAX_LEN_B = 1024
+# the most candidates one beam step may score: the width (the most live
+# rows of a sentence) times the support; each float array of such a step
+# then takes at most 80 MB
+MAX_STEP_CANDIDATES = 10 ** 7
 # the largest normalization alpha: length ** alpha stays a finite float at
 # every length below 10**30 (an alpha of 400 overflows it at length 20)
 MAX_ALPHA = 10.0
@@ -102,8 +105,9 @@ class BeamConfig:
     max_len_b: int = 10
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
+        if not 1 <= self.width <= MAX_STEP_CANDIDATES:
+            raise ValueError("width must be in [1, %d], got %r"
+                             % (MAX_STEP_CANDIDATES, self.width))
         if not (0 <= self.max_len_a <= MAX_LEN_A
                 and 0 <= self.max_len_b <= MAX_LEN_B):
             raise ValueError("length-cap coefficients must be in [0, %g] and "
@@ -117,10 +121,19 @@ class BeamConfig:
         return math.ceil(self.max_len_a * source_len) + self.max_len_b
 
 
-@dataclass
-class DecodeResult:
-    """Finished hypotheses, best first (a search's whole set by logprob)."""
-    hypotheses: list
+class DecodeResult(NamedTuple):
+    """A search's finished set of one sentence, in admission order: entry i
+    has the tokens ids[offsets[i]:offsets[i + 1]] and the logprob
+    logprobs[i]. No two entries share a token sequence."""
+    ids: np.ndarray
+    offsets: np.ndarray
+    logprobs: np.ndarray
+
+    @property
+    def hypotheses(self):
+        """Every entry, best first by raw logprob (the `none` order), built
+        anew on each access."""
+        return _ranked(self, ("none",), None)
 
 
 def saturating_width(support_size, cap):
@@ -315,28 +328,36 @@ def _select(cost, per, width, eos_pos):
     return flat[admit], kept
 
 
-def _tokens_of(levels, rows, parents, tokens):
-    """The token tuples of the rows in `rows`, a list of int arrays, one per
-    level in `levels` (ascending; a row of level L holds an L-token prefix).
-    They are read back along the back-pointers: `parents[L - 1]` and
-    `tokens[L - 1]` give each level-L row's row in level L - 1 and its last
-    token."""
+def _finished_sets(n_sent, finished, parents, tokens):
+    """One DecodeResult per sentence from `finished`, a list of chunks
+    (sentences, rows, level, logprobs) in step order: each entry is a row of
+    level L (an L-token prefix) taken with its EOS step, and keeps its
+    chunk order within its sentence. Tokens are read back along the
+    back-pointers: `parents[L - 1]` and `tokens[L - 1]` give each level-L
+    row's row in level L - 1 and its last token."""
+    who, rows, levels, lps = zip(*finished)
+    who = np.concatenate(who)
+    # entries in chunk order are by ascending length; `order` puts them
+    # sentence after sentence
+    lengths = np.repeat(levels, [len(r) for r in rows])
+    order = who.argsort(kind="stable")
+    offsets = np.zeros(len(who) + 1, dtype=np.int64)
+    np.cumsum(lengths.take(order), out=offsets[1:])
+    start = np.empty_like(lengths)
+    start[order] = offsets[:-1]
+    ids = np.empty(offsets[-1], dtype=np.int64)
     ptr = np.concatenate(rows)
-    ends = np.cumsum([len(r) for r in rows])
-    out = np.empty((levels[-1], len(ptr)), dtype=np.int64)
     # the entries at least L tokens long are those from first[L] on
-    first = np.append(0, ends).take(np.searchsorted(
-        levels, range(levels[-1] + 1))).tolist()
+    first = lengths.searchsorted(range(levels[-1] + 1)).tolist()
     for level in range(levels[-1], 0, -1):
         at = ptr[first[level]:]
-        tokens[level - 1].take(at, out=out[level - 1, first[level]:])
+        ids[start[first[level]:] + (level - 1)] = tokens[level - 1].take(at)
         at[:] = parents[level - 1].take(at)
-    tuples = []
-    start = 0
-    for level, end in zip(levels, ends.tolist()):
-        tuples += map(tuple, out[:level, start:end].T.tolist())
-        start = end
-    return tuples
+    logprobs = np.concatenate(lps).take(order)
+    bounds = who.take(order).searchsorted(range(n_sent + 1)).tolist()
+    return [DecodeResult(ids[offsets[a]:offsets[b]],
+                         offsets[a:b + 1] - offsets[a], logprobs[a:b])
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def _search(scorer, batch, config):
@@ -428,14 +449,9 @@ def _search(scorer, batch, config):
         codes = scorer.roll(codes.take(parent), tok)
         seg = seg.take(parent)
 
-    results = [[] for _ in range(n_sent)]
-    if finished:
-        who, prefixes, levels, lps = zip(*finished)
-        for s, toks, lp in zip(np.concatenate(who).tolist(),
-                               _tokens_of(levels, prefixes, parents, tokens),
-                               np.concatenate(lps).tolist()):
-            results[s].append(Hypothesis(toks, lp, lp))
-    return [rerank(DecodeResult(hyps), ("none",)) for hyps in results]
+    # every sentence finishes at least one entry: at its cap, or by
+    # admitting one
+    return _finished_sets(n_sent, finished, parents, tokens)
 
 
 def _decode(scorer, batch, config):
@@ -446,10 +462,21 @@ def _decode(scorer, batch, config):
             for result in _search(scorer, batch[i:i + group], config)]
 
 
+def check_step_candidates(width, support_size):
+    """Refuse a width whose beam step over `support_size` symbols could
+    score more than MAX_STEP_CANDIDATES candidates."""
+    if width * support_size > MAX_STEP_CANDIDATES:
+        raise ValueError(
+            "width %d times a support of %d symbols is above the %d "
+            "candidates a beam step may score" % (width, support_size,
+                                                  MAX_STEP_CANDIDATES))
+
+
 def beam_search(model, source_tokens, config, scorer=None):
     """Beam search of one source sentence: a batch of one."""
     if scorer is None:
         scorer = DenseScorer(model)
+    check_step_candidates(config.width, scorer.size)
     return _search(scorer, [_source_ids(model, source_tokens)], config)[0]
 
 
@@ -489,20 +516,67 @@ def exact_search(model, source_tokens, max_len, scorer=None):
     return best
 
 
+def _normalized_scores(logprobs, lengths, norm):
+    """normalize_score of every entry, bit for bit, for token counts
+    `lengths`: each length's factor comes from the same scalar expression,
+    and the product and quotient are correctly rounded in numpy as in
+    Python."""
+    kind, alpha = norm[0], norm[-1]
+    if kind == "none":
+        return logprobs
+    counted = range(1, lengths.max(initial=0) + 2)
+    if kind == "by_length":
+        return logprobs / np.array([n ** alpha for n in counted]).take(
+            lengths)
+    if kind == "gnmt":
+        return logprobs * 6.0 ** alpha / np.array(
+            [(5.0 + n) ** alpha for n in counted]).take(lengths)
+    raise ValueError("unknown normalization %r" % (norm,))
+
+
+def _ranked(result, norm, topk):
+    """rerank, under a name that tracing does not hook."""
+    offsets = result.offsets
+    lengths = offsets[1:] - offsets[:-1]
+    logprobs = result.logprobs
+    scores = _normalized_scores(logprobs, lengths, norm)
+    order = np.lexsort((lengths, -logprobs, -scores))
+    k = len(order) if topk is None else min(topk, len(order))
+    # whether each entry ties the next one in the key so far
+    tied = True
+    for key in (scores, logprobs, lengths):
+        key = key.take(order)
+        tied = tied & (key[1:] == key[:-1])
+    offsets = offsets.tolist()
+
+    def tokens(entry):
+        return tuple(result.ids[offsets[entry]:offsets[entry + 1]].tolist())
+
+    if tied[:k].any():
+        # a run of entries equal in the key so far, which reaches into the
+        # first k, is ordered by tokens
+        order = order.tolist()
+        start = 0
+        for end in (~tied).nonzero()[0].tolist() + [len(order) - 1]:
+            if start >= k:
+                break
+            order[start:end + 1] = sorted(order[start:end + 1], key=tokens)
+            start = end + 1
+    top = order[:k]
+    return [Hypothesis(tokens(entry), logprob, score) for entry, logprob,
+            score in zip(top, logprobs.take(top).tolist(),
+                         scores.take(top).tolist())]
+
+
 def rerank(result, normalization, topk=None):
     """The first `topk` hypotheses of a DecodeResult (all when topk is None),
     best first under `normalization`: by normalized score, then logprob,
-    then shorter, then lexicographically smaller tokens. Only the entries
-    returned are built. Search order does not depend on the normalization,
-    so this equals re-decoding."""
+    then shorter, then lexicographically smaller tokens. One lexsort ranks
+    the arrays, and only the entries returned are built. Search order does
+    not depend on the normalization, so this equals re-decoding."""
     if topk is not None and topk < 1:
         raise ValueError("topk must be >= 1, got %d" % topk)
-    keys = [(-normalize_score(h.logprob, len(h.tokens) + 1, normalization),
-             -h.logprob, len(h.tokens), h.tokens) for h in result.hypotheses]
-    # nsmallest(k, keys) equals sorted(keys)[:k], and negation is exact
-    best = sorted(keys) if topk is None else heapq.nsmallest(topk, keys)
-    return DecodeResult([Hypothesis(tokens, -neg_lp, -neg_score)
-                         for neg_score, neg_lp, _, tokens in best])
+    return _ranked(result, normalization, topk)
 
 
 # ------------------------------------------------------------ corpus decode
@@ -531,15 +605,18 @@ def resolve_jobs(jobs):
 
 
 def decode_corpus(model, sources, config, jobs=1, scorer=None):
-    """Decode every source sentence; results in input order regardless of
-    worker count. The worker count goes through resolve_jobs; each worker
-    task decodes one contiguous chunk of sentences in lock step. A scorer
-    of the model may be passed in to share its tables across calls; fork
-    workers inherit it rather than building their own."""
+    """Decode every source sentence: one DecodeResult each, in input order
+    regardless of worker count. The worker count goes through resolve_jobs;
+    each worker task decodes one contiguous chunk of sentences in lock step
+    and sends back its arrays. A scorer of the model may be passed in to
+    share its tables across calls; fork workers inherit it rather than
+    building their own. A width whose step would score more than
+    MAX_STEP_CANDIDATES candidates is refused before any search."""
     batch = [_source_ids(model, source) for source in sources]
     jobs = resolve_jobs(jobs)
     if scorer is None:
         scorer = DenseScorer(model)
+    check_step_candidates(config.width, scorer.size)
     if jobs == 1 or len(batch) < 2:
         return _decode(scorer, batch, config)
     ctx = multiprocessing.get_context("fork")
@@ -555,13 +632,13 @@ def decode_corpus(model, sources, config, jobs=1, scorer=None):
 
 # ------------------------------------------------------------------- files
 
-def format_decode_tsv(results, vocab):
-    """One line per (input, hypothesis of its result): rank,
-    normalized_score, logprob, token text; floats as repr so parsing
-    recovers them exactly."""
+def format_decode_tsv(ranked, vocab):
+    """One line per (input, hypothesis of its list in `ranked`, as rerank
+    returns them): rank, normalized_score, logprob, token text; floats as
+    repr so parsing recovers them exactly."""
     lines = []
-    for result in results:
-        for rank, hyp in enumerate(result.hypotheses, start=1):
+    for hyps in ranked:
+        for rank, hyp in enumerate(hyps, start=1):
             text = " ".join(vocab.decode(list(hyp.tokens)))
             lines.append("%d\t%r\t%r\t%s"
                          % (rank, hyp.normalized_score, hyp.logprob, text))

@@ -19,7 +19,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
     import tomli as tomllib
 
 import beamlab
-from beamlab import cli, experiment, metrics
+from beamlab import cli, experiment, metrics, search
 from beamlab.corpus import load_corpus
 from beamlab.model import load_model
 from beamlab.search import parse_decode_tsv, parse_normalization
@@ -384,6 +384,24 @@ def test_decode_normalization_slug_and_jobs_determinism(capsys, tmp_path):
     assert run(capsys, *base, "--out", str(out2), "--jobs", "2")[0] == 0
     name = "decode_w2_by_length_1.tsv"
     assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_decode_refuses_a_width_above_the_candidate_cap(capsys, tmp_path,
+                                                       monkeypatch):
+    model, src = train_toy_model(capsys, tmp_path)
+    calls = []
+    monkeypatch.setattr(search.DenseScorer, "mixed_log_rows",
+                        lambda *args: calls.append(args))
+    size = len(load_model(model).support)
+    for width in (search.MAX_STEP_CANDIDATES + 1,
+                  search.MAX_STEP_CANDIDATES // size + 1):
+        code, _, err = run(capsys, "decode", model, src, "--beam",
+                           str(width), "--out", str(tmp_path / "dec"))
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "dec").exists() or \
+        not any((tmp_path / "dec").iterdir())
 
 
 def test_decode_bad_normalization_is_usage_error(capsys, tmp_path):
@@ -1390,6 +1408,7 @@ def test_experiment_bad_config_value_is_data_error(capsys, tmp_path):
     ("  bucket_edges: [4, 8]\n", "  bucket_edges: [4, .nan]\n"),
     ('["none"]', '["by_length:400"]'),
     ('["none"]', '["gnmt:1e300"]'),
+    ("  widths: [1, 4]\n", "  widths: [1, 4, 10000001]\n"),
     ('["none"]', '["none", "by_length:1", "by_length:1.0"]'),
     ('["none"]', '["by_length:1.0000001"]'),
 ])

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beamlab.experiment as E
-from beamlab import analysis, augment, metrics, model as model_mod
+from beamlab import analysis, augment, metrics, model as model_mod, search
 from beamlab.errors import DataError
 
 TINY_YAML = """\
@@ -126,6 +126,8 @@ def test_bad_config_values_are_data_errors(tmp_path, text):
     ("decode:\n  max_len_a: 16.5\n", "length-cap"),
     ("decode:\n  max_len_b: 1025\n", "length-cap"),
     ("decode:\n  max_len_a: 0\n  max_len_b: 0\n", "length cap"),
+    ("decode:\n  widths: [1, 10000001]\n", "width must be in"),
+    ("decode:\n  widths: [1, 4, 200, 192308]\n", "candidates a beam step"),
     ("model:\n  order: 40\n", "int64"),
     ("model:\n  order: 10000000000\n", "int64"),
     # 52 target ids (48 words, 3 reserved, the terminal): 52^11 < 2^63 - 1
@@ -162,6 +164,11 @@ def test_config_caps_admit_their_bounds(tmp_path):
         "  max_len_b: 1024\n")))
     assert (cfg.train["order"], cfg.beams[0].max_len_a,
             cfg.beams[0].max_len_b) == (11, 16.0, 1024)
+    # 48 words, 3 reserved ids and the terminal token: at most 52 symbols
+    # a step, so 10^7 // 52 = 192307 is the widest admitted beam
+    cfg = E.load_experiment_config(write_config(
+        tmp_path, "decode:\n  widths: [1, 4, 200, 192307]\n"))
+    assert cfg.beams[-1].width * 52 <= search.MAX_STEP_CANDIDATES
     # a baseline-only run draws no augmented corpus, so its multiplier may
     # round to zero pairs, and its n_max may be any size
     E.load_experiment_config(write_config(

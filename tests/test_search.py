@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -126,6 +127,16 @@ def test_lossy_normalization_names_are_refused():
 
 # --------------------------------------------------------------- ranking
 
+def finished_set(entries):
+    """A DecodeResult holding (tokens, logprob) entries in the given
+    order."""
+    return S.DecodeResult(
+        np.array([t for tokens, _ in entries for t in tokens],
+                 dtype=np.int64),
+        np.cumsum([0] + [len(tokens) for tokens, _ in entries]),
+        np.array([lp for _, lp in entries], dtype=np.float64))
+
+
 NORMS = [("none",), ("by_length", 0.0), ("by_length", 0.5),
          ("by_length", 1.0), ("by_length", 2.0), ("gnmt", 0.0),
          ("gnmt", 0.6), ("gnmt", 1.0)]
@@ -141,27 +152,49 @@ NORMS = [("none",), ("by_length", 0.0), ("by_length", 0.5),
               st.sampled_from([0.0, -0.0, -1.0, -2.0, -3.0, -4.0, -6.0,
                                -1e-300, 1.0, 2.0])),
     max_size=24, unique_by=lambda entry: entry[0]),
-    st.sampled_from(NORMS))
+    st.sampled_from(NORMS), st.randoms(use_true_random=False))
 # a score tie that logprob breaks against length, a logprob tie that length
 # breaks against the tokens, and one that the tokens break
-@example([((), 1.0), ((3,), 2.0)], ("by_length", 1.0))
-@example([((3, 3), -1.0), ((4,), -1.0)], ("none",))
-@example([((4,), -1.0), ((3,), -1.0)], ("gnmt", 0.6))
-def test_rerank_top_k_equals_full_sort_prefix(entries, norm):
-    # a finished set holds each token sequence once; the scores it carries
-    # are not read
-    result = S.DecodeResult([S.Hypothesis(tokens, lp, math.nan)
-                             for tokens, lp in entries])
+@example([((), 1.0), ((3,), 2.0)], ("by_length", 1.0), random.Random(0))
+@example([((3, 3), -1.0), ((4,), -1.0)], ("none",), random.Random(0))
+@example([((4,), -1.0), ((3,), -1.0)], ("gnmt", 0.6), random.Random(0))
+# entries tied in score, logprob and length across the boundary of k = 1
+# and of k = 2, admitted in reverse token order
+@example([((4,), -1.0), ((3, 4), -3.0), ((3,), -1.0)], ("none",),
+         random.Random(0))
+@example([((4, 4), -2.0), ((4, 3), -2.0), ((3, 4), -2.0), ((3,), -1.0)],
+         ("by_length", 1.0), random.Random(0))
+def test_rerank_top_k_equals_full_sort_prefix(entries, norm, rng):
+    # a finished set holds each token sequence once, in any admission order
     want = rank_reference(entries,
                           lambda lp, n: S.normalize_score(lp, n, norm))
-    # repr tells -0.0 from 0.0
-    assert repr(triples(S.rerank(result, norm))) == repr(want)
-    for k in range(1, len(entries) + 2):
-        assert repr(triples(S.rerank(result, norm, k))) == repr(want[:k])
+    shuffled = list(entries)
+    rng.shuffle(shuffled)
+    for result in (finished_set(entries), finished_set(shuffled)):
+        # repr tells -0.0 from 0.0
+        assert repr(triples(S.rerank(result, norm))) == repr(want)
+        for k in range(1, len(entries) + 2):
+            assert repr(triples(S.rerank(result, norm, k))) == \
+                repr(want[:k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 300),
+                          st.floats(-1e4, 0.0, allow_subnormal=True)),
+                min_size=1, max_size=40),
+       st.sampled_from(NORMS))
+def test_array_scores_equal_the_scalar_expression(entries, norm):
+    # realistic lengths and logprobs: the vectorised scores keep the bits
+    # of normalize_score, whose length counts the EOS step
+    lengths = np.array([n for n, _ in entries], dtype=np.int64)
+    logprobs = np.array([lp for _, lp in entries])
+    got = S._normalized_scores(logprobs, lengths, norm).tolist()
+    assert repr(got) == repr([S.normalize_score(lp, n + 1, norm)
+                              for n, lp in entries])
 
 
 def test_rerank_refuses_topk_below_one():
-    result = S.DecodeResult([S.Hypothesis((3,), -1.0, -1.0)])
+    result = finished_set([((3,), -1.0)])
     for topk in (0, -1):
         with pytest.raises(ValueError, match="topk"):
             S.rerank(result, ("none",), topk)
@@ -170,8 +203,38 @@ def test_rerank_refuses_topk_below_one():
 def test_beam_config_validation():
     with pytest.raises(ValueError):
         S.BeamConfig(width=0)
+    assert S.BeamConfig(width=S.MAX_STEP_CANDIDATES).width == \
+        S.MAX_STEP_CANDIDATES
+    with pytest.raises(ValueError, match="width must be in"):
+        S.BeamConfig(width=S.MAX_STEP_CANDIDATES + 1)
     with pytest.raises(ValueError):
         S.BeamConfig(width=4, max_len_a=0.0, max_len_b=0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_width_is_refused_above_the_step_candidate_cap(monkeypatch, jobs):
+    # support {EOS, x}: a step holds width * 2 candidates at most, but
+    # this model keeps one live row, so the search at the cap is cheap
+    m = M.train(pair_corpus(("a", "x")), order=2)
+    assert len(m.support) == 2
+    at_cap = S.MAX_STEP_CANDIDATES // 2
+    calls = count_scoring(monkeypatch)
+    beam = S.BeamConfig(width=at_cap, max_len_a=0.0, max_len_b=3)
+    assert S.beam_search(m, ["a"], beam).hypotheses
+    assert S.decode_corpus(m, [["a"], ["a"]], beam, jobs=1)[1].hypotheses
+    assert calls
+    del calls[:]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(S.multiprocessing, "get_context", no_pool)
+    above = S.BeamConfig(width=at_cap + 1, max_len_a=0.0, max_len_b=3)
+    with pytest.raises(ValueError, match="candidates a beam step"):
+        S.decode_corpus(m, [["a"], ["a"]], above, jobs=jobs)
+    with pytest.raises(ValueError, match="candidates a beam step"):
+        S.beam_search(m, ["a"], above)
+    assert calls == []
 
 
 def test_saturating_width():
@@ -349,9 +412,8 @@ def test_result_sorted_by_normalized_score():
         for _ in range(10):
             m = random_tiny_model(rng)
             src = random_source(rng)
-            result = S.rerank(S.beam_search(m, src, S.BeamConfig(
+            hyps = S.rerank(S.beam_search(m, src, S.BeamConfig(
                 width=6, max_len_a=1.0, max_len_b=3)), norm)
-            hyps = result.hypotheses
             resorted = sorted(hyps, key=lambda h: (-h.normalized_score,
                                                    -h.logprob,
                                                    len(h.tokens),
@@ -392,9 +454,8 @@ def reference_decode(m, source, config, scorer, norm=("none",)):
         lambda lp, n: S.normalize_score(lp, n, norm))
 
 
-def triples(result):
-    return [(h.tokens, h.logprob, h.normalized_score)
-            for h in result.hypotheses]
+def triples(hyps):
+    return [(h.tokens, h.logprob, h.normalized_score) for h in hyps]
 
 
 def assert_matches_reference(m, source, config, scorer=None,
@@ -440,9 +501,9 @@ def test_selection_matches_reference_on_reference_like_model():
     for i, source in enumerate(sources):
         for width in (1, 4, 32, 200):
             norm = ("none",) if i % 2 else ("by_length", 1.0)
-            result = assert_matches_reference(
+            hyps = assert_matches_reference(
                 m, source, S.BeamConfig(width=width), scorer, norm)
-            assert result.hypotheses
+            assert hyps
     # all 40 sentences as one batch, in test order: they run in lock step,
     # leaving it at different steps
     batch = [p.source for p in splits["test"]]
@@ -670,16 +731,24 @@ def test_dictionary_task_decodes_to_dictionary_image():
     rng = random.Random(0)
     tgt_words = sorted(set(mapping.values()))
     for pair in splits["test"]:
-        result = S.rerank(S.beam_search(m, pair.source,
-                                        S.BeamConfig(width=8)), norm)
-        got = m.target_vocab.decode(list(result.hypotheses[0].tokens))
+        hyps = S.rerank(S.beam_search(m, pair.source,
+                                      S.BeamConfig(width=8)), norm)
+        got = m.target_vocab.decode(list(hyps[0].tokens))
         want = [mapping[s] for s in pair.source]
         assert got == want
         # the decoded output should out-score random same-length alternatives
-        top_lp = result.hypotheses[0].logprob
+        top_lp = hyps[0].logprob
         for _ in range(5):
             alt = [rng.choice(tgt_words) for _ in want]
             assert reference_logprob(m, pair.source, alt) <= top_lp + 1e-9
+
+
+def assert_same_arrays(a, b):
+    """Two DecodeResults hold the same arrays: dtypes, shapes and bits."""
+    assert [x.dtype for x in a] == [x.dtype for x in b] == \
+        [np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64)]
+    assert [x.shape for x in a] == [x.shape for x in b]
+    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
 
 def test_decode_corpus_parallel_matches_serial():
@@ -694,7 +763,16 @@ def test_decode_corpus_parallel_matches_serial():
         cfg_b = S.BeamConfig(width=width)
         serial = S.decode_corpus(m, sources, cfg_b, jobs=1)
         parallel = S.decode_corpus(m, sources, cfg_b, jobs=4)
-        assert [triples(r) for r in serial] == [triples(r) for r in parallel]
+        # the workers send back the arrays of each finished set as they
+        # are, and a set survives a pickle round trip
+        for a, b in zip(serial, parallel):
+            assert_same_arrays(a, b)
+            assert_same_arrays(a, pickle.loads(pickle.dumps(b)))
+            # CSR: one offset more than entries, from 0 to every id
+            assert a.offsets[0] == 0 and a.offsets[-1] == len(a.ids)
+            assert len(a.offsets) == len(a.logprobs) + 1 >= 2
+        assert [triples(r.hypotheses) for r in serial] == \
+            [triples(r.hypotheses) for r in parallel]
         norm = ("by_length", 1.0)
         assert [triples(S.rerank(r, norm)) for r in serial] == \
             [triples(S.rerank(r, norm)) for r in parallel]
@@ -736,8 +814,8 @@ def test_width_one_batch_scores_once_per_lock_step(monkeypatch):
     assert max(alone) <= len(calls) < sum(alone)
     # the same rows are scored, only in fewer calls
     assert sum(calls) == rows_alone
-    assert [triples(r) for r in batch] == [
-        triples(S.beam_search(m, s, beam)) for s in sources]
+    assert [triples(r.hypotheses) for r in batch] == [
+        triples(S.beam_search(m, s, beam).hypotheses) for s in sources]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -785,8 +863,8 @@ def test_decode_tsv_round_trip(tmp_path):
     parsed = S.parse_decode_tsv(text)
     assert len(parsed) == 2
     for result, entries in zip(results, parsed):
-        assert len(entries) == len(result.hypotheses) <= 2
-        for hyp, entry in zip(result.hypotheses, entries):
+        assert len(entries) == len(result) <= 2
+        for hyp, entry in zip(result, entries):
             rank, norm, lp, tokens = entry
             assert lp == hyp.logprob
             assert norm == hyp.normalized_score
@@ -804,6 +882,7 @@ def test_empty_hypothesis_survives_tsv_round_trip():
                           source_vocab=vocab, target_vocab=vocab,
                           support=[C.EOS_ID, 3])
     results = S.decode_corpus(m, [["x"]], S.BeamConfig(width=1), jobs=1)
-    text = S.format_decode_tsv(results, m.target_vocab)
+    text = S.format_decode_tsv([r.hypotheses for r in results],
+                               m.target_vocab)
     parsed = S.parse_decode_tsv(text)
     assert parsed[0][0][3] == []
