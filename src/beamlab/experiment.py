@@ -146,6 +146,10 @@ def _config_from_blob(blob):
         aug = cfg["augment"]
         msr = augment.MsrConfig(n_max=aug["n_max"],
                                 multiplier=aug["multiplier"])
+        for i, n in enumerate(aug["n_sweep"]):
+            # a repeat would train, decode and report its n twice
+            if n in aug["n_sweep"][:i]:
+                raise ValueError("augment.n_sweep repeats n = %d" % n)
         sweep = tuple(replace(msr, n_max=n) for n in aug["n_sweep"])
         # the largest n an msr corpus of the run is drawn with
         msr_n = max([point.n_max for point in sweep]

@@ -454,14 +454,6 @@ def _search(scorer, batch, config):
     return _finished_sets(n_sent, finished, parents, tokens)
 
 
-def _decode(scorer, batch, config):
-    """_search over consecutive groups of `batch` whose live rows stay
-    within ROW_BUDGET."""
-    group = max(1, ROW_BUDGET // config.width)
-    return [result for i in range(0, len(batch), group)
-            for result in _search(scorer, batch[i:i + group], config)]
-
-
 def check_step_candidates(width, support_size):
     """Refuse a width whose beam step over `support_size` symbols could
     score more than MAX_STEP_CANDIDATES candidates."""
@@ -581,16 +573,18 @@ def rerank(result, normalization, topk=None):
 
 # ------------------------------------------------------------ corpus decode
 
+# the scorer and config a pool worker searches with, set as it starts
 _WORKER = {}
 
 
-def _init_worker(config, scorer):
-    _WORKER["config"] = config
-    _WORKER["scorer"] = scorer
+def _search_groups(groups, scorer, config):
+    """_search of each group in turn: one DecodeResult per sentence."""
+    return [result for group in groups
+            for result in _search(scorer, group, config)]
 
 
-def _decode_chunk(batch):
-    return _decode(_WORKER["scorer"], batch, _WORKER["config"])
+def _search_task(groups):
+    return _search_groups(groups, **_WORKER)
 
 
 def resolve_jobs(jobs):
@@ -606,27 +600,29 @@ def resolve_jobs(jobs):
 
 def decode_corpus(model, sources, config, jobs=1, scorer=None):
     """Decode every source sentence: one DecodeResult each, in input order
-    regardless of worker count. The worker count goes through resolve_jobs;
-    each worker task decodes one contiguous chunk of sentences in lock step
-    and sends back its arrays. A scorer of the model may be passed in to
-    share its tables across calls; fork workers inherit it rather than
-    building their own. A width whose step would score more than
-    MAX_STEP_CANDIDATES candidates is refused before any search."""
+    regardless of worker count (see resolve_jobs). A worker task is a run of
+    whole lock-step groups and sends back their arrays; one group, or one
+    worker, starts no pool. A scorer of the model may be passed in to share
+    its tables across calls; fork workers inherit it. A width whose step
+    would score more than MAX_STEP_CANDIDATES candidates is refused first."""
     batch = [_source_ids(model, source) for source in sources]
     jobs = resolve_jobs(jobs)
     if scorer is None:
         scorer = DenseScorer(model)
     check_step_candidates(config.width, scorer.size)
-    if jobs == 1 or len(batch) < 2:
-        return _decode(scorer, batch, config)
+    # groups whose live rows stay within ROW_BUDGET
+    size = max(1, ROW_BUDGET // config.width)
+    groups = [batch[i:i + size] for i in range(0, len(batch), size)]
+    if jobs == 1 or len(groups) < 2:
+        return _search_groups(groups, scorer, config)
+    # about four tasks per worker, each of whole consecutive groups
+    run = max(1, len(groups) // (jobs * 4))
+    tasks = [groups[i:i + run] for i in range(0, len(groups), run)]
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(batch) // (jobs * 4))
-    with ctx.Pool(jobs, initializer=_init_worker,
-                  initargs=(config, scorer)) as pool:
-        # one chunk per task, so the workers share the chunks evenly
-        parts = pool.map(_decode_chunk, [batch[i:i + chunk] for i in
-                                         range(0, len(batch), chunk)],
-                         chunksize=1)
+    with ctx.Pool(min(jobs, len(tasks)), initializer=_WORKER.update,
+                  initargs=(dict(scorer=scorer, config=config),)) as pool:
+        # one task at a time, so the workers share the tasks evenly
+        parts = pool.map(_search_task, tasks, chunksize=1)
     return [result for part in parts for result in part]
 
 

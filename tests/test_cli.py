@@ -1411,6 +1411,7 @@ def test_experiment_bad_config_value_is_data_error(capsys, tmp_path):
     ("  widths: [1, 4]\n", "  widths: [1, 4, 10000001]\n"),
     ('["none"]', '["none", "by_length:1", "by_length:1.0"]'),
     ('["none"]', '["by_length:1.0000001"]'),
+    ("  multiplier: 2\n", "  multiplier: 2\n  n_sweep: [2, 2]\n"),
 ])
 def test_experiment_resource_knob_is_data_error_before_any_write(
         capsys, tmp_path, old, new):

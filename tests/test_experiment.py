@@ -138,6 +138,8 @@ def test_bad_config_values_are_data_errors(tmp_path, text):
     ('synth:\n  test_length_law: "geometric(0.000001)"\n', "tokens"),
     ("augment:\n  n_max: 100000000000\n", "pair picks"),
     ("augment:\n  n_sweep: [2, 100000000000]\n", "pair picks"),
+    # each n would be trained, decoded and reported twice
+    ("augment:\n  n_sweep: [2, 3, 2]\n", "augment.n_sweep repeats n = 2"),
     ('decode:\n  normalizations: ["by_length:400"]\n', "finite and in"),
     ('decode:\n  normalizations: ["gnmt:1e300"]\n', "finite and in"),
     # both would write decodes/*_by_length_1.tsv and its report rows

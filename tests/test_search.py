@@ -751,20 +751,32 @@ def assert_same_arrays(a, b):
     assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
 
-def test_decode_corpus_parallel_matches_serial():
+@functools.lru_cache(maxsize=None)
+def realistic_batch(test_size):
+    """A model and `test_size` test sources of the reference test lengths,
+    uniform(6, 44)."""
     cfg = C.SynthConfig(vocab_size=10, zipf_exponent=1.2,
                         length_law=C.parse_length_law("uniform(2, 5)"),
                         noise_prob=0.1, train_size=200, dev_size=1,
-                        test_size=30, seed=4)
+                        test_size=test_size, seed=4,
+                        test_length_law=C.parse_length_law("uniform(6, 44)"))
     splits = C.generate_synthetic(cfg)
-    m = M.train(splits["train"], order=2)
-    sources = [p.source for p in splits["test"]]
+    return M.train(splits["train"], order=2), [p.source
+                                               for p in splits["test"]]
+
+
+def test_decode_corpus_parallel_matches_serial(monkeypatch):
+    m, sources = realistic_batch(41)
     for width in (1, 4, 200):
+        # lock-step groups of two sentences: 21 groups, the last of one
+        # sentence, in tasks of two groups at two workers
+        monkeypatch.setattr(S, "ROW_BUDGET", 2 * width)
         cfg_b = S.BeamConfig(width=width)
         serial = S.decode_corpus(m, sources, cfg_b, jobs=1)
-        parallel = S.decode_corpus(m, sources, cfg_b, jobs=4)
+        parallel = S.decode_corpus(m, sources, cfg_b, jobs=2)
         # the workers send back the arrays of each finished set as they
         # are, and a set survives a pickle round trip
+        assert len(serial) == len(parallel) == len(sources)
         for a, b in zip(serial, parallel):
             assert_same_arrays(a, b)
             assert_same_arrays(a, pickle.loads(pickle.dumps(b)))
@@ -776,6 +788,85 @@ def test_decode_corpus_parallel_matches_serial():
         norm = ("by_length", 1.0)
         assert [triples(S.rerank(r, norm)) for r in serial] == \
             [triples(S.rerank(r, norm)) for r in parallel]
+
+
+@pytest.mark.parametrize("width, n_sent", [(1, 256), (4, 30), (4, 64),
+                                           (200, 1)])
+def test_one_group_decodes_in_process(monkeypatch, width, n_sent):
+    m, sources = realistic_batch(256)
+    sources = sources[:n_sent]
+    beam = S.BeamConfig(width=width)
+    serial = S.decode_corpus(m, sources, beam, jobs=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(S.multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(S.os, "cpu_count", lambda: 4)
+    for a, b in zip(serial, S.decode_corpus(m, sources, beam, jobs=4)):
+        assert_same_arrays(a, b)
+
+
+@pytest.mark.parametrize("width, jobs, n_sent, budget", [
+    # two groups of 64 and 6 sentences: two tasks, two workers of four
+    (4, 4, 70, 256),
+    # groups of 256, 256 and 88 sentences: three tasks, three workers
+    (1, 3, 600, 256),
+    # one sentence a group: 30 groups, a task each
+    (200, 4, 30, 256),
+    # 21 groups of two sentences, the last of one, in tasks of two groups
+    (4, 2, 41, 8),
+])
+def test_pool_tasks_are_runs_of_whole_consecutive_groups(
+        monkeypatch, width, jobs, n_sent, budget):
+    m, sources = realistic_batch(600)
+    sources = sources[:n_sent]
+    beam = S.BeamConfig(width=width)
+    monkeypatch.setattr(S, "ROW_BUDGET", budget)
+    serial = S.decode_corpus(m, sources, beam, jobs=1)
+    seen = {}
+
+    class InlinePool:
+        """A pool that records its tasks and runs them in this process."""
+
+        def __init__(self, processes, initializer, initargs):
+            seen["processes"] = processes
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize):
+            seen["tasks"] = tasks
+            return [func(task) for task in tasks]
+
+    class Fork:
+        Pool = InlinePool
+
+    monkeypatch.setattr(S, "_WORKER", {})
+    monkeypatch.setattr(S.multiprocessing, "get_context",
+                        lambda method: Fork)
+    monkeypatch.setattr(S.os, "cpu_count", lambda: 4)
+    parallel = S.decode_corpus(m, sources, beam, jobs=jobs)
+    for a, b in zip(serial, parallel):
+        assert_same_arrays(a, b)
+    assert len(parallel) == n_sent
+    tasks = seen["tasks"]
+    groups = [group for task in tasks for group in task]
+    size = max(1, budget // width)
+    assert [len(group) for group in groups[:-1]] == [size] * (
+        len(groups) - 1)
+    assert 1 <= len(groups[-1]) <= size
+    # the groups, in task order, are the batch
+    assert [ids for group in groups for ids in group] == [
+        [m.source_vocab.id(t) for t in source] for source in sources]
+    run = max(1, len(groups) // (jobs * 4))
+    assert [len(task) for task in tasks[:-1]] == [run] * (len(tasks) - 1)
+    assert 1 <= len(tasks[-1]) <= run
+    assert seen["processes"] == min(jobs, len(tasks))
 
 
 def count_scoring(monkeypatch):
