@@ -156,9 +156,11 @@ def bucket_quality(table, edges=DEFAULT_BUCKET_EDGES):
     bucket, one row per bucket under BUCKET_COLUMNS. Buckets are (prev, edge]
     starting from 0, plus an open final bucket, whose high edge is inf, past
     the last finite edge. The reference lengths are the table's last
-    column."""
+    column; an empty reference, which no bucket holds, is refused."""
     if not len(table.rows):
         raise DataError("need at least one sentence pair")
+    if not table.rows[:, -1].all():
+        raise DataError("reference sentence is empty")
     edges = check_bucket_edges(edges)
     bounds = list(zip((0,) + edges, edges))
     if not math.isinf(edges[-1]):

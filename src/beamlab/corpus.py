@@ -195,12 +195,6 @@ def concatenated(corpus, rows, offsets):
     return ParallelCorpus(*sides, provenance=(rows, offsets))
 
 
-def corpus_from_token_pairs(pairs):
-    pairs = list(pairs)
-    return ParallelCorpus(_side_from_sentences([src for src, _ in pairs]),
-                          _side_from_sentences([tgt for _, tgt in pairs]))
-
-
 def tokenize(line):
     return line.split()
 

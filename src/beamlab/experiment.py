@@ -274,7 +274,8 @@ def _decodes(cfg, model, sources, jobs):
 
 
 def _top1(ranked, vocab):
-    return [vocab.decode(list(hyps[0].tokens)) for hyps in ranked]
+    # tuples, which the keys of the run's TableMemo share rather than copy
+    return [tuple(vocab.decode(list(hyps[0].tokens))) for hyps in ranked]
 
 
 def _decode_grid(cfg, models, sources, jobs, listed):
@@ -331,8 +332,9 @@ def _bucket_rows(cfg, tables):
     return csv_rows, json_rows
 
 
-def _sweep_rows(cfg, base_train, sources, refs, jobs):
-    rows = []
+def _sweep_rows(cfg, base_train, sources, memo, jobs):
+    """The n-sweep's rows, its decodes scored together through `memo`."""
+    rows, decoded = [], []
     for point in cfg.n_sweep:
         # the augmented corpus is dropped as soon as the model is trained
         swept = model_mod.train(augment.msr(
@@ -340,13 +342,13 @@ def _sweep_rows(cfg, base_train, sources, refs, jobs):
         for beam, results in _decodes(cfg, swept, sources, jobs):
             hyps = _top1([search.rerank(r, ("none",), 1) for r in results],
                          swept.target_vocab)
-            score = metrics.sentence_table(hyps, refs, cfg.metric).score()
-            rows.append({"n": point.n_max, "width": beam.width,
-                         "score": score,
-                         "mean_hyp_len": _mean_length(hyps)})
+            rows.append({"n": point.n_max, "width": beam.width})
+            decoded.append(hyps)
         # free this point's model before the next point trains (it would
         # otherwise add to the peak RSS); its scorer went with the loop
         del swept
+    for row, hyps, table in zip(rows, decoded, memo.tables(decoded)):
+        row.update(score=table.score(), mean_hyp_len=_mean_length(hyps))
     return rows
 
 
@@ -466,9 +468,11 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         top1 = _decode_grid(cfg, models, sources, jobs, listed)
 
         stage = "evaluate"
-        # every report below is sums over these per-sentence rows
-        tables = {key: metrics.sentence_table(hyps, refs, cfg.metric)
-                  for key, hyps in top1.items()}
+        # every report below is sums over these per-sentence rows; the
+        # memo scores each distinct (test sentence, hypothesis) pair of the
+        # run once, the n-sweep's included
+        memo = metrics.TableMemo(refs, cfg.metric)
+        tables = dict(zip(top1, memo.tables(list(top1.values()))))
         quality = _quality_rows(cfg, top1, tables)
         report("reports/quality_curve", _QUALITY_COLUMNS, quality,
                metric=cfg.metric, rows=quality)
@@ -504,7 +508,7 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
 
         if cfg.n_sweep:
             stage = "n-sweep"
-            sweep = _sweep_rows(cfg, splits["train"], sources, refs, jobs)
+            sweep = _sweep_rows(cfg, splits["train"], sources, memo, jobs)
             report("reports/n_sweep", _SWEEP_COLUMNS, sweep,
                    metric=cfg.metric, multiplier=cfg.msr.multiplier,
                    rows=sweep)

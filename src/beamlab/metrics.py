@@ -9,7 +9,8 @@ and report how often each side wins.
 
 Reports score many subsets of one decode (corpus, length buckets, categories,
 resamples), so the statistics of each pair are computed once into a
-SentenceTable and every score is a sum over its rows.
+SentenceTable and every score is a sum over its rows. A TableMemo builds the
+tables of many decodes of one test set, scoring each distinct pair once.
 """
 
 import math
@@ -110,6 +111,99 @@ def sentence_bleu(hyp, ref):
 
 # ------------------------------------------------------------------------ WER
 
+# the most cells, pairs x (hypothesis length + 1) x (reference length + 1),
+# of one batched WER matrix: 256 KB of int32, plus a quarter of that for the
+# token matches. A pair whose matrix alone is larger is batched by itself.
+MAX_WER_CELLS = 1 << 16
+
+
+def _padded(id_lists, width, fill):
+    """The id lists as rows of a (len(id_lists), width) int32 array, each
+    padded with `fill`."""
+    lengths = np.array([len(ids) for ids in id_lists])
+    out = np.full((len(id_lists), width), fill, dtype=np.int32)
+    out[np.arange(width) < lengths[:, None]] = \
+        [i for ids in id_lists for i in ids]
+    return out
+
+
+def _edit_counts(hyps, refs):
+    """(substitutions, insertions, deletions, len(ref)) of each pair of id
+    lists. The Levenshtein matrices d[j][i] (j reference tokens against i
+    hypothesis tokens) of every pair are filled at once, one reference
+    position j at a time: from d[j - 1] by the substitutions and deletions,
+    then the insertions, which in e[j][i] = d[j][i] - i are a running min
+    along i. A cell depends only on cells at smaller or equal j and i, so
+    the padding past a pair's lengths never reaches its own cells. The
+    backtrace resolves cost ties as substitution, then deletion, then
+    insertion."""
+    n_max = max(len(h) for h in hyps)
+    m_max = max(len(r) for r in refs)
+    # match[p, j, i]: 1 where hypothesis token i equals reference token j
+    match = (_padded(hyps, n_max, -1)[:, None, :]
+             == _padded(refs, m_max, -2)[:, :, None]).view(np.int8)
+    # e, then d once every row is filled
+    dist = np.zeros((len(hyps), m_max + 1, n_max + 1), dtype=np.int32)
+    tmp = np.empty((len(hyps), n_max + 1), dtype=np.int32)
+    for j in range(1, m_max + 1):
+        prev = dist[:, j - 1]
+        tmp[:, 0] = j
+        np.subtract(prev[:, :-1], match[:, j - 1], out=tmp[:, 1:])
+        np.minimum(tmp[:, 1:], prev[:, 1:] + 1, out=tmp[:, 1:])
+        np.minimum.accumulate(tmp, axis=1, out=dist[:, j])
+    dist += np.arange(n_max + 1, dtype=np.int32)
+    rows = []
+    for h, r, d in zip(hyps, refs, dist):
+        i, j = len(h), len(r)
+        d = d[:j + 1, :i + 1].tolist()
+        subs = ins = dels = 0
+        while i and j:
+            cost = h[i - 1] != r[j - 1]
+            here, above = d[j][i], d[j - 1]
+            if here == above[i - 1] + cost:
+                subs += cost
+                i, j = i - 1, j - 1
+            elif here == above[i] + 1:
+                dels += 1
+                j -= 1
+            else:
+                ins += 1
+                i -= 1
+        # on an edge of the matrix only one move is left
+        ins += i
+        dels += j
+        rows.append((subs, ins, dels, len(r)))
+    return rows
+
+
+def _wer_rows(hyps, refs):
+    """The WER table row of each (hypothesis, non-empty reference) pair, by
+    `_edit_counts` over chunks of at most MAX_WER_CELLS matrix cells. Pairs
+    are chunked in order of hypothesis length, the longer side, which cuts
+    the padding."""
+    ids = {}
+    hyps = [[ids.setdefault(t, len(ids)) for t in h] for h in hyps]
+    refs = [[ids.setdefault(t, len(ids)) for t in r] for r in refs]
+    order = sorted(range(len(hyps)), key=lambda p: len(hyps[p]))
+    rows = [None] * len(hyps)
+    start = 0
+    while start < len(order):
+        stop, m_max = start + 1, len(refs[order[start]])
+        while stop < len(order):
+            p = order[stop]
+            m = max(m_max, len(refs[p]))
+            cells = (stop - start + 1) * (len(hyps[p]) + 1) * (m + 1)
+            if cells > MAX_WER_CELLS:
+                break
+            stop, m_max = stop + 1, m
+        chunk = order[start:stop]
+        for p, row in zip(chunk, _edit_counts([hyps[p] for p in chunk],
+                                              [refs[p] for p in chunk])):
+            rows[p] = row
+        start = stop
+    return rows
+
+
 def wer(hyp, ref):
     """Token-level edit counts against a single reference: the sentence
     table row (substitutions, insertions, deletions, len(ref)). The
@@ -117,39 +211,7 @@ def wer(hyp, ref):
     insertion, so the S/I/D split is deterministic."""
     if not ref:
         raise DataError("reference sentence is empty")
-    n, m = len(hyp), len(ref)
-    ids = {}
-    ref_ids = np.array([ids.setdefault(t, len(ids)) for t in ref])
-    hyp_ids = np.array([ids.get(t, -1) for t in hyp], dtype=ref_ids.dtype)
-    cost = hyp_ids[:, None] != ref_ids
-    # row i from row i-1: the diagonal and vertical moves first, then the
-    # horizontal ones, min over k <= j of tmp[k] + (j - k), as a running min
-    steps = np.arange(m + 1)
-    dist = np.empty((n + 1, m + 1), dtype=np.int64)
-    dist[0] = steps
-    tmp = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        prev = dist[i - 1]
-        tmp[0] = i
-        np.minimum(prev[:-1] + cost[i - 1], prev[1:] + 1, out=tmp[1:])
-        dist[i] = np.minimum.accumulate(tmp - steps) + steps
-    dist = dist.tolist()
-    cost = cost.tolist()
-    subs = ins = dels = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and \
-                dist[i][j] == dist[i - 1][j - 1] + cost[i - 1][j - 1]:
-            if cost[i - 1][j - 1]:
-                subs += 1
-            i, j = i - 1, j - 1
-        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
-            dels += 1
-            j -= 1
-        else:
-            ins += 1
-            i -= 1
-    return subs, ins, dels, m
+    return _wer_rows([hyp], [ref])[0]
 
 
 def corpus_wer(hyps, refs):
@@ -206,23 +268,50 @@ def check_metric(metric):
         raise ValueError("metric must be 'bleu' or 'wer', got %r" % (metric,))
 
 
+class TableMemo:
+    """The sentence tables of many decodes against one reference list. Each
+    distinct (sentence index, hypothesis) pair is scored once, by the first
+    `tables` call that asks for it, and every table gathers its rows from
+    those. A pair with an empty reference gets a zero WER row, which every
+    WER score and every sentence score refuses."""
+
+    def __init__(self, refs, metric="bleu"):
+        check_metric(metric)
+        self.refs = refs
+        self.metric = metric
+        self._rows = {}
+
+    def tables(self, hyp_lists):
+        """The SentenceTable of each hypothesis list, aligned with the
+        references. The pairs that no earlier call scored are scored
+        together: BLEU by one `_bleu_stats` call each, WER by one batched
+        `_wer_rows` call."""
+        refs = self.refs
+        for hyps in hyp_lists:
+            if len(hyps) != len(refs):
+                raise DataError("hypothesis/reference count mismatch: %d vs "
+                                "%d" % (len(hyps), len(refs)))
+        keys = [[(i, tuple(h)) for i, h in enumerate(hyps)]
+                for hyps in hyp_lists]
+        missing = list(dict.fromkeys(
+            key for table in keys for key in table if key not in self._rows))
+        if self.metric == "bleu":
+            rows = [_bleu_stats(h, refs[i]) for i, h in missing]
+        else:
+            scored = [(i, h) for i, h in missing if refs[i]]
+            found = dict(zip(scored, _wer_rows([h for _, h in scored],
+                                               [refs[i] for i, _ in scored])))
+            rows = [found.get(key, (0, 0, 0, 0)) for key in missing]
+        self._rows.update(zip(missing, rows))
+        width = 2 * MAX_ORDER + 2 if self.metric == "bleu" else 4
+        return [SentenceTable(self.metric, np.array(
+            [self._rows[key] for key in table], dtype=np.int64).reshape(
+                len(table), width)) for table in keys]
+
+
 def sentence_table(hyps, refs, metric="bleu"):
-    """The SentenceTable of aligned hypotheses and references. WER rows take
-    one `wer` call per pair; a pair with an empty reference gets a zero row
-    instead, which every WER score and every sentence score refuses."""
-    check_metric(metric)
-    if len(hyps) != len(refs):
-        raise DataError("hypothesis/reference count mismatch: %d vs %d"
-                        % (len(hyps), len(refs)))
-    if metric == "bleu":
-        rows = [_bleu_stats(h, r) for h, r in zip(hyps, refs)]
-        width = 2 * MAX_ORDER + 2
-    else:
-        rows = [wer(h, r) if r else (0, 0, 0, 0)
-                for h, r in zip(hyps, refs)]
-        width = 4
-    return SentenceTable(metric, np.array(rows, dtype=np.int64).reshape(
-        len(rows), width))
+    """The SentenceTable of aligned hypotheses and references."""
+    return TableMemo(refs, metric).tables([hyps])[0]
 
 
 # ------------------------------------------------------------------ bootstrap

@@ -13,8 +13,9 @@ Semantics, fully pinned so beam and exact search agree bit-for-bit:
   finished set as arrays, in admission order; `rerank` ranks it under a
   normalization, after the search.
 
-With width >= saturating_width(|support|, cap) nothing is ever pruned and
-beam search degenerates to exhaustive enumeration, which is what exact_search
+With a width of at least the number of non-EOS prefixes of length <= cap,
+sum over k <= cap of (|support| - 1)^k, nothing is ever pruned and beam
+search degenerates to exhaustive enumeration, which is what exact_search
 does directly.
 
 decode_corpus searches the sentences of one call in lock step, a step of
@@ -134,13 +135,6 @@ class DecodeResult(NamedTuple):
         """Every entry, best first by raw logprob (the `none` order), built
         anew on each access."""
         return _ranked(self, ("none",), None)
-
-
-def saturating_width(support_size, cap):
-    """A width at which nothing can be pruned: the number of non-EOS prefixes
-    of length <= cap (an upper bound on candidates alive at any step)."""
-    non_eos = support_size - 1
-    return sum(non_eos ** k for k in range(cap + 1))
 
 
 class _RowTable:

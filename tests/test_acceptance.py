@@ -13,14 +13,13 @@ import pytest
 from beamlab import cli
 from beamlab.analysis import contribution
 from beamlab.augment import MsrConfig, msr
-from beamlab.corpus import (SynthConfig, corpus_from_token_pairs,
-                            generate_synthetic)
+from beamlab.corpus import SynthConfig, generate_synthetic
 from beamlab.experiment import run_experiment
 from beamlab.metrics import corpus_bleu, corpus_wer, sentence_table, wer
 from beamlab.model import train
-from beamlab.search import (BeamConfig, DenseScorer, beam_search,
-                            exact_search, saturating_width)
+from beamlab.search import BeamConfig, DenseScorer, beam_search, exact_search
 
+from helpers import corpus_from_token_pairs, saturating_width
 from oracles import bleu_corpus_reference, levenshtein_reference
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

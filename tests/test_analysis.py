@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamlab.analysis as A
 import beamlab.metrics as X
@@ -333,6 +335,25 @@ def test_bucket_metric_matches_member_corpus_metric():
             want = X.corpus_wer([small[i] for i in members],
                                 [refs[i] for i in members])
             assert b["metric"] == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                min_size=1, max_size=20),
+       st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True),
+       st.booleans(), st.sampled_from(["bleu", "wer"]))
+def test_bucket_counts_sum_to_the_pairs_or_refuse_an_empty_reference(
+        lengths, edges, open_last, metric):
+    hyps = [["a"] * n for n, _ in lengths]
+    refs = [["a", "b"] * (m // 2) + ["b"] * (m % 2) for _, m in lengths]
+    edges = tuple(sorted(edges)) + ((math.inf,) if open_last else ())
+    table = X.sentence_table(hyps, refs, metric)
+    if any(m == 0 for _, m in lengths):
+        with pytest.raises(DataError, match="reference sentence is empty"):
+            A.bucket_quality(table, edges)
+    else:
+        rows = A.bucket_quality(table, edges)
+        assert sum(b["count"] for b in rows) == len(lengths)
 
 
 def test_bucket_validates():

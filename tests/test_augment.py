@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamlab import augment as A
-from beamlab import corpus as C
 from beamlab.errors import DataError
+from helpers import corpus_from_token_pairs
 from oracles import (expected_mean_length, load_provenance,
                      msr_picks_reference, msr_reference,
                      simple_resample_reference)
@@ -20,7 +20,7 @@ def toy_corpus(n_pairs=3, tgt_lengths=None):
     for i in range(n_pairs):
         length = tgt_lengths[i] if tgt_lengths else i + 1
         pairs.append((["s%d" % i] * length, ["t%d" % i] * length))
-    return C.corpus_from_token_pairs(pairs)
+    return corpus_from_token_pairs(pairs)
 
 
 # ---------------------------------------------------------------- msr
@@ -100,7 +100,7 @@ def test_msr_deterministic_in_seed():
 
 def test_msr_rejects_empty_corpus():
     with pytest.raises(DataError):
-        A.msr(C.corpus_from_token_pairs([]), A.MsrConfig(n_max=2, size=4, seed=0))
+        A.msr(corpus_from_token_pairs([]), A.MsrConfig(n_max=2, size=4, seed=0))
 
 
 def test_msr_composition_counts_near_uniform():
@@ -153,7 +153,7 @@ def triples(corpus):
        st.integers(min_value=0, max_value=30),
        st.integers(min_value=0, max_value=2 ** 31))
 def test_msr_matches_list_reference(pairs, n_max, size, seed):
-    out = A.msr(C.corpus_from_token_pairs(pairs),
+    out = A.msr(corpus_from_token_pairs(pairs),
                 A.MsrConfig(n_max=n_max, size=size, seed=seed))
     want = msr_reference(pairs, n_max, size, seed)
     assert triples(out) == want
@@ -162,7 +162,7 @@ def test_msr_matches_list_reference(pairs, n_max, size, seed):
 
 def test_msr_matches_list_reference_at_edges():
     pairs = [(["s9", "s10"], ["t10"]), (["s10"], ["t2", "t10"])]
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     for n_max, size in ((1, 7), (3, 0), (4, 1)):
         out = A.msr(corp, A.MsrConfig(n_max=n_max, size=size, seed=3))
         assert triples(out) == msr_reference(pairs, n_max, size, 3)
@@ -235,7 +235,7 @@ def test_long_example_draws_past_a_buffer_of_rejected_count_words():
 @given(pairs_strategy, st.integers(min_value=0, max_value=30),
        st.integers(min_value=0, max_value=2 ** 31))
 def test_simple_resample_matches_list_reference(pairs, size, seed):
-    out = A.simple_resample(C.corpus_from_token_pairs(pairs), size, seed)
+    out = A.simple_resample(corpus_from_token_pairs(pairs), size, seed)
     assert triples(out) == simple_resample_reference(pairs, size, seed)
 
 
@@ -271,7 +271,7 @@ def test_simple_resample_deterministic():
 
 def test_simple_resample_rejects_empty_corpus():
     with pytest.raises(DataError):
-        A.simple_resample(C.corpus_from_token_pairs([]), 5, seed=0)
+        A.simple_resample(corpus_from_token_pairs([]), 5, seed=0)
 
 
 # ---------------------------------------------------------------- formula

@@ -747,6 +747,22 @@ def test_analyze_buckets(capsys, tmp_path):
     assert stdout.splitlines()[0] == "bucket_low,bucket_high,count,metric"
 
 
+@pytest.mark.parametrize("metric", ["bleu", "wer"])
+def test_analyze_buckets_refuses_an_empty_reference(capsys, tmp_path, metric):
+    # length 0 lies in no (low, high] bucket: the pair used to be dropped
+    # from every count, with exit 0
+    hyps = write_lines(tmp_path / "h.txt", [["a", "b", "c"], ["d"]])
+    refs = write_lines(tmp_path / "r.txt", [["a", "b", "c"], []])
+    code, stdout, err = run(capsys, "analyze", "buckets", "--hyps", hyps,
+                            "--refs", refs, "--edges", "4,8",
+                            "--metric", metric)
+    assert (code, stdout) == (2, "")
+    assert "reference sentence is empty" in err
+    code, _, err = run(capsys, "analyze", "categories", "--small", hyps,
+                       "--large", hyps, "--refs", refs, "--metric", metric)
+    assert code == 2 and "reference sentence is empty" in err
+
+
 def test_analyze_lengths(capsys, tmp_path):
     a = write_lines(tmp_path / "a.txt", [["x"] * 4, ["y"] * 6])
     b = write_lines(tmp_path / "b.txt", [["x"] * 2, ["y"] * 2])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from beamlab import corpus as C
 from beamlab.errors import AlignmentError, FormatError
 
+from helpers import corpus_from_token_pairs
 from oracles import (bleu_corpus_reference, dictionary_map,
                      synthetic_pairs_reference, vocabulary_reference,
                      zipf_probs)
@@ -97,14 +98,14 @@ def test_missing_file_is_data_error(tmp_path):
 
 def test_save_then_load_round_trip(tmp_path):
     pairs = [(["a", "b"], ["x"]), (["c"], ["y", "z", "y"])]
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     C.save_corpus(corp, tmp_path / "o.src", tmp_path / "o.tgt")
     back = C.load_corpus(tmp_path / "o.src", tmp_path / "o.tgt")
     assert [(p.source, p.target) for p in back] == pairs
 
 
 def test_save_empty_corpus_writes_empty_files(tmp_path):
-    corp = C.corpus_from_token_pairs([])
+    corp = corpus_from_token_pairs([])
     C.save_corpus(corp, tmp_path / "o.src", tmp_path / "o.tgt")
     assert (tmp_path / "o.src").read_text() == ""
     assert (tmp_path / "o.tgt").read_text() == ""
@@ -113,7 +114,7 @@ def test_save_empty_corpus_writes_empty_files(tmp_path):
 
 def test_save_unicode_round_trip(tmp_path):
     pairs = [(["héllo", "日本"], ["ß", "ök"])]
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     C.save_corpus(corp, tmp_path / "o.src", tmp_path / "o.tgt")
     assert (tmp_path / "o.src").read_bytes() == "héllo 日本\n".encode("utf-8")
     back = C.load_corpus(tmp_path / "o.src", tmp_path / "o.tgt")
@@ -122,7 +123,7 @@ def test_save_unicode_round_trip(tmp_path):
 
 def test_save_round_trip_of_tokens_holding_nul(tmp_path):
     pairs = [(["a\x00", "b"], ["\x00"]), (["b"], ["c\x00d", "\x00"])]
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     C.save_corpus(corp, tmp_path / "o.src", tmp_path / "o.tgt")
     assert (tmp_path / "o.tgt").read_bytes() == b"\x00\nc\x00d \x00\n"
     back = C.load_corpus(tmp_path / "o.src", tmp_path / "o.tgt")
@@ -138,7 +139,7 @@ sentence_strategy = st.lists(token_strategy, min_size=1, max_size=6)
        st.integers(min_value=1, max_value=8))
 def test_round_trip_identity_property(tmp_path_factory, pairs, slice_tokens):
     tmp = tmp_path_factory.mktemp("rt")
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     # small slices, so that a save spans several of them
     with mock.patch.object(C, "_ROWS_BYTES_SLICE", slice_tokens):
         C.save_corpus(corp, tmp / "o.src", tmp / "o.tgt")
@@ -151,28 +152,28 @@ def test_round_trip_identity_property(tmp_path_factory, pairs, slice_tokens):
 # ---------------------------------------------------------------- vocabulary
 
 def test_vocabulary_orders_by_frequency_then_token():
-    corp = C.corpus_from_token_pairs([(["q"], ["a", "b"]), (["q"], ["a"])])
+    corp = corpus_from_token_pairs([(["q"], ["a", "b"]), (["q"], ["a"])])
     vocab = C.build_vocabulary(corp, "target", min_count=1)
     assert vocab.id("a") == 3
     assert vocab.id("b") == 4
 
 
 def test_vocabulary_min_count_filters():
-    corp = C.corpus_from_token_pairs([(["q"], ["a", "b"]), (["q"], ["a"])])
+    corp = corpus_from_token_pairs([(["q"], ["a", "b"]), (["q"], ["a"])])
     vocab = C.build_vocabulary(corp, "target", min_count=2)
     assert vocab.content_tokens() == ["a"]
     assert vocab.id("b") == C.UNK_ID
 
 
 def test_vocabulary_breaks_frequency_ties_lexicographically():
-    corp = C.corpus_from_token_pairs([(["q"], ["bb", "aa"])])
+    corp = corpus_from_token_pairs([(["q"], ["bb", "aa"])])
     vocab = C.build_vocabulary(corp, "target")
     assert vocab.id("aa") == 3
     assert vocab.id("bb") == 4
 
 
 def test_vocabulary_reserved_ids_fixed():
-    corp = C.corpus_from_token_pairs([(["q"], ["a"])])
+    corp = corpus_from_token_pairs([(["q"], ["a"])])
     vocab = C.build_vocabulary(corp, "source")
     assert vocab.id(C.BOS) == 0
     assert vocab.id(C.EOS) == 1
@@ -183,7 +184,7 @@ def test_vocabulary_reserved_ids_fixed():
 
 
 def test_vocabulary_sorts_by_string_not_first_seen_order():
-    corp = C.corpus_from_token_pairs([(["s9", "s10", "s2"], ["x"]),
+    corp = corpus_from_token_pairs([(["s9", "s10", "s2"], ["x"]),
                                       (["s10", "s9"], ["x"])])
     vocab = C.build_vocabulary(corp, "source")
     assert vocab.content_tokens() == ["s10", "s9", "s2"]
@@ -191,7 +192,7 @@ def test_vocabulary_sorts_by_string_not_first_seen_order():
 
 def test_encode_side_maps_rare_tokens_to_unk():
     pairs = [(["q"], ["s9", "s10", "s9"]), (["q"], ["s2", "s10", "s1"])]
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     vocab = C.build_vocabulary(corp, "target", min_count=2)
     assert vocab.content_tokens() == ["s10", "s9"]
     assert vocab.encode_side(corp.target).tolist() == \
@@ -213,7 +214,7 @@ def test_vocabulary_and_encoding_match_list_reference(pairs, min_count,
     # a resampled corpus keeps the whole token table, so the tokens of
     # pairs it did not pick are in the table with count 0
     picks = [i % len(pairs) for i in picks]
-    corp = C.concatenated(C.corpus_from_token_pairs(pairs), picks,
+    corp = C.concatenated(corpus_from_token_pairs(pairs), picks,
                           np.arange(len(picks) + 1))
     pairs = [pairs[i] for i in picks]
     for which, index in (("source", 0), ("target", 1)):
@@ -229,7 +230,7 @@ def test_vocabulary_and_encoding_match_list_reference(pairs, min_count,
 
 def test_pair_views_index_like_a_list():
     pairs = [(["a"], ["x"]), (["b", "c"], ["y"]), (["d"], ["z", "z"])]
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     assert corp[-1] == C.SentencePair(["d"], ["z", "z"], 2)
     assert list(corp) == [corp[i] for i in range(3)]
     with pytest.raises(IndexError):
@@ -239,7 +240,7 @@ def test_pair_views_index_like_a_list():
 # ---------------------------------------------------------------- histograms
 
 def test_histogram_hand_counts():
-    corp = C.corpus_from_token_pairs(
+    corp = corpus_from_token_pairs(
         [(["s"], ["a", "a"]), (["s"], ["b", "b"]), (["s"], ["c"] * 6)])
     hist = C.length_histogram(corp, "target", bucket_width=5)
     assert hist.counts == [2, 1]
@@ -248,7 +249,7 @@ def test_histogram_hand_counts():
 
 
 def test_histogram_width_one_single_sentence():
-    corp = C.corpus_from_token_pairs([(["s"], ["x"] * 7)])
+    corp = corpus_from_token_pairs([(["s"], ["x"] * 7)])
     hist = C.length_histogram(corp, "target", bucket_width=1)
     assert hist.counts[7] == 1
     assert sum(hist.counts) == 1
@@ -270,14 +271,14 @@ def test_histogram_geometric_law_mean():
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=60),
        st.integers(min_value=1, max_value=9))
 def test_histogram_total_stable_under_bucket_width(lengths, width):
-    corp = C.corpus_from_token_pairs([(["s"], ["t"] * n) for n in lengths])
+    corp = corpus_from_token_pairs([(["s"], ["t"] * n) for n in lengths])
     hist = C.length_histogram(corp, "target", bucket_width=width)
     assert sum(hist.counts) == hist.total == len(lengths)
     assert math.isclose(hist.mean, sum(lengths) / len(lengths))
 
 
 def test_histogram_csv_format():
-    corp = C.corpus_from_token_pairs([(["s"], ["a", "a"]), (["s"], ["b"] * 6)])
+    corp = corpus_from_token_pairs([(["s"], ["a", "a"]), (["s"], ["b"] * 6)])
     hist = C.length_histogram(corp, "target", bucket_width=5)
     lines = hist.to_csv().splitlines()
     assert lines[0] == "bucket_start,bucket_end,count"

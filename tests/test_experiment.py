@@ -435,25 +435,36 @@ def test_successful_rerun_removes_stale_failure_marker(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_wer_experiment_scores_each_pair_once(tmp_path, monkeypatch):
+def test_wer_experiment_scores_each_distinct_pair_once(tmp_path, monkeypatch):
     # two systems x two widths x two normalizations, plus two sweep points x
-    # two widths: every report reads the sentence table of its decode, so
-    # each (decode, test sentence) pair reaches metrics.wer exactly once
+    # two widths: twelve sentence tables of 20 pairs. Every distinct (test
+    # sentence, hypothesis) pair of the run, across the cells and the sweep
+    # points, reaches the row kernel exactly once
     text = TINY_YAML.replace(
         "systems: [baseline]", "systems: [baseline, msr]").replace(
         'normalizations: ["none"]', 'normalizations: ["none", "by_length:1"]'
     ).replace("  multiplier: 2\n", "  multiplier: 2\n  n_sweep: [1, 2]\n")
     text += "evaluate:\n  metric: wer\n"
-    calls = []
-    real_wer = metrics.wer
+    asked, scored = [], []
+    real_tables, real_rows = metrics.TableMemo.tables, metrics._wer_rows
 
-    def counting_wer(hyp, ref):
-        calls.append(1)
-        return real_wer(hyp, ref)
-    monkeypatch.setattr(metrics, "wer", counting_wer)
+    def asking(memo, hyp_lists):
+        asked.extend((i, tuple(h), tuple(memo.refs[i]))
+                     for hyps in hyp_lists for i, h in enumerate(hyps))
+        return real_tables(memo, hyp_lists)
+
+    def scoring(hyps, refs):
+        scored.extend(zip(map(tuple, hyps), map(tuple, refs)))
+        return real_rows(hyps, refs)
+    monkeypatch.setattr(metrics.TableMemo, "tables", asking)
+    monkeypatch.setattr(metrics, "_wer_rows", scoring)
     E.run_experiment(write_config(tmp_path, text), tmp_path / "run")
-    decodes = 2 * 2 * 2 + 2 * 2
-    assert len(calls) == decodes * 20
+    assert len(asked) == (2 * 2 * 2 + 2 * 2) * 20
+    distinct = set(asked)
+    assert sorted(scored) == sorted((h, r) for _, h, r in distinct)
+    # the cells and the sweep points share pairs, so scoring every table
+    # anew would score some pair twice
+    assert len(distinct) < len(asked)
 
 
 def test_rerun_removes_artifacts_the_config_no_longer_makes(tmp_path):
@@ -595,3 +606,17 @@ def test_tiny_config_reproduces_the_pinned_digest(tmp_path, jobs):
     E.run_experiment(os.path.join(repo, "configs", "tiny.yaml"), out,
                      jobs=jobs)
     assert _digest(out) == (55, "a9ff690eff33576e")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tiny_wer_config_reproduces_the_pinned_digest(tmp_path, jobs):
+    # the tiny config scored by WER, its n-sweep included: every WER report
+    # of the pipeline, byte for byte
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tiny = open(os.path.join(repo, "configs", "tiny.yaml"),
+                encoding="utf-8").read()
+    text = tiny.replace("  metric: bleu\n", "  metric: wer\n")
+    assert text != tiny and "n_sweep: [2, 4]" in text
+    out = tmp_path / "run"
+    E.run_experiment(write_config(tmp_path, text), out, jobs=jobs)
+    assert _digest(out) == (55, "a0742ee37a4cbb52")

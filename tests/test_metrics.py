@@ -1,6 +1,8 @@
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -241,6 +243,48 @@ def test_wer_matches_textbook_oracle_field_for_field(pair):
         wer_reference(hyp, ref)
 
 
+@st.composite
+def wer_batch(draw):
+    """Pairs over one vocabulary, some of them repeated, and a bound on the
+    cells of a chunk small enough that most batches span several chunks."""
+    size = draw(st.one_of(st.just(1), st.integers(2, 3), st.integers(4, 48)))
+    symbol = st.integers(0, size - 1).map("w%d".__mod__)
+    pairs = draw(st.lists(st.tuples(st.lists(symbol, max_size=60),
+                                    st.lists(symbol, min_size=1,
+                                             max_size=45)),
+                          min_size=1, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=4))
+    order = draw(st.permutations(pairs + repeats))
+    return order, draw(st.sampled_from([1, 30, 500, 4000,
+                                        X.MAX_WER_CELLS]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wer_batch())
+@example(([([], ["w0"]), (["w0"] * 60, ["w0"]), ([], ["w0"] * 45),
+           (["w0", "w1"] * 30, ["w1", "w0"] * 22), ([], ["w0"])], 1))
+def test_batched_wer_rows_match_textbook_oracle_field_for_field(batch):
+    pairs, cells = batch
+    chunks = []
+    edit_counts = X._edit_counts
+
+    def recorded(hyps, refs):
+        chunks.append((len(hyps), len(hyps) * (max(map(len, hyps)) + 1)
+                       * (max(map(len, refs)) + 1)))
+        return edit_counts(hyps, refs)
+    with mock.patch.object(X, "MAX_WER_CELLS", cells), \
+            mock.patch.object(X, "_edit_counts", recorded):
+        rows = X._wer_rows([h for h, _ in pairs], [r for _, r in pairs])
+    assert [row + (sum(row[:3]) / row[3],) for row in rows] == \
+        [wer_reference(h, r) for h, r in pairs]
+    # the chunks cover the batch, and each keeps under the bound unless it
+    # holds one pair
+    assert sum(n for n, _ in chunks) == len(pairs)
+    assert all(n == 1 or c <= cells for n, c in chunks)
+    if cells == 1:
+        assert len(chunks) == len(pairs)
+
+
 def test_corpus_wer_micro_average():
     hyps = [["x"], ["a", "b", "c", "d", "e", "f", "g", "h", "i"]]
     refs = [["y"], ["a", "b", "c", "d", "e", "f", "g", "h", "i"]]
@@ -305,6 +349,36 @@ def test_sentence_table_empty_reference_and_validation():
         X.sentence_table(hyps, refs[:1], "wer")
     with pytest.raises(ValueError):
         X.sentence_table(hyps, refs, "chrf")
+
+
+@pytest.mark.parametrize("metric", ["bleu", "wer"])
+def test_memo_tables_equal_per_pair_rows(metric):
+    rng = random.Random(32)
+    vocab = ["a", "b", "c", "d", "e"]
+    refs = [random_sentence(rng, vocab, 0, 20) for _ in range(30)]
+    refs[4] = []
+
+    def decode():
+        # some pairs repeat within a call and across calls
+        return [list(r) if rng.random() < 0.3 else
+                random_sentence(rng, vocab, 0, 40) for r in refs]
+    hyp_lists = [decode() for _ in range(4)]
+    hyp_lists.append([list(h) for h in hyp_lists[0]])
+    memo = X.TableMemo(refs, metric)
+    tables = memo.tables(hyp_lists[:3]) + memo.tables(hyp_lists[3:])
+    for hyps, table in zip(hyp_lists, tables):
+        if metric == "bleu":
+            want = [X._bleu_stats(h, r) for h, r in zip(hyps, refs)]
+        else:
+            want = [X.wer(h, r) if r else (0, 0, 0, 0)
+                    for h, r in zip(hyps, refs)]
+        assert table.metric == metric
+        assert table.rows.dtype == np.int64
+        assert table.rows.tolist() == [list(row) for row in want]
+        assert np.array_equal(table.rows,
+                              X.sentence_table(hyps, refs, metric).rows)
+    with pytest.raises(DataError, match="mismatch"):
+        memo.tables([hyp_lists[0][:-1]])
 
 
 # ------------------------------------------------------------------ bootstrap

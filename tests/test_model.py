@@ -14,12 +14,13 @@ from beamlab import model as M
 from beamlab import search as S
 from beamlab.errors import DataError, ModelFormatError
 
+from helpers import corpus_from_token_pairs
 from oracles import (context_code, count_reference, count_rows,
                      model_json_reference, transducer_logprob_reference)
 
 
 def pair_corpus(*pairs):
-    return C.corpus_from_token_pairs(
+    return corpus_from_token_pairs(
         [(src.split(), tgt.split()) for src, tgt in pairs])
 
 
@@ -73,7 +74,7 @@ def context_of(model, code):
 
 def test_train_duplicated_corpus_doubles_counts():
     corp = pair_corpus(("a b", "x y"), ("b", "y z"))
-    doubled = C.corpus_from_token_pairs(
+    doubled = corpus_from_token_pairs(
         [(p.source, p.target) for p in corp] * 2)
     lex1, ng1 = token_counts(M.train(corp, order=3))
     lex2, ng2 = token_counts(M.train(doubled, order=3))
@@ -94,7 +95,7 @@ def test_train_total_lex_events():
 def test_train_additivity_over_disjoint_shards():
     shard_a = pair_corpus(("a b", "x y"), ("c", "z"))
     shard_b = pair_corpus(("b", "y y"), ("a c", "x z"))
-    both = C.corpus_from_token_pairs(
+    both = corpus_from_token_pairs(
         [(p.source, p.target) for p in shard_a] +
         [(p.source, p.target) for p in shard_b])
     lex_a, ng_a = token_counts(M.train(shard_a, order=3))
@@ -125,7 +126,7 @@ def test_train_unk_absent_from_support_when_never_seen():
 def test_train_rejects_empty_corpus_and_bad_params(tmp_path):
     corp = pair_corpus(("a", "x"))
     with pytest.raises(DataError):
-        M.train(C.corpus_from_token_pairs([]))
+        M.train(corpus_from_token_pairs([]))
     with pytest.raises(ValueError):
         M.train(corp, order=0)
     # refused before any counting, without building the huge power
@@ -166,7 +167,7 @@ def test_train_counts_equal_the_per_token_loop(pairs, n_pairs, order,
     # block; the stride mixes sources shorter and longer than their
     # targets, and the first target token occurs once, so min_count 2 maps
     # it to UNK
-    corp = C.corpus_from_token_pairs(
+    corp = corpus_from_token_pairs(
         [(["a"], ["once", "x"])]
         + [pairs[(i * 7) % len(pairs)] for i in range(n_pairs)])
     with mock.patch.object(M, "_BLOCK_TOKENS", block_tokens):
@@ -312,7 +313,7 @@ def test_order_one_model_ignores_context():
                 min_size=1, max_size=6),
        st.integers(min_value=1, max_value=3))
 def test_distribution_property_random_corpora(pairs, order):
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     m = M.train(corp, order=order)
     probs = dense_probs(S.DenseScorer(m), pairs[0][0])
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -455,7 +456,7 @@ TOKENS = ["a", "b", "c", "d", "e", "f", "g", "h", "9", "10", "\u00e9",
        st.sampled_from([0.0, 0.6, 1, 1 / 3]))
 def test_saved_model_round_trips_byte_for_byte(tmp_path_factory, pairs,
                                                order, min_count, add_k, lam):
-    m = M.train(C.corpus_from_token_pairs(pairs), order=order,
+    m = M.train(corpus_from_token_pairs(pairs), order=order,
                 min_count=min_count, add_k_lex=add_k, add_k_ngram=add_k / 2,
                 lam=lam)
     path = tmp_path_factory.mktemp("round") / "m.json"

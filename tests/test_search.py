@@ -13,6 +13,7 @@ from beamlab import corpus as C
 from beamlab import model as M
 from beamlab import search as S
 
+from helpers import corpus_from_token_pairs, saturating_width
 from oracles import (beam_search_reference, context_code, dictionary_map,
                      enumerate_best_sequence, gnmt_penalty_reference,
                      rank_reference, transducer_logprob_reference,
@@ -20,7 +21,7 @@ from oracles import (beam_search_reference, context_code, dictionary_map,
 
 
 def pair_corpus(*pairs):
-    return C.corpus_from_token_pairs(
+    return corpus_from_token_pairs(
         [(src.split(), tgt.split()) for src, tgt in pairs])
 
 
@@ -33,7 +34,7 @@ def random_tiny_model(rng):
         src = [rng.choice(src_alpha) for _ in range(rng.randint(1, 3))]
         tgt = [rng.choice(tgt_alpha) for _ in range(rng.randint(1, 4))]
         pairs.append((src, tgt))
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     return M.train(corp, order=rng.choice([1, 2, 3]),
                    add_k_lex=rng.choice([0.1, 0.5, 1.0]),
                    add_k_ngram=rng.choice([0.1, 0.5, 1.0]),
@@ -238,8 +239,8 @@ def test_width_is_refused_above_the_step_candidate_cap(monkeypatch, jobs):
 
 
 def test_saturating_width():
-    assert S.saturating_width(5, 6) == sum(4 ** k for k in range(7))
-    assert S.saturating_width(2, 3) == 4
+    assert saturating_width(5, 6) == sum(4 ** k for k in range(7))
+    assert saturating_width(2, 3) == 4
 
 
 # ---------------------------------------------------------------- semantics
@@ -286,7 +287,7 @@ def test_saturating_width_matches_exact_search():
         m = random_tiny_model(rng)
         src = random_source(rng)
         cap = math.ceil(0.5 * len(src)) + 3
-        width = S.saturating_width(len(m.support), cap)
+        width = saturating_width(len(m.support), cap)
         result = S.beam_search(m, src, S.BeamConfig(width=width,
                                                     max_len_a=0.5, max_len_b=3))
         exact = S.exact_search(m, src, cap)
@@ -428,7 +429,7 @@ def test_width_invariance_beyond_saturation():
     m = random_tiny_model(rng)
     src = ["a"]
     cap = math.ceil(0.5 * 1) + 3
-    w_star = S.saturating_width(len(m.support), cap)
+    w_star = saturating_width(len(m.support), cap)
     a = S.beam_search(m, src, S.BeamConfig(width=w_star, max_len_a=0.5, max_len_b=3))
     b = S.beam_search(m, src, S.BeamConfig(width=w_star + 50, max_len_a=0.5,
                                            max_len_b=3))
@@ -524,7 +525,7 @@ def test_selection_matches_reference_when_whole_rows_tie():
     pairs = [([rng.choice(words[:6]) for _ in range(rng.randint(1, 4))],
               [rng.choice(words) for _ in range(rng.randint(1, 4))])
              for _ in range(30)]
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     models = [untrained] + [M.train(corp, order=order, lam=lam)
                             for order in (1, 2, 3) for lam in (0.0, 1.0)]
     for m in models:
@@ -545,7 +546,7 @@ def batch_models():
     pairs = [([rng.choice(words[:6]) for _ in range(rng.randint(1, 4))],
               [rng.choice(words[:k]) for _ in range(rng.randint(1, 5))])
              for k in (2, 5, 12) for _ in range(12)]
-    corp = C.corpus_from_token_pairs(pairs)
+    corp = corpus_from_token_pairs(pairs)
     models = []
     for n_words in (1, 4, 11):
         vocab = C.Vocabulary(words[:max(6, n_words)])

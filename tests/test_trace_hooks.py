@@ -10,7 +10,9 @@ import os
 
 import pytest
 
-from beamlab import corpus, model, search
+from beamlab import model, search
+
+from helpers import corpus_from_token_pairs
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "tracing.py")
@@ -44,7 +46,7 @@ def test_decode_corpus_counts_read_a_real_result():
     # sentence, best first
     counts_of = {(m, attr): fn for m, attr, fn in _tracing().HOOKS}[
         ("search", "decode_corpus")]
-    trained = model.train(corpus.corpus_from_token_pairs(
+    trained = model.train(corpus_from_token_pairs(
         [(["a", "b"], ["x", "y"]), (["b"], ["y"]), (["a"], ["x", "x"])]),
         order=2)
     sources = [["a", "b"], ["b"], ["a", "a", "b"]]
