@@ -27,7 +27,7 @@ from .corpus import (SynthConfig, generate_synthetic, length_histogram,
 from .errors import DataError
 from .experiment import SYNTH_DEFAULTS, run_experiment
 from .fileio import canonical_json, format_csv, write_text_atomic
-from .metrics import paired_bootstrap, sentence_table
+from .metrics import TableMemo, paired_bootstrap, sentence_table
 from .model import load_model, save_model, train
 from .search import (BeamConfig, decode_corpus, format_decode_tsv,
                      normalization_slug, parse_decode_tsv,
@@ -177,8 +177,8 @@ def cmd_analyze_categories(args):
     hyps_small = _read_hyps(args.small)
     hyps_large = _read_hyps(args.large)
     refs = _read_sentences(args.refs)
-    small = sentence_table(hyps_small, refs, args.metric)
-    large = sentence_table(hyps_large, refs, args.metric)
+    small, large = TableMemo(refs, args.metric).tables([hyps_small,
+                                                         hyps_large])
     categories = classify(hyps_small, hyps_large, small, large)
     blob = category_report(categories, hyps_small, hyps_large, small, large)
     if args.format == "csv":

@@ -322,9 +322,10 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
     replacement, score both systems on each resample with the corpus metric,
     and count wins. p = 1 - max(wins)/n_resamples. The index matrix is the
     single RNG draw, rng.integers(0, n, size=(n_resamples, n)), of at most
-    MAX_BOOTSTRAP_CELLS values. Each system's sentence table is built once;
-    the resamples and the full-set scores (score_a, score_b) are sums over
-    its rows. Returns the blob `evaluate bootstrap` writes."""
+    MAX_BOOTSTRAP_CELLS values. Both systems' sentence tables come from one
+    TableMemo, so a pair they share is scored once; the resamples and the
+    full-set scores (score_a, score_b) are sums over their rows. Returns the
+    blob `evaluate bootstrap` writes."""
     if n_resamples < 100:
         raise ValueError("n_resamples must be >= 100, got %d" % n_resamples)
     if n_resamples * len(refs) > MAX_BOOTSTRAP_CELLS:
@@ -337,8 +338,7 @@ def paired_bootstrap(hyps_a, hyps_b, refs, metric="bleu",
     if not refs:
         raise DataError("need at least one sentence pair")
 
-    table_a = sentence_table(hyps_a, refs, metric)
-    table_b = sentence_table(hyps_b, refs, metric)
+    table_a, table_b = TableMemo(refs, metric).tables([hyps_a, hyps_b])
     score_a, score_b = table_a.score(), table_b.score()
     if metric == "bleu":
         def score(sums):

@@ -44,6 +44,10 @@ MAX_STEP_CANDIDATES = 10 ** 7
 # the largest normalization alpha: length ** alpha stays a finite float at
 # every length below 10**30 (an alpha of 400 overflows it at length 20)
 MAX_ALPHA = 10.0
+# a scorer builds its whole row tables when it is created if they and the
+# dense code index take at most this many 8-byte cells (16 MB); a larger
+# model's rows are built on first use
+WHOLE_TABLE_CELLS = 2 ** 21
 
 
 def parse_normalization(text):
@@ -141,9 +145,10 @@ class _RowTable:
     """Rows (counts + add_k) / (total + add_k * size) * scale of a
     model.CountTable over the support: one per key, in key order, plus a
     last row shared by every key without counts (counts 0, total 0). Each
-    row is built the first time a lookup asks for it, by slicing the
-    table's arrays, element for element by the same expression whenever it
-    is built, so its floats do not depend on the order.
+    row is built the first time a lookup asks for it, or all at once by
+    build_all, by slicing the table's arrays, element for element by the
+    same expression whenever it is built, so its floats do not depend on
+    the order.
 
     The row array is allocated once at full size and never copied. Rows are
     written in slot order from the start, and the operating system backs an
@@ -169,6 +174,10 @@ class _RowTable:
             self._build(np.array(sorted(set(idx[slots < 0].tolist()))))
             slots = self.slot.take(idx)
         return self.rows.take(slots, axis=0)
+
+    def build_all(self):
+        """Build every row of an empty table, so that row i is rows[i]."""
+        self._build(np.arange(len(self.totals)))
 
     def _build(self, idx):
         start = self.filled
@@ -202,14 +211,21 @@ class DenseScorer:
     floats and their tie-breaks agree.
 
     Both row tables are scaled by lambda and 1 - lambda (a product is the
-    same float whenever it is taken) and filled on first use. The lexical
-    table has one row per source id with counts, and one shared row for the
-    rest. The n-gram table has one row per trained context, in the model's
-    order of context codes, plus one last add-k row shared by every context
-    the model never saw. A context (the last order-1 target ids, BOS-padded)
-    is coded as its ids read as digits in base `base`, as in the model; BOS
-    is 0, so the empty prefix has code 0 and padding costs nothing. Searches
-    carry codes, rolled forward one token at a time.
+    same float whenever it is taken). The lexical table has one row per
+    source id with counts, and one shared row for the rest. The n-gram
+    table has one row per trained context, in the model's order of context
+    codes, plus one last add-k row shared by every context the model never
+    saw. A context (the last order-1 target ids, BOS-padded) is coded as
+    its ids read as digits in base `base`, as in the model; BOS is 0, so
+    the empty prefix has code 0 and padding costs nothing. Searches carry
+    codes, rolled forward one token at a time.
+
+    If both tables and an index of `modulus` cells fit WHOLE_TABLE_CELLS,
+    every row is built when the scorer is created and each context code's
+    n-gram row is read from that dense index (`whole` is True), so a step
+    makes one take per table. Otherwise rows are built on first use and a
+    code's row is found by searchsorted among the trained codes. Fork
+    workers inherit the scorer's tables as they stand.
     """
 
     def __init__(self, model):
@@ -220,14 +236,24 @@ class DenseScorer:
         self.base = len(model.target_vocab)
         self.modulus = self.base ** (model.order - 1)
         self.start_code = self.context_code((BOS_ID,) * (model.order - 1))
-        # the sentinel sorts after every code, so a lookup never runs off
-        # the end, and its position is the shared unseen-context row
-        self._codes = np.append(model.ngram.keys, self.modulus)
         self._ngram = _RowTable(model.ngram, self.support, 1.0 - model.lam)
         self._lex = _RowTable(model.lex, self.support, model.lam)
         # the lexical row of each source id
         self._lex_index = np.full(len(model.source_vocab), len(model.lex.keys))
         self._lex_index[model.lex.keys] = np.arange(len(model.lex.keys))
+        n_keys = len(model.ngram.keys)
+        self.whole = (n_keys + 1 + len(model.lex.keys) + 1) * self.size + \
+            self.modulus <= WHOLE_TABLE_CELLS
+        if self.whole:
+            self._ngram.build_all()
+            self._lex.build_all()
+            # the n-gram row of each context code
+            self._code_row = np.full(self.modulus, n_keys)
+            self._code_row[model.ngram.keys] = np.arange(n_keys)
+        else:
+            # the sentinel sorts after every code, so a lookup never runs
+            # off the end, and its position is the shared unseen-context row
+            self._codes = np.append(model.ngram.keys, self.modulus)
 
     def context_code(self, context):
         """The code of an (order-1)-tuple of target ids."""
@@ -245,11 +271,16 @@ class DenseScorer:
         """(len(contexts), size) array of log p(y | source id, context), for
         an int array of context codes and one source id per context (or one
         for all of them)."""
-        rows = self._codes.searchsorted(contexts)
-        rows[self._codes.take(rows) != contexts] = len(self._codes) - 1
-        mixed = self._ngram.take(rows)
-        mixed += self._lex.take(self._lex_index.take(
-            np.atleast_1d(source_ids)))
+        lex = self._lex_index.take(np.atleast_1d(source_ids))
+        if self.whole:
+            mixed = self._ngram.rows.take(self._code_row.take(contexts),
+                                          axis=0)
+            mixed += self._lex.rows.take(lex, axis=0)
+        else:
+            rows = self._codes.searchsorted(contexts)
+            rows[self._codes.take(rows) != contexts] = len(self._codes) - 1
+            mixed = self._ngram.take(rows)
+            mixed += self._lex.take(lex)
         return np.log(mixed, out=mixed)
 
 
@@ -460,9 +491,9 @@ def check_step_candidates(width, support_size):
 
 def beam_search(model, source_tokens, config, scorer=None):
     """Beam search of one source sentence: a batch of one."""
+    check_step_candidates(config.width, len(model.support))
     if scorer is None:
         scorer = DenseScorer(model)
-    check_step_candidates(config.width, scorer.size)
     return _search(scorer, [_source_ids(model, source_tokens)], config)[0]
 
 
@@ -598,12 +629,13 @@ def decode_corpus(model, sources, config, jobs=1, scorer=None):
     whole lock-step groups and sends back their arrays; one group, or one
     worker, starts no pool. A scorer of the model may be passed in to share
     its tables across calls; fork workers inherit it. A width whose step
-    would score more than MAX_STEP_CANDIDATES candidates is refused first."""
+    would score more than MAX_STEP_CANDIDATES candidates is refused before
+    a scorer is built."""
     batch = [_source_ids(model, source) for source in sources]
     jobs = resolve_jobs(jobs)
+    check_step_candidates(config.width, len(model.support))
     if scorer is None:
         scorer = DenseScorer(model)
-    check_step_candidates(config.width, scorer.size)
     # groups whose live rows stay within ROW_BUDGET
     size = max(1, ROW_BUDGET // config.width)
     groups = [batch[i:i + size] for i in range(0, len(batch), size)]

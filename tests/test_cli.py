@@ -392,6 +392,9 @@ def test_decode_refuses_a_width_above_the_candidate_cap(capsys, tmp_path,
     calls = []
     monkeypatch.setattr(search.DenseScorer, "mixed_log_rows",
                         lambda *args: calls.append(args))
+    # no scorer is built for a width that is refused
+    monkeypatch.setattr(search.DenseScorer, "__init__",
+                        lambda *args: calls.append(args))
     size = len(load_model(model).support)
     for width in (search.MAX_STEP_CANDIDATES + 1,
                   search.MAX_STEP_CANDIDATES // size + 1):
@@ -698,6 +701,44 @@ def test_evaluate_bootstrap_refuses_a_draw_above_the_cap(capsys, tmp_path,
     code, stdout, _ = run(capsys, *args, "166")
     assert code == 0
     assert json.loads(stdout)["n_resamples"] == 166
+
+
+@pytest.mark.parametrize("metric", ["bleu", "wer"])
+def test_a_pair_both_decodes_share_is_scored_once(capsys, tmp_path,
+                                                  monkeypatch, metric):
+    refs_sents = [["a", "b", "c"], ["d", "e"], ["f", "g", "h", "i"], ["j"]]
+    small_sents = [["a", "b", "c"], ["d"], ["f", "g", "x"], ["j"]]
+    large_sents = [["a", "b", "c"], ["d", "e", "e"], ["f", "g", "x"], ["k"]]
+    refs = write_lines(tmp_path / "r.txt", refs_sents)
+    small = write_lines(tmp_path / "s.txt", small_sents)
+    large = write_lines(tmp_path / "l.txt", large_sents)
+    # sentences 0 and 2 are the same in both decodes
+    distinct = sorted(set(
+        (tuple(h), tuple(r)) for hyps in (small_sents, large_sents)
+        for h, r in zip(hyps, refs_sents)))
+    assert len(distinct) == 6
+    scored, batches = [], []
+    real_stats, real_rows = metrics._bleu_stats, metrics._wer_rows
+
+    def stats(hyp, ref):
+        scored.append((tuple(hyp), tuple(ref)))
+        return real_stats(hyp, ref)
+
+    def rows(hyps, refs):
+        batches.append(len(hyps))
+        scored.extend(zip(map(tuple, hyps), map(tuple, refs)))
+        return real_rows(hyps, refs)
+
+    monkeypatch.setattr(metrics, "_bleu_stats", stats)
+    monkeypatch.setattr(metrics, "_wer_rows", rows)
+    for argv in (("evaluate", "bootstrap", small, large, refs,
+                  "--n-resamples", "100"),
+                 ("analyze", "categories", "--small", small, "--large",
+                  large, "--refs", refs)):
+        del scored[:], batches[:]
+        assert run(capsys, *argv, "--metric", metric)[0] == 0
+        assert sorted(scored) == distinct
+        assert batches == ([6] if metric == "wer" else [])
 
 
 # ---------------------------------------------------------------------- analyze

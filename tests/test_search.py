@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,6 +231,9 @@ def test_width_is_refused_above_the_step_candidate_cap(monkeypatch, jobs):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(S.multiprocessing, "get_context", no_pool)
+    # the width is refused before a scorer is built
+    monkeypatch.setattr(S.DenseScorer, "__init__",
+                        lambda self, model: calls.append(model))
     above = S.BeamConfig(width=at_cap + 1, max_len_a=0.0, max_len_b=3)
     with pytest.raises(ValueError, match="candidates a beam step"):
         S.decode_corpus(m, [["a"], ["a"]], above, jobs=jobs)
@@ -652,11 +656,20 @@ def test_trained_and_unseen_context_rows():
     assert (rows == np.log(0.3 / (0.3 * size))).all()
 
 
+def lazy_scorer(model):
+    """A scorer of `model` whose rows are built on first use, as for a model
+    over the whole-table budget."""
+    with mock.patch.object(S, "WHOLE_TABLE_CELLS", 0):
+        scorer = S.DenseScorer(model)
+    assert not scorer.whole
+    return scorer
+
+
 def test_rows_are_built_on_first_use_in_any_order():
     corp = pair_corpus(("a b", "x y z"), ("b", "y"), ("a", "z x"),
                        ("b a", "y x x"))
     m = M.train(corp, order=3, add_k_ngram=0.3, lam=0.45)
-    forward, backward = S.DenseScorer(m), S.DenseScorer(m)
+    forward, backward = lazy_scorer(m), lazy_scorer(m)
     assert forward._ngram.filled == forward._lex.filled == 0
     codes = [forward.context_code(ctx)
              for ctx in itertools.product([C.BOS_ID] + m.support, repeat=2)]
@@ -666,11 +679,59 @@ def test_rows_are_built_on_first_use_in_any_order():
     for code in reversed(codes):
         row = backward.mixed_log_rows(3, np.array([code]))[0]
         assert np.array_equal(row, rows[code])
-    together = S.DenseScorer(m).mixed_log_rows(3, np.array(codes))
+    together = lazy_scorer(m).mixed_log_rows(3, np.array(codes))
     assert np.array_equal(together, np.array([rows[c] for c in codes]))
     # one row per trained context, one shared unseen row, one source row
     assert forward._ngram.filled == len(m.ngram.keys) + 1
     assert forward._lex.filled == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), order=st.integers(1, 4),
+       lam=st.sampled_from([0.0, 0.6, 1.0]))
+def test_whole_tables_equal_rows_built_on_first_use(data, order, lam):
+    words = st.lists(st.sampled_from("abcd"), min_size=1, max_size=5)
+    pairs = data.draw(st.lists(st.tuples(words, words), min_size=1,
+                               max_size=8))
+    m = M.train(corpus_from_token_pairs(pairs), order=order, lam=lam,
+                add_k_lex=data.draw(st.sampled_from([0.1, 0.7])),
+                add_k_ngram=data.draw(st.sampled_from([0.05, 1.0])))
+    whole, lazy = S.DenseScorer(m), lazy_scorer(m)
+    assert whole.whole
+    top = whole.modulus - 1
+    # trained codes, any code (most are unseen) and the last code
+    codes = data.draw(st.lists(st.sampled_from(m.ngram.keys.tolist())
+                               | st.integers(0, top), min_size=1,
+                               max_size=12)) + [top]
+    ids = st.integers(0, len(m.source_vocab) - 1)
+    for source_ids in (data.draw(ids), np.array(data.draw(
+            st.lists(ids, min_size=len(codes), max_size=len(codes))))):
+        # the second call reads rows the lazy scorer has built
+        for _ in range(2):
+            got = whole.mixed_log_rows(source_ids, np.array(codes))
+            want = lazy.mixed_log_rows(source_ids, np.array(codes))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_small_model_scorer_holds_every_row_from_the_start(monkeypatch):
+    m, sources = realistic_batch(41)
+    scorer = S.DenseScorer(m)
+    assert scorer.whole
+    # every trained row and the shared row of each table, in key order
+    assert scorer._ngram.filled == len(m.ngram.keys) + 1
+    assert scorer._lex.filled == len(m.lex.keys) + 1
+    assert scorer._code_row.shape == (scorer.modulus,)
+
+    def no_build(self, idx):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(S._RowTable, "_build", no_build)
+    # the width-200 decode forks: the workers read the parent's tables
+    for width, jobs in ((1, 1), (4, 1), (200, 2)):
+        assert len(S.decode_corpus(m, sources[:6], S.BeamConfig(width=width),
+                                   jobs=jobs, scorer=scorer)) == 6
+    assert scorer._ngram.filled == len(m.ngram.keys) + 1
+    assert scorer._lex.filled == len(m.lex.keys) + 1
 
 
 def test_context_without_ngram_entry_scores():
@@ -706,7 +767,12 @@ def test_model_refuses_contexts_that_overflow_int64():
                 lex=M.CountTable(1.0, [], [], 51), source_vocab=vocab,
                 target_vocab=vocab, support=[C.EOS_ID] + list(range(3, 51)))
         if fits:
-            assert S.DenseScorer(make()).modulus == 51 ** 10
+            scorer = S.DenseScorer(make())
+            assert scorer.modulus == 51 ** 10
+            # far over the budget: rows on first use, no code index
+            assert not scorer.whole
+            assert not hasattr(scorer, "_code_row")
+            assert scorer._ngram.filled == scorer._lex.filled == 0
         else:
             with pytest.raises(ValueError, match="int64"):
                 make()
@@ -768,7 +834,12 @@ def realistic_batch(test_size):
 
 def test_decode_corpus_parallel_matches_serial(monkeypatch):
     m, sources = realistic_batch(41)
-    for width in (1, 4, 200):
+    whole_serial = {}
+    # whole tables, then rows built on first use (in each worker)
+    for budget, width in itertools.product((S.WHOLE_TABLE_CELLS, 0),
+                                           (1, 4, 200)):
+        monkeypatch.setattr(S, "WHOLE_TABLE_CELLS", budget)
+        assert S.DenseScorer(m).whole == (budget > 0)
         # lock-step groups of two sentences: 21 groups, the last of one
         # sentence, in tasks of two groups at two workers
         monkeypatch.setattr(S, "ROW_BUDGET", 2 * width)
@@ -778,6 +849,9 @@ def test_decode_corpus_parallel_matches_serial(monkeypatch):
         # the workers send back the arrays of each finished set as they
         # are, and a set survives a pickle round trip
         assert len(serial) == len(parallel) == len(sources)
+        # both paths decode the same arrays
+        for a, b in zip(serial, whole_serial.setdefault(width, serial)):
+            assert_same_arrays(a, b)
         for a, b in zip(serial, parallel):
             assert_same_arrays(a, b)
             assert_same_arrays(a, pickle.loads(pickle.dumps(b)))
