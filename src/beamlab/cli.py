@@ -27,7 +27,7 @@ from .corpus import (SynthConfig, generate_synthetic, length_histogram,
 from .errors import DataError
 from .experiment import SYNTH_DEFAULTS, run_experiment
 from .fileio import canonical_json, format_csv, write_text_atomic
-from .metrics import TableMemo, paired_bootstrap, sentence_table
+from .metrics import METRICS, TableMemo, paired_bootstrap, sentence_table
 from .model import load_model, save_model, train
 from .search import (BeamConfig, decode_corpus, format_decode_tsv,
                      normalization_slug, parse_decode_tsv,
@@ -243,14 +243,16 @@ def cmd_experiment(args):
 
 def build_parser():
     # one parent parser per shared flag, given to the subcommands that read it
-    seed, jobs, out = (argparse.ArgumentParser(add_help=False)
-                       for _ in range(3))
+    seed, jobs, out, metric, fmt = (argparse.ArgumentParser(add_help=False)
+                                    for _ in range(5))
     seed.add_argument("--seed", type=int, default=DEFAULT_SEED,
                       help="random seed (default: %(default)s)")
     jobs.add_argument("--jobs", type=int, default=1,
                       help="parallel workers for decoding (default: 1)")
     out.add_argument("--out", default=None,
                      help="output directory (default: $BEAMLAB_OUT or .)")
+    metric.add_argument("--metric", choices=METRICS, default="bleu")
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = _Parser(prog="beamlab",
                      description="Length-bias laboratory: synthetic corpora, "
@@ -336,16 +338,15 @@ def build_parser():
     p = sub.add_parser("evaluate", help="score hypotheses against references")
     ev = p.add_subparsers(dest="mode", metavar="{bleu,wer,bootstrap}",
                           required=True)
-    for mode in ("bleu", "wer"):
+    for mode in METRICS:
         q = ev.add_parser(mode)
         q.add_argument("hyps", help="hypothesis file (.tsv or plain text)")
         q.add_argument("refs", help="reference text file")
         q.set_defaults(func=cmd_evaluate)
-    q = ev.add_parser("bootstrap", parents=[seed])
+    q = ev.add_parser("bootstrap", parents=[seed, metric])
     q.add_argument("hyps_a")
     q.add_argument("hyps_b")
     q.add_argument("refs")
-    q.add_argument("--metric", choices=("bleu", "wer"), default="bleu")
     q.add_argument("--n-resamples", type=int, default=1000)
     q.set_defaults(func=cmd_evaluate)
 
@@ -353,24 +354,20 @@ def build_parser():
     an = p.add_subparsers(dest="mode",
                           metavar="{categories,buckets,lengths,histogram}",
                           required=True)
-    q = an.add_parser("categories")
+    q = an.add_parser("categories", parents=[metric, fmt])
     q.add_argument("--small", required=True,
                    help="hypotheses from the smaller beam")
     q.add_argument("--large", required=True,
                    help="hypotheses from the larger beam")
     q.add_argument("--refs", required=True)
-    q.add_argument("--metric", choices=("bleu", "wer"), default="bleu")
-    q.add_argument("--format", choices=("json", "csv"), default="json")
     q.set_defaults(func=cmd_analyze_categories)
 
-    q = an.add_parser("buckets")
+    q = an.add_parser("buckets", parents=[metric, fmt])
     q.add_argument("--hyps", required=True)
     q.add_argument("--refs", required=True)
     q.add_argument("--edges",
                    default=",".join(str(e) for e in DEFAULT_BUCKET_EDGES),
                    help="comma-separated reference-length thresholds")
-    q.add_argument("--metric", choices=("bleu", "wer"), default="bleu")
-    q.add_argument("--format", choices=("json", "csv"), default="json")
     q.set_defaults(func=cmd_analyze_buckets)
 
     q = an.add_parser("lengths")
@@ -405,10 +402,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else exc.code
     try:
         return args.func(args)
-    except DataError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -247,55 +247,38 @@ _SWEEP_COLUMNS = ("n", "width", "score", "mean_hyp_len")
 _OUTPUT_DIRS = ("data", "models", "decodes", "reports")
 
 
-def _augmented_corpora(cfg, base_train):
-    """Training corpus per system. Augmentation seeds are fixed offsets from
-    the global seed so stages stay independently reproducible."""
-    corpora = {}
-    for system in cfg.systems:
-        if system == "baseline":
-            corpora[system] = base_train
-        elif system == "msr":
-            corpora[system] = augment.msr(base_train,
-                                          replace(cfg.msr, seed=cfg.seed + 1))
-        else:
-            size = augment.resolve_output_size(len(base_train), cfg.msr)
-            corpora[system] = augment.simple_resample(base_train, size,
-                                                      seed=cfg.seed + 2)
-    return corpora
+def _train_corpus(cfg, system, base_train):
+    """The training corpus of `system`. Augmentation seeds are fixed offsets
+    from the global seed so stages stay independently reproducible."""
+    if system == "baseline":
+        return base_train
+    if system == "msr":
+        return augment.msr(base_train, replace(cfg.msr, seed=cfg.seed + 1))
+    size = augment.resolve_output_size(len(base_train), cfg.msr)
+    return augment.simple_resample(base_train, size, seed=cfg.seed + 2)
 
 
-def _decodes(cfg, model, sources, jobs):
-    """(beam config, finished sets) for each width; the widths share one
-    scorer of the model."""
-    scorer = search.DenseScorer(model)
-    for beam in cfg.beams:
-        yield beam, search.decode_corpus(model, sources, beam, jobs=jobs,
-                                         scorer=scorer)
+def _ranked_cells(cfg, models, sources, jobs):
+    """Decode each model of the `models` mapping once per width, the widths
+    sharing one scorer of the model, and yield each (name, width, norm) cell
+    with its top `topk` ranked lists, in the order name, width, norm."""
+    for name, model in models.items():
+        scorer = search.DenseScorer(model)
+        for beam in cfg.beams:
+            raw = search.decode_corpus(model, sources, beam, jobs=jobs,
+                                       scorer=scorer)
+            for norm in cfg.normalizations:
+                yield (name, beam.width, norm), [
+                    search.rerank(r, norm, cfg.topk) for r in raw]
+            # else they would live on while the next width decodes
+            del raw
+        # else it would live on while the next model's scorer is built
+        del scorer
 
 
 def _top1(ranked, vocab):
     # tuples, which the keys of the run's TableMemo share rather than copy
     return [tuple(vocab.decode(list(hyps[0].tokens))) for hyps in ranked]
-
-
-def _decode_grid(cfg, models, sources, jobs, listed):
-    """Decode once per (system, width) and rank its top `topk` per
-    normalization; each decode file is written as soon as it is ranked,
-    through `listed`, and only the top-1 token lists are kept."""
-    top1 = {}
-    for system in cfg.systems:
-        vocab = models[system].target_vocab
-        for beam, raw in _decodes(cfg, models[system], sources, jobs):
-            for norm in cfg.normalizations:
-                ranked = [search.rerank(r, norm, cfg.topk) for r in raw]
-                top1[(system, beam.width, norm)] = _top1(ranked, vocab)
-                rel = "decodes/%s_w%d_%s.tsv" % (
-                    system, beam.width, search.normalization_slug(norm))
-                write_text_atomic(listed("decodes", rel),
-                                  search.format_decode_tsv(ranked, vocab))
-            # else they would live on while the next width decodes
-            del raw, ranked
-    return top1
 
 
 def _mean_length(hyps):
@@ -333,19 +316,23 @@ def _bucket_rows(cfg, tables):
 
 
 def _sweep_rows(cfg, base_train, sources, memo, jobs):
-    """The n-sweep's rows, its decodes scored together through `memo`."""
+    """The n-sweep's rows. A point is the main grid's msr chain under an
+    override of the config; the decodes are scored together through
+    `memo`."""
     rows, decoded = [], []
     for point in cfg.n_sweep:
+        point_cfg = replace(cfg, msr=point, normalizations=(("none",),),
+                            topk=1)
         # the augmented corpus is dropped as soon as the model is trained
-        swept = model_mod.train(augment.msr(
-            base_train, replace(point, seed=cfg.seed + 1)), **cfg.train)
-        for beam, results in _decodes(cfg, swept, sources, jobs):
-            hyps = _top1([search.rerank(r, ("none",), 1) for r in results],
-                         swept.target_vocab)
-            rows.append({"n": point.n_max, "width": beam.width})
-            decoded.append(hyps)
+        swept = model_mod.train(_train_corpus(point_cfg, "msr", base_train),
+                                **cfg.train)
+        for (_, width, _), ranked in _ranked_cells(point_cfg, {"msr": swept},
+                                                   sources, jobs):
+            rows.append({"n": point.n_max, "width": width})
+            decoded.append(_top1(ranked, swept.target_vocab))
+            del ranked
         # free this point's model before the next point trains (it would
-        # otherwise add to the peak RSS); its scorer went with the loop
+        # otherwise add to the peak RSS); its scorer went with the generator
         del swept
     for row, hyps, table in zip(rows, decoded, memo.tables(decoded)):
         row.update(score=table.score(), mean_hyp_len=_mean_length(hyps))
@@ -443,7 +430,8 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
                         listed("data", "data/%s.tgt" % name, name + "_tgt"))
 
         stage = "augment"
-        train_corpora = _augmented_corpora(cfg, splits["train"])
+        train_corpora = {system: _train_corpus(cfg, system, splits["train"])
+                         for system in cfg.systems}
         for system in cfg.systems:
             if system == "baseline":
                 continue
@@ -465,7 +453,17 @@ def run_experiment(config_path, out_dir, jobs=1, seed_override=None):
         stage = "decode"
         sources = splits["test"].side("source")
         refs = splits["test"].side("target")
-        top1 = _decode_grid(cfg, models, sources, jobs, listed)
+        top1 = {}
+        for key, ranked in _ranked_cells(cfg, models, sources, jobs):
+            system, width, norm = key
+            vocab = models[system].target_vocab
+            top1[key] = _top1(ranked, vocab)
+            rel = "decodes/%s_w%d_%s.tsv" % (
+                system, width, search.normalization_slug(norm))
+            write_text_atomic(listed("decodes", rel),
+                              search.format_decode_tsv(ranked, vocab))
+            # else it would live on while the next width decodes
+            del ranked
 
         stage = "evaluate"
         # every report below is sums over these per-sentence rows; the

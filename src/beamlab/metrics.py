@@ -263,8 +263,11 @@ class SentenceTable:
         return [(s + i + d) / m for s, i, d, m in self.rows.tolist()]
 
 
+METRICS = ("bleu", "wer")
+
+
 def check_metric(metric):
-    if metric not in ("bleu", "wer"):
+    if metric not in METRICS:
         raise ValueError("metric must be 'bleu' or 'wer', got %r" % (metric,))
 
 

@@ -356,6 +356,68 @@ def test_experiment_three_systems_and_n_sweep(tmp_path):
     assert len(buckets) == 2 + 3 * 2 * 3
 
 
+def test_n_sweep_point_at_n_max_equals_the_main_msr_rows(tmp_path,
+                                                        monkeypatch):
+    # a sweep point is the main grid's msr chain under an override: at
+    # n = n_max it trains on the same corpus with the same arguments and
+    # decodes the same, so its rows are the msr/none rows of the curve
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tiny = open(os.path.join(repo, "configs", "tiny.yaml"),
+                encoding="utf-8").read()
+    text = tiny.replace("n_sweep: [2, 4]", "n_sweep: [2, 3]")
+    assert text != tiny and "n_max: 3\n" in text
+    real, trained = E.model_mod.train, []
+
+    def recording_train(corpus, **kwargs):
+        trained.append(([(p.source, p.target) for p in corpus], kwargs))
+        return real(corpus, **kwargs)
+
+    monkeypatch.setattr(E.model_mod, "train", recording_train)
+    out = tmp_path / "run"
+    E.run_experiment(write_config(tmp_path, text), out, jobs=1)
+    # baseline, msr and resample, then the points n = 2 and n = 3
+    assert len(trained) == 5
+    assert trained[4] == trained[1] and trained[3] != trained[1]
+    curve = json.loads((out / "reports" / "quality_curve.json").read_text())
+    sweep = json.loads((out / "reports" / "n_sweep.json").read_text())
+    msr = {row["width"]: (row["score"], row["mean_hyp_len"])
+           for row in curve["rows"]
+           if (row["system"], row["normalization"]) == ("msr", "none")}
+    at_n_max = {row["width"]: (row["score"], row["mean_hyp_len"])
+                for row in sweep["rows"] if row["n"] == 3}
+    assert sorted(msr) == [1, 4, 16]
+    assert at_n_max == msr
+
+
+def test_failure_in_the_n_sweep_keeps_the_main_grid_reports(tmp_path,
+                                                           monkeypatch):
+    config = write_config(tmp_path, THREE_SYSTEM_YAML)
+    complete = E.run_experiment(config, tmp_path / "complete", jobs=1)
+    real, calls = E.model_mod.train, []
+
+    def fail_at_first_sweep_point(*args, **kwargs):
+        # the main grid trains one model per system before the sweep
+        calls.append(1)
+        if len(calls) == 4:
+            raise RuntimeError("injected n-sweep failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(E.model_mod, "train", fail_at_first_sweep_point)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="n-sweep failure"):
+        E.run_experiment(config, out, jobs=1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "n-sweep"
+    assert "stage: n-sweep" in (out / "failed" / "error.txt").read_text()
+    sweep_reports = {"reports/n_sweep.csv", "reports/n_sweep.json"}
+    assert sweep_reports <= set(complete["artifacts"]["reports"])
+    assert set(manifest["artifacts"]["reports"]) == \
+        set(complete["artifacts"]["reports"]) - sweep_reports
+    assert not list((out / "reports").glob("n_sweep.*"))
+    assert _files_under_pipeline_dirs(out) == \
+        E._listed_paths(manifest["artifacts"])
+
+
 def test_experiment_seed_override(tmp_path):
     config = write_config(tmp_path)
     out1 = tmp_path / "a"
@@ -528,7 +590,7 @@ def test_failed_rerun_replaces_the_manifest_and_keeps_pruning(
         raise RuntimeError("injected decode failure")
 
     with monkeypatch.context() as patch:
-        patch.setattr(E, "_decode_grid", boom)
+        patch.setattr(E, "_ranked_cells", boom)
         with pytest.raises(RuntimeError):
             E.run_experiment(tiny_path, out, jobs=1, seed_override=99)
     failed = json.loads((out / "manifest.json").read_text())
