@@ -18,9 +18,10 @@ sum over k <= cap of (|support| - 1)^k, nothing is ever pruned and beam
 search degenerates to exhaustive enumeration, which is what exact_search
 does directly.
 
-decode_corpus searches the sentences of one call in lock step, a step of
-every unfinished sentence at a time; a sentence's result does not depend on
-the others in its batch.
+decode_corpus searches the sentences of one call in lock-step groups of
+consecutive sentences, a step of every unfinished sentence of a group at a
+time, scored in one call and selected by one sort-free kernel; a sentence's
+result does not depend on the others in its group.
 """
 
 import math
@@ -269,18 +270,23 @@ class DenseScorer:
 
     def mixed_log_rows(self, source_ids, contexts):
         """(len(contexts), size) array of log p(y | source id, context), for
-        an int array of context codes and one source id per context (or one
-        for all of them)."""
+        an int array of context codes and one source id per equal run of
+        consecutive contexts (an int, or an int array whose length divides
+        theirs): one for all of them, one per context, or, in a lock-step
+        group, one per sentence, whose rows are a run. A run's lexical row
+        is added to each of its n-gram rows by broadcast."""
         lex = self._lex_index.take(np.atleast_1d(source_ids))
         if self.whole:
             mixed = self._ngram.rows.take(self._code_row.take(contexts),
                                           axis=0)
-            mixed += self._lex.rows.take(lex, axis=0)
+            lex = self._lex.rows.take(lex, axis=0)
         else:
             rows = self._codes.searchsorted(contexts)
             rows[self._codes.take(rows) != contexts] = len(self._codes) - 1
             mixed = self._ngram.take(rows)
-            mixed += self._lex.take(lex)
+            lex = self._lex.take(lex)
+        runs = mixed.reshape(len(lex), -1, self.size)
+        runs += lex[:, None]
         return np.log(mixed, out=mixed)
 
 
@@ -290,9 +296,13 @@ def _source_ids(model, source_tokens):
     return [model.source_vocab.id(t) for t in source_tokens]
 
 
-# the live rows one lock-step batch holds at most, unless a single
-# sentence's beam is wider; it bounds the memory of one step's candidates
-ROW_BUDGET = 256
+# the live rows one lock-step group holds at most, unless a single
+# sentence's beam is wider: 5 sentences at width 200, 32 at width 32, 256 at
+# width 4. It bounds one step's candidate arrays, a few float arrays of
+# ROW_BUDGET * |support| cells, plus the group's back-pointers, 16 bytes a
+# live row a step, which grow with its steps. In the full-size reference
+# decode, 1,024 rows kept most of the speed of larger groups
+ROW_BUDGET = 1024
 
 
 def _select(cost, per, width, eos_pos):
@@ -301,14 +311,19 @@ def _select(cost, per, width, eos_pos):
     ranking of its candidates by (cost, flat index), the EOS candidates
     among the first `width` are admitted and the first `width` non-EOS
     candidates are kept. Returns both as flat indices (row * size + support
-    position) into `cost`, the kept ones ascending: the children of rows in
-    lexicographic order, over the sorted support, are in lexicographic order
-    by flat index.
+    position) into `cost`: the admitted ones in ranking order, sentence
+    after sentence, and the kept ones ascending, since the children of rows
+    in lexicographic order, over the sorted support, are in lexicographic
+    order by flat index.
 
-    Only a prefix of each ranking is sorted: the `width + per` best
-    candidates (found by np.partition), widened to every tie. It holds
-    every admission and every kept candidate, since at most one candidate
-    per row ends in EOS."""
+    No ranking is sorted. One partition of every sentence's candidates,
+    with the EOS ones set to +inf, gives each sentence's threshold: its
+    width-th cheapest non-EOS cost, or +inf if it has fewer. The kept
+    candidates are the non-EOS ones at or below it, ties at it going to the
+    smaller index. An EOS candidate above it ranks past `width` non-EOS
+    ones; one at or below it ranks after the kept candidates that precede
+    it, counted from a sort of the kept costs, and after its sentence's
+    EOS candidates that precede it."""
     n_rows, size = cost.shape
     if width == 1:
         # one row per sentence, and the head of its ranking is the row's
@@ -317,40 +332,61 @@ def _select(cost, per, width, eos_pos):
         eos = best % size == eos_pos
         return best[eos], best[~eos]
     span = per * size
-    k = width + per
-    if n_rows == per:
-        # one sentence: its ranking is the flat array's
-        flat = cost.ravel()
-        if k >= span:
-            ranked = flat.argsort(kind="stable")
-        else:
-            kth = np.partition(flat, k - 1)[k - 1]
-            ranked = (flat <= kth).nonzero()[0]
-            ranked = ranked[flat.take(ranked).argsort(kind="stable")]
-        is_eos = ranked % size == eos_pos
-        kept = ranked[~is_eos][:width]
-        kept.sort()
-        return ranked[:width][is_eos[:width]], kept
-    # several sentences: a block row of candidates per sentence
-    block = cost.reshape(-1, span)
-    k = min(k, span)
-    thr = np.partition(block, k - 1, axis=1)[:, k - 1]
-    flat = np.flatnonzero(block <= thr[:, None])
-    sent = flat // span
-    order = np.lexsort((cost.ravel().take(flat), sent))
-    sent = sent.take(order)
-    flat = flat.take(order)
-    # each candidate's rank, and its rank among the non-EOS candidates, in
-    # its sentence's ranking
-    head = sent.searchsorted(sent)
-    is_eos = flat % size == eos_pos
-    admit = is_eos & (np.arange(len(flat)) < head + width)
-    non_eos = ~is_eos
-    before = non_eos.cumsum() - non_eos
-    keep = non_eos & (before < before.take(head) + width)
-    kept = flat[keep]
-    kept.sort()
-    return flat[admit], kept
+    n_sent = n_rows // per
+    block = cost.reshape(n_sent, span)
+    n_keep = min(width, per * (size - 1))
+    masked = block.copy()
+    masked[:, eos_pos::size] = np.inf
+    k = min(width, span) - 1
+    masked.partition(k, axis=1)
+    thr = masked[:, k:k + 1]
+    below = block <= thr
+    below[:, eos_pos::size] = False
+    kept = np.flatnonzero(below)
+    flat = cost.ravel()
+    if len(kept) > n_sent * n_keep:
+        # more candidates tie at a threshold than fit: a sentence keeps its
+        # first ties
+        sent = kept // span
+        tie = flat.take(kept) == thr.take(sent)
+        tied = sent[tie]
+        place = np.arange(len(tied)) - tied.searchsorted(tied)
+        room = n_keep - np.bincount(sent[~tie], minlength=n_sent)
+        keep = ~tie
+        keep[tie] = place < room.take(tied)
+        kept = kept[keep]
+    # the rows of the EOS candidates at or below their threshold, in
+    # ranking order
+    eos_cost = cost[:, eos_pos]
+    rows = np.flatnonzero(eos_cost.reshape(n_sent, per) <= thr)
+    if not len(rows):
+        return rows, kept
+    e_cost = eos_cost.take(rows)
+    e_sent = rows // per
+    order = np.lexsort((e_cost, e_sent))
+    rows = rows.take(order)
+    e_cost = e_cost.take(order)
+    e_sent = e_sent.take(order)
+    # `width` less the EOS candidates before each: it is admitted if fewer
+    # kept candidates rank before it, that is if the one at that place in
+    # its sentence's kept costs, ascending and +inf past the last, costs
+    # more, or as much and has a larger index
+    room = width - np.arange(len(rows)) + e_sent.searchsorted(e_sent)
+    ranked = np.full((n_sent, n_keep + 1), np.inf)
+    ranked[:, :n_keep] = flat.take(kept).reshape(n_sent, n_keep)
+    ranked.sort(axis=1)
+    bound = ranked[e_sent, np.minimum(room, n_keep + 1) - 1]
+    admit = bound > e_cost
+    tied = (bound == e_cost).nonzero()[0]
+    if len(tied):
+        # count the kept candidates before each EOS candidate that ties
+        idx = rows.take(tied) * size + eos_pos
+        mine = kept.reshape(n_sent, n_keep)[e_sent.take(tied)]
+        c = flat.take(mine)
+        ec = e_cost.take(tied)[:, None]
+        before = ((c < ec) | ((c == ec) & (mine < idx[:, None]))).sum(axis=1)
+        admit[tied] = before < room.take(tied)
+    return rows[admit] * size + eos_pos, kept
 
 
 def _finished_sets(n_sent, finished, parents, tokens):
@@ -404,14 +440,14 @@ def _search(scorer, batch, config):
     src_at = flat_src.take(np.minimum(
         np.arange(lengths.max())[:, None] + starts, starts + lengths - 1))
     longest = len(src_at)
-    n_finished = [0] * n_sent
-    searching = np.ones(n_sent, dtype=bool)
+    n_finished = np.zeros(n_sent, dtype=np.int64)
 
-    # the live rows: sentence after sentence, each sentence's rows in
-    # lexicographic order of their prefixes. A row's cost is its negated
-    # logprob, so that ascending cost order is the ranking; negation is
-    # exact, so -(lp + x) == -lp - x bit for bit
-    seg = np.arange(n_sent)
+    # the live rows: `per` rows of each searching sentence in `live`,
+    # sentence after sentence, each sentence's rows in lexicographic order
+    # of their prefixes. A row's cost is its negated logprob, so that
+    # ascending cost order is the ranking; negation is exact, so
+    # -(lp + x) == -lp - x bit for bit
+    live = np.arange(n_sent)
     per = 1
     codes = np.full(n_sent, scorer.start_code)
     cost = np.zeros(n_sent)
@@ -422,47 +458,43 @@ def _search(scorer, batch, config):
     # their prefixes and the level of those rows, their logprobs
     finished = []
     step = 0
-    while len(seg):
+    while len(live):
         step += 1
         # the rows of one sentence share its source id
-        x = src_at[min(step, longest) - 1]
-        rows = scorer.mixed_log_rows(x if n_sent == 1 else x.take(seg),
-                                     codes)
+        rows = scorer.mixed_log_rows(
+            src_at[min(step, longest) - 1].take(live), codes)
         index = None
         if next_cap < step:
             # the sentences past their length cap are force-finished with
             # this step's EOS candidates
             next_cap = caps.min(where=caps >= step, initial=caps.max() + 1)
-            capped = caps.take(seg) < step
-            at = capped.nonzero()[0]
-            if len(at):
-                finished.append((seg.take(at), at, step - 1,
+            capped = caps.take(live) < step
+            if capped.any():
+                at = capped.repeat(per).nonzero()[0]
+                finished.append((live[capped].repeat(per), at, step - 1,
                                  -cost.take(at) + rows[at, eos_pos]))
-                index = (~capped).nonzero()[0]
-                seg = seg.take(index)
+                live = live[~capped]
+                if not len(live):
+                    break
+                index = (~capped).repeat(per).nonzero()[0]
                 cost = cost.take(index)
                 codes = codes.take(index)
                 rows = rows.take(index, axis=0)
-                if not len(seg):
-                    break
         np.subtract(cost[:, None], rows, out=rows)
         admitted, kept = _select(rows, per, width, eos_pos)
         flat = rows.ravel()
         if len(admitted):
             parent = admitted // size
-            done = seg.take(parent)
+            done = live.take(parent // per)
             finished.append((done, parent if index is None
                              else index.take(parent), step - 1,
                              -flat.take(admitted)))
-            full = []
-            for s in done.tolist():
-                n_finished[s] += 1
-                if n_finished[s] == width:
-                    full.append(s)
-            if full:
-                # a sentence whose finished set is full stops here
-                searching[full] = False
-                kept = kept[searching.take(seg.take(kept // size))]
+            n_finished += np.bincount(done, minlength=n_sent)
+            # a sentence whose finished set is full stops here
+            going = n_finished.take(live) < width
+            if not going.all():
+                kept = kept[going.take(kept // (per * size))]
+                live = live[going]
         # every sentence keeps as many rows: its first `width` of the
         # `per * (size - 1)` candidates that do not end in EOS
         per = min(width, per * (size - 1))
@@ -472,7 +504,6 @@ def _search(scorer, batch, config):
         tokens.append(tok)
         cost = flat.take(kept)
         codes = scorer.roll(codes.take(parent), tok)
-        seg = seg.take(parent)
 
     # every sentence finishes at least one entry: at its cap, or by
     # admitting one

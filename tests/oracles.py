@@ -167,6 +167,26 @@ def beam_search_reference(rows_fn, source_ids, support, eos_id, bos_id,
     return finished
 
 
+def select_reference(cost, per, width, eos_pos):
+    """One beam step's selection, the plain way. `cost` is a (rows, size)
+    array holding `per` consecutive rows of each sentence; a candidate's
+    flat index is row * size + support position. Each sentence's
+    candidates are ranked by a Python stable sort by (cost, flat index).
+    Returns the flat indices of the admitted candidates (the EOS ones among
+    the first `width` of each ranking, in ranking order, sentence after
+    sentence) and of the kept ones (the first `width` non-EOS candidates of
+    each ranking, in ascending order)."""
+    size = len(cost[0])
+    flat = [float(c) for row in cost for c in row]
+    admitted, kept = [], []
+    for first in range(0, len(cost), per):
+        cands = range(first * size, (first + per) * size)
+        ranking = sorted(cands, key=lambda i: (flat[i], i))
+        admitted += [i for i in ranking[:width] if i % size == eos_pos]
+        kept += sorted([i for i in ranking if i % size != eos_pos][:width])
+    return admitted, kept
+
+
 def rank_reference(pairs, normalize):
     """(tokens, logprob, normalized score) triples of (tokens, logprob)
     pairs, best first: one full sort by normalized score, then logprob, then

@@ -3,11 +3,12 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beamlab import corpus as C
@@ -17,7 +18,8 @@ from beamlab import search as S
 from helpers import corpus_from_token_pairs, saturating_width
 from oracles import (beam_search_reference, context_code, dictionary_map,
                      enumerate_best_sequence, gnmt_penalty_reference,
-                     rank_reference, transducer_logprob_reference,
+                     rank_reference, select_reference,
+                     transducer_logprob_reference,
                      transducer_prob_reference)
 
 
@@ -488,9 +490,10 @@ def assert_batch_matches_reference(m, sources, config, scorer=None,
     return got
 
 
-def test_selection_matches_reference_on_reference_like_model():
-    # the reference config's vocabulary, order and length laws; widths up
-    # to 200 run the partial selection over thousands of candidates
+@functools.lru_cache(maxsize=None)
+def reference_like():
+    """A model and 40 test sources with the reference config's vocabulary,
+    order and length laws."""
     cfg = C.SynthConfig(vocab_size=48, zipf_exponent=1.3,
                         length_law=C.parse_length_law(
                             "negative_binomial(10, 0.35)"),
@@ -498,9 +501,15 @@ def test_selection_matches_reference_on_reference_like_model():
                         test_size=40, seed=1234,
                         test_length_law=C.parse_length_law("uniform(6, 44)"))
     splits = C.generate_synthetic(cfg)
-    m = M.train(splits["train"], order=3, lam=0.8)
+    return M.train(splits["train"], order=3, lam=0.8), [
+        p.source for p in splits["test"]]
+
+
+def test_selection_matches_reference_on_reference_like_model():
+    # widths up to 200 run the selection over thousands of candidates
+    m, test = reference_like()
     scorer = S.DenseScorer(m)
-    by_length = sorted((p.source for p in splits["test"]), key=len)
+    by_length = sorted(test, key=len)
     sources = [by_length[i] for i in (0, 10, 20, 30, 39)]
     assert len(sources[0]) <= 10 and len(sources[-1]) >= 38
     for i, source in enumerate(sources):
@@ -509,11 +518,10 @@ def test_selection_matches_reference_on_reference_like_model():
             hyps = assert_matches_reference(
                 m, source, S.BeamConfig(width=width), scorer, norm)
             assert hyps
-    # all 40 sentences as one batch, in test order: they run in lock step,
-    # leaving it at different steps
-    batch = [p.source for p in splits["test"]]
+    # all 40 sentences in one call, in test order: each group of several
+    # runs in lock step, its sentences leaving it at different steps
     for width in (1, 4, 32, 200):
-        assert_batch_matches_reference(m, batch, S.BeamConfig(width=width),
+        assert_batch_matches_reference(m, test, S.BeamConfig(width=width),
                                        scorer)
 
 
@@ -539,6 +547,32 @@ def test_selection_matches_reference_when_whole_rows_tie():
                 assert_matches_reference(
                     m, source, S.BeamConfig(width=width, max_len_a=1.0,
                                             max_len_b=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_select_matches_stable_sort_reference(data):
+    n_sent = data.draw(st.integers(1, 6), label="sentences")
+    size = data.draw(st.integers(2, 6), label="size")
+    per = data.draw(st.integers(1, 8), label="per")
+    non_eos = per * (size - 1)
+    # widths below, at and above a sentence's non-EOS candidates; width 1
+    # is a per-row argmin, whose EOS head leaves its row nothing to keep
+    width = data.draw(st.sampled_from([non_eos - 1, non_eos, non_eos + 1])
+                      | st.integers(2, 3 * non_eos + 2), label="width")
+    assume(width >= max(2, per))
+    # a few values, so that ties at the threshold and between EOS and
+    # non-EOS candidates are common
+    value = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0, 10)
+    cost = np.array(data.draw(st.lists(value, min_size=n_sent * per * size,
+                                       max_size=n_sent * per * size),
+                              label="cost")).reshape(-1, size)
+    eos_pos = data.draw(st.integers(0, size - 1), label="eos_pos")
+    before = cost.copy()
+    admitted, kept = S._select(cost, per, width, eos_pos)
+    assert (admitted.tolist(), kept.tolist()) == select_reference(
+        cost, per, width, eos_pos)
+    assert cost.tobytes() == before.tobytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -704,12 +738,30 @@ def test_whole_tables_equal_rows_built_on_first_use(data, order, lam):
                                | st.integers(0, top), min_size=1,
                                max_size=12)) + [top]
     ids = st.integers(0, len(m.source_vocab) - 1)
+    # one id per run of consecutive contexts: runs of all of them, of one,
+    # or of any length that divides them
+    runs = data.draw(st.sampled_from([n for n in range(1, len(codes) + 1)
+                                      if len(codes) % n == 0]))
+    run_ids = np.array(data.draw(st.lists(ids, min_size=runs,
+                                          max_size=runs)))
     for source_ids in (data.draw(ids), np.array(data.draw(
-            st.lists(ids, min_size=len(codes), max_size=len(codes))))):
+            st.lists(ids, min_size=len(codes), max_size=len(codes)))),
+            run_ids):
         # the second call reads rows the lazy scorer has built
         for _ in range(2):
             got = whole.mixed_log_rows(source_ids, np.array(codes))
             want = lazy.mixed_log_rows(source_ids, np.array(codes))
+            assert got.tobytes() == want.tobytes()
+    # a run's id reads as that id given to each of its contexts, or to the
+    # run alone
+    run = len(codes) // runs
+    for scorer in (whole, lazy):
+        got = scorer.mixed_log_rows(run_ids, np.array(codes))
+        for want in (scorer.mixed_log_rows(run_ids.repeat(run),
+                                           np.array(codes)),
+                     np.concatenate([scorer.mixed_log_rows(
+                         x, np.array(codes[i * run:(i + 1) * run]))
+                         for i, x in enumerate(run_ids.tolist())])):
             assert got.tobytes() == want.tobytes()
 
 
@@ -863,6 +915,47 @@ def test_decode_corpus_parallel_matches_serial(monkeypatch):
         norm = ("by_length", 1.0)
         assert [triples(S.rerank(r, norm)) for r in serial] == \
             [triples(S.rerank(r, norm)) for r in parallel]
+
+
+def test_groups_of_several_sentences_decode_as_one_sentence_groups(
+        monkeypatch):
+    m, sources = realistic_batch(41)
+    for cells, width in itertools.product((S.WHOLE_TABLE_CELLS, 0),
+                                          (1, 4, 32, 200)):
+        monkeypatch.setattr(S, "WHOLE_TABLE_CELLS", cells)
+        scorer = S.DenseScorer(m)
+        assert scorer.whole == (cells > 0)
+        beam = S.BeamConfig(width=width)
+        # the shipped budget groups several sentences at every width
+        assert S.ROW_BUDGET // width >= 5
+        grouped = S.decode_corpus(m, sources, beam, scorer=scorer)
+        with monkeypatch.context() as patch:
+            patch.setattr(S, "ROW_BUDGET", width)
+            alone = S.decode_corpus(m, sources, beam, scorer=scorer)
+        assert len(grouped) == len(alone) == len(sources)
+        for a, b in zip(grouped, alone):
+            assert_same_arrays(a, b)
+
+
+def test_decode_memory_is_bounded_by_the_row_budget():
+    """A decode holds one step's candidate arrays of a group at a time, and
+    the back-pointers of the group's steps; the results it returns grow
+    with the corpus."""
+    m, test = reference_like()
+    scorer = S.DenseScorer(m)
+    cell_bytes = S.ROW_BUDGET * len(m.support) * 8
+    for width, sources in ((200, test), (32, test * 3)):
+        # at least three groups
+        assert len(sources) > 2 * (S.ROW_BUDGET // width)
+        tracemalloc.start()
+        try:
+            results = S.decode_corpus(m, sources, S.BeamConfig(width=width),
+                                      scorer=scorer)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(sources)
+        assert peak - held < 6 * cell_bytes
 
 
 @pytest.mark.parametrize("width, n_sent", [(1, 256), (4, 30), (4, 64),
