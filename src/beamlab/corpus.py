@@ -200,14 +200,25 @@ def tokenize(line):
 
 
 def read_lines(path):
-    """The lines of a UTF-8 file; FormatError names a file it cannot read."""
+    """The lines of a UTF-8 file, broken only at line ends ("\n", "\r\n" or
+    "\r"); FormatError names a file it cannot read."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read().splitlines()
+            return split_lines(handle.read())
     except OSError as err:
         raise FormatError("cannot read %s: %s" % (path, err.strerror)) from err
     except UnicodeDecodeError as err:
         raise FormatError("%s is not valid UTF-8: %s" % (path, err)) from err
+
+
+def split_lines(text):
+    """The lines of `text`, split at "\n" only: str.splitlines would also
+    break a line at form feeds, vertical tabs, \x1c-\x1e, \x85, U+2028
+    and U+2029."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty text after the last line end
+    return lines
 
 
 def _parse_side(path, lines):

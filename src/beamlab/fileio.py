@@ -2,15 +2,17 @@
 
 import json
 import os
-import tempfile
 
 
 def write_bytes_atomic(path, data):
     """Write bytes to path via a temp file in the same directory + rename, so
-    readers never observe a half-written file."""
+    readers never observe a half-written file. The temp file is created
+    with mode 0666 less the umask, as open() creates a file, and keeps that
+    mode through the rename."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(path),
+                       ".tmp-%s~" % os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

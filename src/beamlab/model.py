@@ -3,8 +3,9 @@ interpolated with a target n-gram prior, add-k smoothed.
 
 p(y | state) = lambda * p_lex(y | x_{a(t)}) + (1 - lambda) * p_ngram(y | ctx)
 
-where a(t) = min(t, |x|) aligns target position t to a source token and ctx is
-the last (order - 1) generated target ids, BOS-padded. Every target sentence
+where a(t) = min(t, |x|) aligns target position t to a source token (the one
+function source_at, which training and both searches call) and ctx is the
+last (order - 1) generated target ids, BOS-padded. Every target sentence
 is trained (and scored) with a final EOS step, so the model carries an
 explicit, data-derived belief about where sequences end. That belief, learned
 from the training data's length distribution, is what the search and analysis
@@ -126,6 +127,13 @@ def _count(tally, values):
             np.insert(known_counts, pos[~hit], counts[~hit]))
 
 
+def source_at(src, starts, lengths, step):
+    """The source id that 1-based target step `step` reads, a(step) =
+    min(step, |x|), of sentences held as CSR: sentence i's source ids are
+    src[starts[i]:starts[i] + lengths[i]]. The arguments broadcast."""
+    return src.take(starts + np.minimum(step, lengths) - 1)
+
+
 def _block_keys(src, n_src, ids, n_tgt, base, order):
     """The lexical and n-gram keys of every target step of a block of
     sentences, each as key * base + token: `src` and `ids` are the block's
@@ -137,10 +145,9 @@ def _block_keys(src, n_src, ids, n_tgt, base, order):
     y = np.insert(ids.astype(np.int64), n_tgt.cumsum(), EOS_ID)
     step = np.arange(len(y))
     step -= np.repeat(steps.cumsum() - steps, steps)
-    aligned = np.minimum(step, np.repeat(n_src - 1, steps))
-    aligned += np.repeat(n_src.cumsum() - n_src, steps)
-    lex = src.take(aligned)
-    del src, aligned
+    lex = source_at(src, np.repeat(n_src.cumsum() - n_src, steps),
+                    np.repeat(n_src, steps), step + 1)
+    del src
     lex *= base
     lex += y
     # the context code, oldest token first; BOS (0) before the first token

@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID
+from .corpus import EOS_ID, split_lines
+from .model import source_at
 
 # the largest length-cap coefficients a search accepts
 MAX_LEN_A = 16.0
@@ -83,19 +84,6 @@ def format_normalization(norm):
 def normalization_slug(norm):
     """The normalization as decode file names spell it."""
     return format_normalization(norm).replace(":", "_")
-
-
-def normalize_score(logprob, length, norm):
-    """Score used to rank finished hypotheses; length counts tokens plus the
-    EOS step, so the empty hypothesis has length 1."""
-    kind = norm[0]
-    if kind == "none":
-        return logprob
-    if kind == "by_length":
-        return logprob / length ** norm[1]
-    if kind == "gnmt":
-        return logprob * 6.0 ** norm[1] / (5.0 + length) ** norm[1]
-    raise ValueError("unknown normalization %r" % (norm,))
 
 
 class Hypothesis(NamedTuple):
@@ -236,7 +224,6 @@ class DenseScorer:
         self.eos_pos = model.support.index(EOS_ID)
         self.base = len(model.target_vocab)
         self.modulus = self.base ** (model.order - 1)
-        self.start_code = self.context_code((BOS_ID,) * (model.order - 1))
         self._ngram = _RowTable(model.ngram, self.support, 1.0 - model.lam)
         self._lex = _RowTable(model.lex, self.support, model.lam)
         # the lexical row of each source id
@@ -255,13 +242,6 @@ class DenseScorer:
             # the sentinel sorts after every code, so a lookup never runs
             # off the end, and its position is the shared unseen-context row
             self._codes = np.append(model.ngram.keys, self.modulus)
-
-    def context_code(self, context):
-        """The code of an (order-1)-tuple of target ids."""
-        code = 0
-        for tok in context:
-            code = code * self.base + tok
-        return code
 
     def roll(self, codes, tokens):
         """The codes after appending `tokens` to contexts `codes` (ints or
@@ -431,15 +411,13 @@ def _search(scorer, batch, config):
     n_sent = len(batch)
     caps = np.array([config.cap(len(ids)) for ids in batch])
     next_cap = caps.min()
-    # the source id each sentence reads at step s, its min(s, |x|)-th, is
-    # in row min(s, longest) - 1 of this table, the sources padded with
-    # their last ids
+    # row s - 1 holds the source id each sentence reads at step s; a
+    # sentence reads one id at every step past its source, so a step past
+    # the longest source reads the last row
     lengths = np.array([len(ids) for ids in batch])
-    starts = np.cumsum(lengths) - lengths
-    flat_src = np.array([i for ids in batch for i in ids], dtype=np.int64)
-    src_at = flat_src.take(np.minimum(
-        np.arange(lengths.max())[:, None] + starts, starts + lengths - 1))
-    longest = len(src_at)
+    src_at = source_at(np.array([i for ids in batch for i in ids]),
+                       np.cumsum(lengths) - lengths, lengths,
+                       np.arange(1, lengths.max() + 2)[:, None])
     n_finished = np.zeros(n_sent, dtype=np.int64)
 
     # the live rows: `per` rows of each searching sentence in `live`,
@@ -449,7 +427,8 @@ def _search(scorer, batch, config):
     # -(lp + x) == -lp - x bit for bit
     live = np.arange(n_sent)
     per = 1
-    codes = np.full(n_sent, scorer.start_code)
+    # the empty prefix's context is all BOS, whose code is 0
+    codes = np.zeros(n_sent, dtype=np.int64)
     cost = np.zeros(n_sent)
     # the live rows of level L (L-token prefixes) as back-pointers: their
     # row in level L - 1 and their last token
@@ -462,7 +441,7 @@ def _search(scorer, batch, config):
         step += 1
         # the rows of one sentence share its source id
         rows = scorer.mixed_log_rows(
-            src_at[min(step, longest) - 1].take(live), codes)
+            src_at[min(step, len(src_at)) - 1].take(live), codes)
         index = None
         if next_cap < step:
             # the sentences past their length cap are force-finished with
@@ -520,35 +499,26 @@ def check_step_candidates(width, support_size):
                                                   MAX_STEP_CANDIDATES))
 
 
-def beam_search(model, source_tokens, config, scorer=None):
-    """Beam search of one source sentence: a batch of one."""
-    check_step_candidates(config.width, len(model.support))
-    if scorer is None:
-        scorer = DenseScorer(model)
-    return _search(scorer, [_source_ids(model, source_tokens)], config)[0]
-
-
 def exact_search(model, source_tokens, max_len, scorer=None):
     """Enumerate every EOS-terminated sequence up to max_len tokens and return
-    the raw-logprob argmax, ties broken exactly as in beam_search."""
+    the raw-logprob argmax, ties broken exactly as in beam search."""
     if len(model.support) ** max_len > 10 ** 7:
         raise ValueError(
             "exact search over %d^%d sequences is above the 1e7 guard"
             % (len(model.support), max_len))
     if scorer is None:
         scorer = DenseScorer(model)
-    src_ids = _source_ids(model, source_tokens)
-    n_src = len(src_ids)
+    src_ids = np.array(_source_ids(model, source_tokens))
     eos_pos = scorer.eos_pos
     non_eos = [(pos, tok) for pos, tok in enumerate(model.support)
                if tok != EOS_ID]
     best = None
     best_key = None
 
-    stack = [((), scorer.start_code, 0.0)]
+    stack = [((), 0, 0.0)]
     while stack:
         tokens, code, logprob = stack.pop()
-        x = src_ids[min(len(tokens) + 1, n_src) - 1]
+        x = source_at(src_ids, 0, len(src_ids), len(tokens) + 1)
         row = scorer.mixed_log_rows(x, np.array([code]))[0]
         lp = logprob + row[eos_pos]
         key = (-lp, len(tokens), list(tokens))
@@ -565,10 +535,11 @@ def exact_search(model, source_tokens, max_len, scorer=None):
 
 
 def _normalized_scores(logprobs, lengths, norm):
-    """normalize_score of every entry, bit for bit, for token counts
-    `lengths`: each length's factor comes from the same scalar expression,
-    and the product and quotient are correctly rounded in numpy as in
-    Python."""
+    """The scores that rank finished entries of token counts `lengths`,
+    whose length n counts the EOS step too (n = tokens + 1): the logprob
+    under `none`, logprob / n ** alpha under by_length, and logprob *
+    6 ** alpha / (5 + n) ** alpha under gnmt. Each length's factor is a
+    Python float, so a score is the scalar expression's bits."""
     kind, alpha = norm[0], norm[-1]
     if kind == "none":
         return logprobs
@@ -633,14 +604,8 @@ def rerank(result, normalization, topk=None):
 _WORKER = {}
 
 
-def _search_groups(groups, scorer, config):
-    """_search of each group in turn: one DecodeResult per sentence."""
-    return [result for group in groups
-            for result in _search(scorer, group, config)]
-
-
-def _search_task(groups):
-    return _search_groups(groups, **_WORKER)
+def _search_task(group):
+    return _search(batch=group, **_WORKER)
 
 
 def resolve_jobs(jobs):
@@ -656,9 +621,9 @@ def resolve_jobs(jobs):
 
 def decode_corpus(model, sources, config, jobs=1, scorer=None):
     """Decode every source sentence: one DecodeResult each, in input order
-    regardless of worker count (see resolve_jobs). A worker task is a run of
-    whole lock-step groups and sends back their arrays; one group, or one
-    worker, starts no pool. A scorer of the model may be passed in to share
+    regardless of worker count (see resolve_jobs). A worker task is one
+    lock-step group and sends back its arrays; one group, or one worker,
+    starts no pool. A scorer of the model may be passed in to share
     its tables across calls; fork workers inherit it. A width whose step
     would score more than MAX_STEP_CANDIDATES candidates is refused before
     a scorer is built."""
@@ -671,15 +636,13 @@ def decode_corpus(model, sources, config, jobs=1, scorer=None):
     size = max(1, ROW_BUDGET // config.width)
     groups = [batch[i:i + size] for i in range(0, len(batch), size)]
     if jobs == 1 or len(groups) < 2:
-        return _search_groups(groups, scorer, config)
-    # about four tasks per worker, each of whole consecutive groups
-    run = max(1, len(groups) // (jobs * 4))
-    tasks = [groups[i:i + run] for i in range(0, len(groups), run)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(jobs, len(tasks)), initializer=_WORKER.update,
-                  initargs=(dict(scorer=scorer, config=config),)) as pool:
-        # one task at a time, so the workers share the tasks evenly
-        parts = pool.map(_search_task, tasks, chunksize=1)
+        parts = [_search(scorer, group, config) for group in groups]
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(min(jobs, len(groups)), initializer=_WORKER.update,
+                      initargs=(dict(scorer=scorer, config=config),)) as pool:
+            # one group at a time, so the workers share them evenly
+            parts = pool.map(_search_task, groups, chunksize=1)
     return [result for part in parts for result in part]
 
 
@@ -704,7 +667,7 @@ def parse_decode_tsv(text):
     input and its ranks run 1, 2, 3, ... in order; ValueError names the
     first line that breaks this."""
     inputs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         fields = line.split("\t")
         try:
             if len(fields) != 4:

@@ -2,6 +2,7 @@
 beamlab imports, so what needs the package's own types lives here."""
 
 from beamlab.corpus import ParallelCorpus, _side_from_sentences
+from beamlab.search import decode_corpus
 
 
 def corpus_from_token_pairs(pairs):
@@ -16,3 +17,9 @@ def saturating_width(support_size, cap):
     of length <= cap (an upper bound on candidates alive at any step)."""
     non_eos = support_size - 1
     return sum(non_eos ** k for k in range(cap + 1))
+
+
+def decode_one(model, source, config, scorer=None):
+    """The DecodeResult of one source sentence: decode_corpus of a batch of
+    one."""
+    return decode_corpus(model, [source], config, scorer=scorer)[0]

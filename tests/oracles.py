@@ -322,6 +322,20 @@ def zipf_probs(exponent, size):
     return [x / z for x in w]
 
 
+def normalize_score(logprob, length, norm):
+    """The score that ranks a finished hypothesis under a parsed
+    normalization; length counts tokens plus the EOS step, so the empty
+    hypothesis has length 1."""
+    kind = norm[0]
+    if kind == "none":
+        return logprob
+    if kind == "by_length":
+        return logprob / length ** norm[1]
+    if kind == "gnmt":
+        return logprob * 6.0 ** norm[1] / (5.0 + length) ** norm[1]
+    raise ValueError("unknown normalization %r" % (norm,))
+
+
 def gnmt_penalty_reference(logprob, length, alpha):
     return logprob * (6.0 ** alpha) / ((5.0 + length) ** alpha)
 

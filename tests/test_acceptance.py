@@ -17,9 +17,9 @@ from beamlab.corpus import SynthConfig, generate_synthetic
 from beamlab.experiment import run_experiment
 from beamlab.metrics import corpus_bleu, corpus_wer, sentence_table, wer
 from beamlab.model import train
-from beamlab.search import BeamConfig, DenseScorer, beam_search, exact_search
+from beamlab.search import BeamConfig, DenseScorer, exact_search
 
-from helpers import corpus_from_token_pairs, saturating_width
+from helpers import corpus_from_token_pairs, decode_one, saturating_width
 from oracles import bleu_corpus_reference, levenshtein_reference
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -112,14 +112,14 @@ def test_ac3_search_oracle_equivalence():
 
         exact = exact_search(model, source, cap, scorer=scorer)
         sat = saturating_width(len(model.support), cap)
-        full = beam_search(model, source,
+        full = decode_one(model, source,
                            BeamConfig(width=sat, max_len_a=0.0, max_len_b=cap),
                            scorer=scorer)
         top = full.hypotheses[0]
         assert top.tokens == exact.tokens
         assert top.logprob == exact.logprob
         for width in (1, 2, 5):
-            narrow = beam_search(model, source,
+            narrow = decode_one(model, source,
                                  BeamConfig(width=width, max_len_a=0.0,
                                             max_len_b=cap), scorer=scorer)
             assert narrow.hypotheses[0].logprob <= exact.logprob + 1e-12

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
     import tomli as tomllib
 
 import beamlab
-from beamlab import cli, experiment, metrics, search
+from beamlab import cli, experiment, fileio, metrics, search
 from beamlab.corpus import load_corpus
 from beamlab.model import load_model
 from beamlab.search import parse_decode_tsv, parse_normalization
@@ -150,6 +151,31 @@ def test_gen_synth_writes_splits_and_is_deterministic(capsys, tmp_path):
     assert code == 0
     for name in ("train.src", "train.tgt", "test.src", "test.tgt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_written_files_take_their_mode_from_the_umask(capsys, tmp_path,
+                                                      umask, mode):
+    old = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "gen-synth", "--vocab-size", "5",
+                         "--length-law", "uniform(2, 4)", "--train-size",
+                         "8", "--dev-size", "2", "--test-size", "2",
+                         "--out", str(tmp_path))
+        fileio.write_bytes_atomic(tmp_path / "raw.bin", b"x")
+        # a failed write leaves no temporary file, and the old file as is
+        with pytest.raises(TypeError):
+            fileio.write_bytes_atomic(tmp_path / "raw.bin", "not bytes")
+    finally:
+        os.umask(old)
+    assert code == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["dev.src", "dev.tgt", "raw.bin", "test.src", "test.tgt",
+                     "train.src", "train.tgt"]
+    assert (tmp_path / "raw.bin").read_bytes() == b"x"
+    for name in names:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
 
 def test_gen_synth_honors_out_env_var(capsys, tmp_path, monkeypatch):
@@ -606,6 +632,33 @@ def test_evaluate_reads_rank1_from_decode_tsv(capsys, tmp_path):
     code, stdout, _ = run(capsys, "evaluate", "bleu", str(tsv), refs)
     assert code == 0
     assert json.loads(stdout)["score"] == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+def test_lines_end_only_at_line_breaks(capsys, tmp_path, char):
+    # each character inside a line of the references, of a decode file and
+    # of a corpus: it separates tokens, and the files keep two lines
+    refs = tmp_path / "refs.txt"
+    refs.write_text("a%sb c d\ne f g h\n" % char, encoding="utf-8")
+    tsv = tmp_path / "hyps.tsv"
+    tsv.write_text("1\t-0.5\t-0.5\ta b%sc d\n1\t-0.1\t-0.1\te f g h\n"
+                   % char, encoding="utf-8")
+    assert parse_decode_tsv(tsv.read_text(encoding="utf-8"))[0] == [
+        (1, -0.5, -0.5, ["a", "b", "c", "d"])]
+    hyps = write_lines(tmp_path / "hyps.txt", [["a", "b", "c", "d"],
+                                               ["e", "f", "g", "h"]])
+    for path in (hyps, str(tsv)):
+        code, stdout, _ = run(capsys, "evaluate", "bleu", path, str(refs))
+        assert code == 0
+        blob = json.loads(stdout)
+        assert blob["n_sentences"] == 2
+        assert blob["score"] == pytest.approx(100.0)
+    code, stdout, _ = run(capsys, "analyze", "histogram", str(refs), hyps,
+                          "--side", "source", "--bucket-width", "1")
+    assert code == 0
+    # both sources hold 4 tokens
+    assert stdout.splitlines()[-2:] == ["4,5,2", "# mean=4.0 total=2"]
 
 
 # decode files whose ranks do not run 1, 2, 3, ... within each input, with

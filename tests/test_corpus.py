@@ -88,6 +88,34 @@ def test_loaded_sides_hold_ids_into_first_seen_tables(tmp_path):
     assert corp.provenance is None
 
 
+# characters that str.splitlines takes for line breaks; in a file they sit
+# inside a line, and str.split takes them for whitespace
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                 "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS)
+def test_lines_end_only_at_line_breaks(tmp_path, char):
+    write_lines(tmp_path / "a.src", ["a%sb" % char, "c"])
+    write_lines(tmp_path / "a.tgt", ["x y%sz" % char, "w"])
+    assert C.read_lines(tmp_path / "a.src") == ["a%sb" % char, "c"]
+    # two pairs, matched line for line
+    corp = C.load_corpus(tmp_path / "a.src", tmp_path / "a.tgt")
+    assert [(p.source, p.target) for p in corp] == [
+        (["a", "b"], ["x", "y", "z"]), (["c"], ["w"])]
+
+
+def test_crlf_and_cr_end_one_line_each(tmp_path):
+    for ends in (b"\r\n", b"\r"):
+        (tmp_path / "a.src").write_bytes(b"a b%sc%s" % (ends, ends))
+        (tmp_path / "a.tgt").write_bytes(b"x%s%sy" % (ends, ends))
+        assert C.read_lines(tmp_path / "a.src") == ["a b", "c"]
+        assert C.read_lines(tmp_path / "a.tgt") == ["x", "", "y"]
+    assert C.split_lines("") == []
+    assert C.split_lines("\n") == [""]
+    assert C.split_lines("a\n\nb") == ["a", "", "b"]
+
+
 def test_missing_file_is_data_error(tmp_path):
     write_lines(tmp_path / "a.src", ["a"])
     with pytest.raises(FormatError):

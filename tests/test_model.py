@@ -14,7 +14,7 @@ from beamlab import model as M
 from beamlab import search as S
 from beamlab.errors import DataError, ModelFormatError
 
-from helpers import corpus_from_token_pairs
+from helpers import corpus_from_token_pairs, decode_one
 from oracles import (context_code, count_reference, count_rows,
                      model_json_reference, transducer_logprob_reference)
 
@@ -185,6 +185,37 @@ def test_train_counts_equal_the_per_token_loop(pairs, n_pairs, order,
     assert (C.UNK_ID in m.support) == unk_seen == (min_count > 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_alignment_at_realistic_lengths(data):
+    # sources of 1-60 tokens, the i-th token of each being s<i>, and every
+    # step from 1 to the default length cap, 2 |x| + 10, past the source end
+    lengths = data.draw(st.lists(st.integers(1, 60), min_size=1,
+                                 max_size=6), label="source lengths")
+    caps = [S.BeamConfig(width=1).cap(n) for n in lengths]
+    src = np.arange(100, 100 + sum(lengths))
+    starts = np.cumsum(lengths) - lengths
+    steps = np.arange(1, max(caps) + 1)
+    got = M.source_at(src, starts, np.array(lengths), steps[:, None])
+    assert got.tolist() == [[int(src[a + min(t, n) - 1])
+                             for a, n in zip(starts, lengths)]
+                            for t in steps.tolist()]
+    # training reads the same alignment: targets of up to cap - 1 tokens,
+    # whose last step, the EOS step, is the cap; blocks of a few tokens
+    pairs = []
+    for n, cap in zip(lengths, caps):
+        size = data.draw(st.integers(1, cap - 1), label="target length")
+        pairs.append((["s%d" % i for i in range(n)],
+                      ["xyz"[(i * i + n) % 3] for i in range(size)]))
+    corp = corpus_from_token_pairs(pairs)
+    block = data.draw(st.integers(1, 300), label="block tokens")
+    with mock.patch.object(M, "_BLOCK_TOKENS", block):
+        m = M.train(corp, order=2)
+    lex, _, _ = count_reference(corp, m.source_vocab, m.target_vocab, 2,
+                                C.BOS_ID, C.EOS_ID, C.UNK_ID)
+    assert count_rows(m.lex) == {key: dict(row) for key, row in lex.items()}
+
+
 # ---------------------------------------------------------------- scoring
 #
 # The model holds counts; search.DenseScorer is what turns them into
@@ -202,7 +233,8 @@ def state_key(model, source, prefix_ids=()):
 def dense_probs(scorer, source, prefix_ids=()):
     """p(. | source, prefix) over model.support, from the scorer's row."""
     x, ctx = state_key(scorer.model, source, prefix_ids)
-    return np.exp(scorer.mixed_log_rows(x, [scorer.context_code(ctx)])[0])
+    return np.exp(scorer.mixed_log_rows(
+        x, [context_code(ctx, scorer.base)])[0])
 
 
 def test_next_distribution_hand_value():
@@ -252,7 +284,7 @@ def test_sequence_logprob_uniform_model():
                           source_vocab=vocab,
                           target_vocab=vocab,
                           support=[C.EOS_ID, 3, 4, 5])
-    result = S.beam_search(m, ["p"], S.BeamConfig(width=13, max_len_a=0.0,
+    result = decode_one(m, ["p"], S.BeamConfig(width=13, max_len_a=0.0,
                                                   max_len_b=2))
     by_text = {tuple(vocab.decode(list(h.tokens))): h.logprob
                for h in result.hypotheses}
@@ -271,14 +303,14 @@ def test_sequence_logprob_matches_manual_replay():
     m = M.train(corp, order=2, lam=0.4)
     scorer = S.DenseScorer(m)
     src = ["a", "b"]
-    result = S.beam_search(m, src, S.BeamConfig(width=4), scorer)
+    result = decode_one(m, src, S.BeamConfig(width=4), scorer)
     assert result.hypotheses
     for hyp in result.hypotheses:
         ids = list(hyp.tokens) + [C.EOS_ID]
         manual = 0.0
         for t, y in enumerate(ids):
             x, ctx = state_key(m, src, ids[:t])
-            row = scorer.mixed_log_rows(x, [scorer.context_code(ctx)])[0]
+            row = scorer.mixed_log_rows(x, [context_code(ctx, scorer.base)])[0]
             manual += row[m.support.index(y)]
         assert hyp.logprob == pytest.approx(manual, abs=1e-12)
 
@@ -287,8 +319,8 @@ def test_unseen_source_token_scores_like_unk():
     corp = pair_corpus(("a b", "x y"), ("b", "y"))
     m = M.train(corp, order=2)
     cfg = S.BeamConfig(width=4)
-    unseen = S.beam_search(m, ["zzz"], cfg)
-    unk = S.beam_search(m, [C.UNK], cfg)
+    unseen = decode_one(m, ["zzz"], cfg)
+    unk = decode_one(m, [C.UNK], cfg)
     assert [(h.tokens, h.logprob) for h in unseen.hypotheses] == \
         [(h.tokens, h.logprob) for h in unk.hypotheses]
 
@@ -301,7 +333,7 @@ def test_order_one_model_ignores_context():
     # search scores agree with the definition, which reads no context
     src = ["a", "b"]
     src_ids = [m.source_vocab.id(t) for t in src]
-    result = S.beam_search(m, src, S.BeamConfig(width=4))
+    result = decode_one(m, src, S.BeamConfig(width=4))
     for hyp in result.hypotheses:
         assert hyp.logprob == pytest.approx(transducer_logprob_reference(
             m, src_ids, hyp.tokens, C.BOS_ID, C.EOS_ID), abs=1e-9)
@@ -373,8 +405,8 @@ def test_save_load_round_trip_exact(tmp_path):
         src = [rng.choice("abcq") for _ in range(rng.randint(1, 4))]
         prefix = [rng.choice(m.support) for _ in range(rng.randint(0, 5))]
         x, ctx = state_key(m, src, prefix)
-        code = scorer.context_code(ctx)
-        assert code == back_scorer.context_code(ctx)
+        code = context_code(ctx, scorer.base)
+        assert code == context_code(ctx, back_scorer.base)
         assert np.array_equal(scorer.mixed_log_rows(x, [code]),
                               back_scorer.mixed_log_rows(x, [code]))
 

@@ -15,10 +15,10 @@ from beamlab import corpus as C
 from beamlab import model as M
 from beamlab import search as S
 
-from helpers import corpus_from_token_pairs, saturating_width
+from helpers import corpus_from_token_pairs, decode_one, saturating_width
 from oracles import (beam_search_reference, context_code, dictionary_map,
                      enumerate_best_sequence, gnmt_penalty_reference,
-                     rank_reference, select_reference,
+                     normalize_score, rank_reference, select_reference,
                      transducer_logprob_reference,
                      transducer_prob_reference)
 
@@ -59,16 +59,16 @@ def reference_logprob(model, source, tokens):
 # ---------------------------------------------------------------- scoring
 
 def test_normalize_score_identity():
-    assert S.normalize_score(-10.0, 5, ("none",)) == -10.0
+    assert normalize_score(-10.0, 5, ("none",)) == -10.0
 
 
 def test_normalize_score_by_length():
-    assert S.normalize_score(-10.0, 5, ("by_length", 1.0)) == -2.0
-    assert S.normalize_score(-9.0, 2, ("by_length", 0.0)) == -9.0
+    assert normalize_score(-10.0, 5, ("by_length", 1.0)) == -2.0
+    assert normalize_score(-9.0, 2, ("by_length", 0.0)) == -9.0
 
 
 def test_normalize_score_gnmt():
-    got = S.normalize_score(-10.0, 5, ("gnmt", 0.6))
+    got = normalize_score(-10.0, 5, ("gnmt", 0.6))
     assert got == pytest.approx(-10.0 * 0.6 ** 0.6, abs=1e-12)
     assert got == pytest.approx(-7.360219228178333, abs=1e-9)
     assert got == pytest.approx(gnmt_penalty_reference(-10.0, 5, 0.6), abs=1e-12)
@@ -87,7 +87,7 @@ def test_normalization_alpha_is_capped():
     # at the cap, the score stays finite at a length of 10**29
     for kind in ("by_length", "gnmt"):
         norm = S.parse_normalization("%s:%g" % (kind, S.MAX_ALPHA))
-        assert math.isfinite(S.normalize_score(-1.0, 10 ** 29, norm))
+        assert math.isfinite(normalize_score(-1.0, 10 ** 29, norm))
         for bad in ("400", "1e300", "10.000001", "inf", "nan"):
             with pytest.raises(ValueError, match="finite and in"):
                 S.parse_normalization("%s:%s" % (kind, bad))
@@ -171,7 +171,7 @@ NORMS = [("none",), ("by_length", 0.0), ("by_length", 0.5),
 def test_rerank_top_k_equals_full_sort_prefix(entries, norm, rng):
     # a finished set holds each token sequence once, in any admission order
     want = rank_reference(entries,
-                          lambda lp, n: S.normalize_score(lp, n, norm))
+                          lambda lp, n: normalize_score(lp, n, norm))
     shuffled = list(entries)
     rng.shuffle(shuffled)
     for result in (finished_set(entries), finished_set(shuffled)):
@@ -193,7 +193,7 @@ def test_array_scores_equal_the_scalar_expression(entries, norm):
     lengths = np.array([n for n, _ in entries], dtype=np.int64)
     logprobs = np.array([lp for _, lp in entries])
     got = S._normalized_scores(logprobs, lengths, norm).tolist()
-    assert repr(got) == repr([S.normalize_score(lp, n + 1, norm)
+    assert repr(got) == repr([normalize_score(lp, n + 1, norm)
                               for n, lp in entries])
 
 
@@ -224,7 +224,7 @@ def test_width_is_refused_above_the_step_candidate_cap(monkeypatch, jobs):
     at_cap = S.MAX_STEP_CANDIDATES // 2
     calls = count_scoring(monkeypatch)
     beam = S.BeamConfig(width=at_cap, max_len_a=0.0, max_len_b=3)
-    assert S.beam_search(m, ["a"], beam).hypotheses
+    assert decode_one(m, ["a"], beam).hypotheses
     assert S.decode_corpus(m, [["a"], ["a"]], beam, jobs=1)[1].hypotheses
     assert calls
     del calls[:]
@@ -240,7 +240,7 @@ def test_width_is_refused_above_the_step_candidate_cap(monkeypatch, jobs):
     with pytest.raises(ValueError, match="candidates a beam step"):
         S.decode_corpus(m, [["a"], ["a"]], above, jobs=jobs)
     with pytest.raises(ValueError, match="candidates a beam step"):
-        S.beam_search(m, ["a"], above)
+        decode_one(m, ["a"], above)
     assert calls == []
 
 
@@ -279,7 +279,7 @@ def test_width_one_equals_greedy():
         m = random_tiny_model(rng)
         src = random_source(rng)
         cfg = S.BeamConfig(width=1, max_len_a=1.0, max_len_b=4)
-        result = S.beam_search(m, src, cfg)
+        result = decode_one(m, src, cfg)
         top = result.hypotheses[0]
         cap = math.ceil(1.0 * len(src)) + 4
         want_tokens, want_lp, _ = greedy_reference(m, src, cap)
@@ -294,7 +294,7 @@ def test_saturating_width_matches_exact_search():
         src = random_source(rng)
         cap = math.ceil(0.5 * len(src)) + 3
         width = saturating_width(len(m.support), cap)
-        result = S.beam_search(m, src, S.BeamConfig(width=width,
+        result = decode_one(m, src, S.BeamConfig(width=width,
                                                     max_len_a=0.5, max_len_b=3))
         exact = S.exact_search(m, src, cap)
         top = result.hypotheses[0]
@@ -328,7 +328,7 @@ def test_beam_never_beats_exact_on_raw_logprob():
         src = random_source(rng)
         exact = S.exact_search(m, src, 4)
         for width in (1, 2, 3):
-            result = S.beam_search(m, src, S.BeamConfig(width=width,
+            result = decode_one(m, src, S.BeamConfig(width=width,
                                                         max_len_a=1.0,
                                                         max_len_b=4 - len(src)))
             assert result.hypotheses[0].logprob <= exact.logprob + 1e-12
@@ -345,7 +345,7 @@ def test_empty_hypothesis_wins_when_eos_dominates():
                           support=[C.EOS_ID, 3])
     best = S.exact_search(m, ["x"], 4)
     assert best.tokens == ()
-    result = S.beam_search(m, ["x"], S.BeamConfig(width=8))
+    result = decode_one(m, ["x"], S.BeamConfig(width=8))
     assert result.hypotheses[0].tokens == ()
 
 
@@ -373,13 +373,13 @@ def test_eos_admission_needs_top_width_rank():
     m = M.train(corp, order=2, add_k_lex=0.1, add_k_ngram=0.1, lam=0.5)
     scorer = S.DenseScorer(m)
     row = scorer.mixed_log_rows(m.source_vocab.id("a"),
-                                [scorer.context_code((C.BOS_ID,))])[0]
+                                [context_code((C.BOS_ID,), scorer.base)])[0]
     x, y = (m.support.index(m.target_vocab.id(t)) for t in "xy")
     assert row[x] > row[m.support.index(C.EOS_ID)] > row[y]
 
-    narrow = S.beam_search(m, ["a"], S.BeamConfig(width=1))
+    narrow = decode_one(m, ["a"], S.BeamConfig(width=1))
     assert len(narrow.hypotheses[0].tokens) > 0
-    wide = S.beam_search(m, ["a"], S.BeamConfig(width=2))
+    wide = decode_one(m, ["a"], S.BeamConfig(width=2))
     assert any(h.tokens == () for h in wide.hypotheses)
 
 
@@ -388,7 +388,7 @@ def test_force_finish_at_length_cap():
     # window at every step, so the cap is the only way to stop
     corp = pair_corpus(("a", "x y x y x y x y"))
     m = M.train(corp, order=2)
-    result = S.beam_search(m, ["a"], S.BeamConfig(width=2, max_len_a=1.0,
+    result = decode_one(m, ["a"], S.BeamConfig(width=2, max_len_a=1.0,
                                                   max_len_b=2))
     assert len(result.hypotheses) == 2
     for hyp in result.hypotheses:
@@ -403,13 +403,13 @@ def test_finished_scores_match_sequence_logprob():
     for _ in range(10):
         m = random_tiny_model(rng)
         src = random_source(rng)
-        result = S.beam_search(m, src, S.BeamConfig(width=4, max_len_a=1.0,
+        result = decode_one(m, src, S.BeamConfig(width=4, max_len_a=1.0,
                                                     max_len_b=3))
         for hyp in result.hypotheses:
             tokens = m.target_vocab.decode(list(hyp.tokens))
             assert hyp.logprob == pytest.approx(
                 reference_logprob(m, src, tokens), abs=1e-9)
-            assert hyp.normalized_score == S.normalize_score(
+            assert hyp.normalized_score == normalize_score(
                 hyp.logprob, len(hyp.tokens) + 1, ("none",))
 
 
@@ -419,7 +419,7 @@ def test_result_sorted_by_normalized_score():
         for _ in range(10):
             m = random_tiny_model(rng)
             src = random_source(rng)
-            hyps = S.rerank(S.beam_search(m, src, S.BeamConfig(
+            hyps = S.rerank(decode_one(m, src, S.BeamConfig(
                 width=6, max_len_a=1.0, max_len_b=3)), norm)
             resorted = sorted(hyps, key=lambda h: (-h.normalized_score,
                                                    -h.logprob,
@@ -436,8 +436,8 @@ def test_width_invariance_beyond_saturation():
     src = ["a"]
     cap = math.ceil(0.5 * 1) + 3
     w_star = saturating_width(len(m.support), cap)
-    a = S.beam_search(m, src, S.BeamConfig(width=w_star, max_len_a=0.5, max_len_b=3))
-    b = S.beam_search(m, src, S.BeamConfig(width=w_star + 50, max_len_a=0.5,
+    a = decode_one(m, src, S.BeamConfig(width=w_star, max_len_a=0.5, max_len_b=3))
+    b = decode_one(m, src, S.BeamConfig(width=w_star + 50, max_len_a=0.5,
                                            max_len_b=3))
     assert [(h.tokens, h.logprob) for h in a.hypotheses] == \
            [(h.tokens, h.logprob) for h in b.hypotheses]
@@ -450,7 +450,7 @@ def reference_decode(m, source, config, scorer, norm=("none",)):
     `scorer`: its (tokens, logprob, normalized score) triples, best first
     under `norm`."""
     def rows_fn(x, contexts):
-        codes = np.array([scorer.context_code(c) for c in contexts],
+        codes = np.array([context_code(c, scorer.base) for c in contexts],
                          dtype=np.int64)
         return scorer.mixed_log_rows(x, codes)
 
@@ -458,7 +458,7 @@ def reference_decode(m, source, config, scorer, norm=("none",)):
     return beam_search_reference(
         rows_fn, src_ids, m.support, C.EOS_ID, C.BOS_ID, m.order,
         config.width, config.cap(len(src_ids)),
-        lambda lp, n: S.normalize_score(lp, n, norm))
+        lambda lp, n: normalize_score(lp, n, norm))
 
 
 def triples(hyps):
@@ -471,7 +471,7 @@ def assert_matches_reference(m, source, config, scorer=None,
     reference search, fed rows by the same scorer, on every finished
     hypothesis: tokens, logprob, normalized score and order, bit for bit."""
     scorer = scorer or S.DenseScorer(m)
-    got = S.rerank(S.beam_search(m, source, config, scorer), norm)
+    got = S.rerank(decode_one(m, source, config, scorer), norm)
     assert triples(got) == reference_decode(m, source, config, scorer, norm)
     return got
 
@@ -627,10 +627,10 @@ def test_batch_oracle_inputs_hit_the_cap_and_fill_the_finished_set():
     for m in batch_models():
         capped = S.BeamConfig(width=2, max_len_a=0.0, max_len_b=1)
         assert any(len(h.tokens) == 1 for h in
-                   S.beam_search(m, source, capped).hypotheses)
+                   decode_one(m, source, capped).hypotheses)
     m = batch_models()[-1]
     free = S.BeamConfig(width=2, max_len_a=2.0, max_len_b=10)
-    hyps = S.beam_search(m, source, free).hypotheses
+    hyps = decode_one(m, source, free).hypotheses
     assert len(hyps) >= 2
     assert all(len(h.tokens) < free.cap(len(source)) for h in hyps)
 
@@ -646,14 +646,14 @@ def test_rolled_code_equals_code_of_padded_context():
         non_eos = [t for t in m.support if t != C.EOS_ID]
         for _ in range(20):
             prefix = [rng.choice(non_eos) for _ in range(rng.randint(0, 7))]
-            code = scorer.start_code
+            code = 0
             for t in range(len(prefix) + 1):
                 padded = (C.BOS_ID,) * (order - 1) + tuple(prefix[:t])
                 ctx = padded[len(padded) - (order - 1):]
-                assert code == scorer.context_code(ctx)
+                assert code == context_code(ctx, scorer.base)
                 if t < len(prefix):
                     code = scorer.roll(code, prefix[t])
-            codes = np.array([scorer.start_code] * 3)
+            codes = np.array([0] * 3)
             for tok in prefix:
                 codes = scorer.roll(codes, np.array([tok] * 3))
             assert codes.tolist() == [code] * 3
@@ -676,11 +676,11 @@ def test_trained_and_unseen_context_rows():
         prefix = [t for t in ctx if t != C.BOS_ID]
         if ctx != (C.BOS_ID,) * (2 - len(prefix)) + tuple(prefix):
             continue  # BOS after a token: no prefix reaches it
-        row = scorer.mixed_log_rows(src_ids[0], [scorer.context_code(ctx)])[0]
+        row = scorer.mixed_log_rows(src_ids[0], [context_code(ctx, base)])[0]
         for j, y in enumerate(m.support):
             want = transducer_prob_reference(m, src_ids, prefix, y, C.BOS_ID)
             assert row[j] == pytest.approx(math.log(want), abs=1e-12)
-    codes = np.array([scorer.context_code(ctx) for ctx in unseen])
+    codes = np.array([context_code(ctx, base) for ctx in unseen])
     rows = scorer.mixed_log_rows(src_ids[0], codes)
     # every unseen context reads the one shared add-k row
     assert (rows == rows[0]).all()
@@ -705,7 +705,7 @@ def test_rows_are_built_on_first_use_in_any_order():
     m = M.train(corp, order=3, add_k_ngram=0.3, lam=0.45)
     forward, backward = lazy_scorer(m), lazy_scorer(m)
     assert forward._ngram.filled == forward._lex.filled == 0
-    codes = [forward.context_code(ctx)
+    codes = [context_code(ctx, forward.base)
              for ctx in itertools.product([C.BOS_ID] + m.support, repeat=2)]
     rows = {}
     for code in codes:
@@ -799,13 +799,14 @@ def test_context_without_ngram_entry_scores():
     top = scorer.modulus - 1
     rows = scorer.mixed_log_rows(3, [0, 1, top])
     assert np.array_equal(rows, np.full((3, 4), np.log(0.25)))
-    assert S.beam_search(empty, ["p"], S.BeamConfig(width=3)).hypotheses
+    assert decode_one(empty, ["p"], S.BeamConfig(width=3)).hypotheses
 
     m = M.train(pair_corpus(("a", "x"), ("b", "y")), order=3)
     scorer = S.DenseScorer(m)
     top = scorer.modulus - 1
     assert top > m.ngram.keys.max()
-    rows = scorer.mixed_log_rows(3, [top, scorer.start_code])
+    rows = scorer.mixed_log_rows(
+        3, [top, context_code((C.BOS_ID, C.BOS_ID), scorer.base)])
     assert np.isfinite(rows).all()
     assert not np.array_equal(rows[0], rows[1])
 
@@ -850,7 +851,7 @@ def test_dictionary_task_decodes_to_dictionary_image():
     rng = random.Random(0)
     tgt_words = sorted(set(mapping.values()))
     for pair in splits["test"]:
-        hyps = S.rerank(S.beam_search(m, pair.source,
+        hyps = S.rerank(decode_one(m, pair.source,
                                       S.BeamConfig(width=8)), norm)
         got = m.target_vocab.decode(list(hyps[0].tokens))
         want = [mapping[s] for s in pair.source]
@@ -893,7 +894,7 @@ def test_decode_corpus_parallel_matches_serial(monkeypatch):
         monkeypatch.setattr(S, "WHOLE_TABLE_CELLS", budget)
         assert S.DenseScorer(m).whole == (budget > 0)
         # lock-step groups of two sentences: 21 groups, the last of one
-        # sentence, in tasks of two groups at two workers
+        # sentence, a task each at two workers
         monkeypatch.setattr(S, "ROW_BUDGET", 2 * width)
         cfg_b = S.BeamConfig(width=width)
         serial = S.decode_corpus(m, sources, cfg_b, jobs=1)
@@ -982,7 +983,7 @@ def test_one_group_decodes_in_process(monkeypatch, width, n_sent):
     (1, 3, 600, 256),
     # one sentence a group: 30 groups, a task each
     (200, 4, 30, 256),
-    # 21 groups of two sentences, the last of one, in tasks of two groups
+    # 21 groups of two sentences, the last of one: 21 tasks, two workers
     (4, 2, 41, 8),
 ])
 def test_pool_tasks_are_runs_of_whole_consecutive_groups(
@@ -1022,18 +1023,16 @@ def test_pool_tasks_are_runs_of_whole_consecutive_groups(
     for a, b in zip(serial, parallel):
         assert_same_arrays(a, b)
     assert len(parallel) == n_sent
+    # a task is one group: a list of `size` source-id lists, the last of
+    # 1 to `size`
     tasks = seen["tasks"]
-    groups = [group for task in tasks for group in task]
     size = max(1, budget // width)
-    assert [len(group) for group in groups[:-1]] == [size] * (
-        len(groups) - 1)
-    assert 1 <= len(groups[-1]) <= size
-    # the groups, in task order, are the batch
-    assert [ids for group in groups for ids in group] == [
+    assert len(tasks) == -(-n_sent // size)
+    assert [len(task) for task in tasks[:-1]] == [size] * (len(tasks) - 1)
+    assert 1 <= len(tasks[-1]) <= size
+    # the tasks' sentences, in task order, are the batch
+    assert [ids for task in tasks for ids in task] == [
         [m.source_vocab.id(t) for t in source] for source in sources]
-    run = max(1, len(groups) // (jobs * 4))
-    assert [len(task) for task in tasks[:-1]] == [run] * (len(tasks) - 1)
-    assert 1 <= len(tasks[-1]) <= run
     assert seen["processes"] == min(jobs, len(tasks))
 
 
@@ -1062,7 +1061,7 @@ def test_width_one_batch_scores_once_per_lock_step(monkeypatch):
     calls = count_scoring(monkeypatch)
     alone, rows_alone = [], 0
     for source in sources:
-        S.beam_search(m, source, beam)
+        decode_one(m, source, beam)
         alone.append(len(calls))
         rows_alone += sum(calls)
         del calls[:]
@@ -1074,7 +1073,7 @@ def test_width_one_batch_scores_once_per_lock_step(monkeypatch):
     # the same rows are scored, only in fewer calls
     assert sum(calls) == rows_alone
     assert [triples(r.hypotheses) for r in batch] == [
-        triples(S.beam_search(m, s, beam).hypotheses) for s in sources]
+        triples(decode_one(m, s, beam).hypotheses) for s in sources]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
